@@ -57,6 +57,29 @@ def save_checkpoint(path, params, config, vocab):
             fh.write(blob)
 
 
+def _is_manifest_entry(entry):
+    """``[name, shape, dtype]``: a string, a list of non-negative ints, a string."""
+    return (isinstance(entry, list) and len(entry) == 3
+            and isinstance(entry[0], str) and isinstance(entry[2], str)
+            and isinstance(entry[1], list)
+            and all(type(dim) is int and dim >= 0 for dim in entry[1]))
+
+
+def _check_header(path, header):
+    """Reject a header whose fields are missing or of the wrong type."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key, kind, json_kind in (("manifest", list, "array"), ("config", dict, "object"),
+                                 ("vocab", list, "array")):
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"{path}: header field {key!r} is missing or not a JSON {json_kind}")
+    for entry in header["manifest"]:
+        if not _is_manifest_entry(entry):
+            raise CheckpointError(f"{path}: manifest entry {entry!r} is not [name, shape list, dtype]")
+    if not all(isinstance(token, str) for token in header["vocab"]):
+        raise CheckpointError(f"{path}: vocabulary holds a token that is not a string")
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -76,6 +99,7 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     offset += header_len
+    _check_header(path, header)
 
     manifest = []
     arrays = {}

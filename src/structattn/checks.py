@@ -73,6 +73,7 @@ def _op_checks(rng):
         ("dropout", dropout_fixed, [_rand(rng, 8)]),
         ("cross_entropy", lambda x: T.cross_entropy(x, 2), [_rand(rng, 5)]),
         ("lstm_step", _lstm_step_loss(rng), _lstm_step_inputs(rng)),
+        ("lstm_scan", _lstm_scan_loss, _lstm_scan_inputs(rng)),
         ("attend_pool", _attend_pool_loss(rng), _attend_pool_inputs(rng)),
         ("penalty", lambda x: attention.penalty(T.softmax_rows(x)), [_rand(rng, 3, 5)]),
         ("mlp_head", _mlp_loss(rng), _mlp_inputs(rng)),
@@ -95,6 +96,16 @@ def _lstm_step_loss(rng):
         h, c = encoder.lstm_step(x, h0, c0, encoder.LstmParams(w_x, w_h, b))
         return T.sum_all(T.mul(h, c))
     return loss
+
+
+def _lstm_scan_inputs(rng):
+    n, d, u = 3, 3, 4
+    return [_rand(rng, n, d), _rand(rng, 4 * u, d), _rand(rng, 4 * u, u), _rand(rng, 4 * u)]
+
+
+def _lstm_scan_loss(x, w_x, w_h, b):
+    """Couples both scan directions so each one's gradient depends on the other."""
+    return T.sum_all(T.mul(T.lstm_scan(x, w_x, w_h, b), T.lstm_scan(x, w_x, w_h, b, reverse=True)))
 
 
 def _attend_pool_inputs(rng):

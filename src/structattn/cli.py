@@ -44,11 +44,15 @@ def _load_sets(cfg):
     vocab = data.build_vocab(data.corpus_tokens(cfg.train_path, pairs, cfg.lowercase), cfg.min_count)
     train_set = data.load_dataset(cfg.train_path, vocab, pairs, cfg.lowercase)
     dev_set = data.load_dataset(cfg.dev_path, vocab, pairs, cfg.lowercase)
-    for name, dataset in (("train", train_set), ("dev", dev_set)):
-        top = max(ex.label for ex in dataset)
-        if top >= cfg.classes:
-            raise data.DataError(f"{name} set has label {top} but config declares {cfg.classes} classes")
+    _check_labels("train set", train_set, cfg.classes)
+    _check_labels("dev set", dev_set, cfg.classes)
     return vocab, train_set, dev_set
+
+
+def _check_labels(name, dataset, classes):
+    top = max(ex.label for ex in dataset)
+    if top >= classes:
+        raise data.DataError(f"{name} has label {top} but config declares {classes} classes")
 
 
 def _build_model(cfg, vocab, rng):
@@ -85,6 +89,7 @@ def cmd_train(args):
 def cmd_eval(args):
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     dataset = data.load_dataset(args.data, vocab, cfg.head == "gated-pair", cfg.lowercase)
+    _check_labels(args.data, dataset, cfg.classes)
     print(f"{training.evaluate(net, dataset):.4f}")
     return 0
 

@@ -123,21 +123,9 @@ def bilstm(s, mask, p_fwd, p_bwd):
     if not mask[:n_real].all():
         raise ValueError("padding must be contiguous at the end of the sequence")
 
-    u = p_fwd.units
-    dtype = s.dtype
-
-    h, c = T.zeros(u, dtype), T.zeros(u, dtype)
-    fwd = []
-    for t in range(n_real):
-        h, c = lstm_step(T.row(s, t), h, c, p_fwd)
-        fwd.append(h)
-
-    h, c = T.zeros(u, dtype), T.zeros(u, dtype)
-    bwd = [None] * n_real
-    for t in reversed(range(n_real)):
-        h, c = lstm_step(T.row(s, t), h, c, p_bwd)
-        bwd[t] = h
-
-    rows = [T.concat([fwd[t], bwd[t]]) for t in range(n_real)]
-    rows.extend(T.zeros(2 * u, dtype) for _ in range(n - n_real))
-    return HiddenStates(T.concat_rows(rows), mask.copy())
+    x = s if n_real == n else T.slice_rows(s, 0, n_real)
+    h = T.concat([T.lstm_scan(x, p_fwd.w_x, p_fwd.w_h, p_fwd.bias),
+                  T.lstm_scan(x, p_bwd.w_x, p_bwd.w_h, p_bwd.bias, reverse=True)], axis=1)
+    if n_real < n:
+        h = T.concat([h, T.zeros((n - n_real, h.shape[1]), h.dtype)])
+    return HiddenStates(h, mask.copy())

@@ -143,9 +143,14 @@ def _toposort(root):
     return order
 
 
+def _builds_graph(parents):
+    """Whether an op on ``parents`` records a backward node (see ``_from_op``)."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _from_op(data, parents, backward_fn):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _builds_graph(parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward_fn
@@ -263,10 +268,15 @@ def tanh_elem(x):
     return _from_op(y, (x,), bk)
 
 
+def _sigmoid(d):
+    """Overflow-free logistic function of an array, in the array's dtype."""
+    e = np.exp(-np.abs(d))
+    denom = 1.0 + e
+    return np.where(d >= 0, 1.0 / denom, e / denom).astype(d.dtype, copy=False)
+
+
 def sigmoid(x):
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    y = y.astype(d.dtype, copy=False)
+    y = _sigmoid(x.data)
 
     def bk(g):
         if x.requires_grad:
@@ -511,6 +521,90 @@ def cross_entropy(logits, label):
             logits._acc(g * p)
 
     return _from_op(data, (logits,), bk)
+
+
+def lstm_scan(x, w_x, w_h, bias, reverse=False):
+    """Hidden states of one LSTM direction over the rows of ``x``, as one op.
+
+    ``x`` is n-by-d, ``w_x`` 4u-by-d, ``w_h`` 4u-by-u and ``bias`` 4u, gates
+    stacked input/forget/cell/output. Row t of the n-by-u result is the state
+    after consuming row t, starting from zero state; ``reverse`` scans from
+    the last row to the first. Every row's input projection is one GEMM ahead
+    of the recurrence, and the backward pass is hand-written backpropagation
+    through time (Appleyard et al. 2016, arXiv:1604.01946).
+    """
+    if x.ndim != 2 or x.shape[0] == 0 or w_h.ndim != 2:
+        raise ShapeError(f"lstm_scan needs non-empty 2-D x and w_h, got {x.shape} and {w_h.shape}")
+    n = x.shape[0]
+    four_u, u = w_h.shape
+    if four_u != 4 * u or w_x.shape != (four_u, x.shape[1]) or bias.shape != (four_u,):
+        raise ShapeError(f"inconsistent lstm_scan shapes: x {x.shape}, w_x {w_x.shape}, "
+                         f"w_h {w_h.shape}, bias {bias.shape}")
+    parents = (x, w_x, w_h, bias)
+    record = _builds_graph(parents)
+    xw = x.data @ w_x.data.T
+    wh, b = w_h.data, bias.data
+    dtype = np.result_type(xw, wh, b)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    hs = np.empty((n, u), dtype)
+    if record:
+        gates = np.empty((n, four_u), dtype)
+        cells = np.empty((n, u), dtype)
+        tanh_cells = np.empty((n, u), dtype)
+    h = np.zeros(u, x.dtype)
+    c = np.zeros(u, x.dtype)
+    for t in order:
+        z = (xw[t] + wh @ h) + b
+        a = _sigmoid(z)
+        a[2 * u:3 * u] = np.tanh(z[2 * u:3 * u])
+        c = a[u:2 * u] * c + a[:u] * a[2 * u:3 * u]
+        tc = np.tanh(c)
+        h = a[3 * u:] * tc
+        hs[t] = h
+        if record:
+            gates[t], cells[t], tanh_cells[t] = a, c, tc
+
+    def previous(states):
+        """Row t holds the state the scan carried into step t (zero at its start)."""
+        out = np.zeros_like(states)
+        if reverse:
+            out[:-1] = states[1:]
+        else:
+            out[1:] = states[:-1]
+        return out
+
+    def bk(g):
+        # derivative of each gate's activation with respect to its logit
+        act = gates * (1.0 - gates)
+        act[:, 2 * u:3 * u] = 1.0 - gates[:, 2 * u:3 * u] * gates[:, 2 * u:3 * u]
+        dtanh_c = 1.0 - tanh_cells * tanh_cells
+        c_prev = previous(cells)
+        dz = np.empty((n, four_u), dtype)
+        dh = np.zeros(u, dtype)
+        dc = np.zeros(u, dtype)
+        for k, t in enumerate(reversed(order)):
+            i, f = gates[t, :u], gates[t, u:2 * u]
+            cand, o = gates[t, 2 * u:3 * u], gates[t, 3 * u:]
+            dh = g[t] + dh
+            dc = dh * o * dtanh_c[t] + dc
+            dz[t, :u] = dc * cand
+            dz[t, u:2 * u] = dc * c_prev[t]
+            dz[t, 2 * u:3 * u] = dc * i
+            dz[t, 3 * u:] = dh * tanh_cells[t]
+            dz[t] *= act[t]
+            dc = dc * f
+            if k < n - 1:
+                dh = wh.T @ dz[t]
+        if w_h.requires_grad:
+            w_h._acc(dz.T @ previous(hs))
+        if w_x.requires_grad:
+            w_x._acc(dz.T @ x.data)
+        if bias.requires_grad:
+            bias._acc(dz.sum(axis=0))
+        if x.requires_grad:
+            x._acc(dz @ w_x.data)
+
+    return _from_op(hs, parents, bk)
 
 
 def grad_check(fn, inputs, eps=1e-5):

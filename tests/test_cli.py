@@ -1,4 +1,6 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,42 @@ class TestEvalCommand:
         checkpoint.save_checkpoint(cfg.checkpoint_path, ck.arrays, ck.config, ck.vocab)
         assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", cfg.dev_path) == 1
         assert "shape mismatch" in capsys.readouterr().err
+
+
+    def test_out_of_range_label_is_an_error(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1\tkw0_0 f00\n7\tf01 kw1_1\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert "label 7" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("field, value", [
+        ("manifest", None), ("config", None), ("vocab", None),
+        ("manifest", {"embedding.table": [2, 8]}), ("config", [1, 2]), ("vocab", "<pad>"),
+        ("vocab", ["<pad>", "<unk>", ["kw0_0"]]),
+        ("entry", ["embedding.table", [2, 8]]), ("entry", "embedding.table"),
+        ("entry", ["embedding.table", 16, "<f4"]), ("entry", ["embedding.table", ["2", 8], "<f4"]),
+    ])
+    def test_malformed_header_is_an_error(self, tmp_path, capsys, field, value):
+        cfg, _ = train_once(tmp_path)
+        path = Path(cfg.checkpoint_path)
+        raw = path.read_bytes()
+        start = len(checkpoint.MAGIC) + 12
+        end = start + int.from_bytes(raw[start - 8:start], "little")
+        header = json.loads(raw[start:end])
+        if field == "entry":
+            header["manifest"][0] = value
+        elif value is None:
+            del header[field]
+        else:
+            header[field] = value
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:start - 8] + len(blob).to_bytes(8, "little") + blob + raw[end:])
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(path), "--data", cfg.dev_path) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
 
 
 class TestEmbedCommand:

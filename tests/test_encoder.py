@@ -154,3 +154,57 @@ class TestBilstm:
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(3, d), (4 * u, d), (4 * u, u), (4 * u,), (4 * u, d), (4 * u, u), (4 * u,)]]
         assert T.grad_check(loss, inputs) < 1e-4
+
+
+def per_token_bilstm(s, mask, p_fwd, p_bwd):
+    """The per-token autodiff graph ``bilstm`` replaced, as a reference."""
+    n, n_real, u = s.shape[0], int(mask.sum()), p_fwd.units
+    halves = []
+    for p, order in ((p_fwd, range(n_real)), (p_bwd, range(n_real - 1, -1, -1))):
+        h, c = T.zeros(u, s.dtype), T.zeros(u, s.dtype)
+        states = [None] * n_real
+        for t in order:
+            h, c = encoder.lstm_step(T.row(s, t), h, c, p)
+            states[t] = h
+        halves.append(states)
+    rows = [T.concat([f, b]) for f, b in zip(*halves)]
+    rows.extend(T.zeros(2 * u, s.dtype) for _ in range(n - n_real))
+    return T.concat_rows(rows)
+
+
+class TestFusedScanMatchesPerTokenGraph:
+    @pytest.mark.parametrize("n_real", [1, 2, 7])
+    @pytest.mark.parametrize("n_pad", [0, 2])
+    def test_states_and_gradients_float64(self, rng, n_real, n_pad):
+        d, u = 3, 4
+        p_fwd, p_bwd = make_params(rng, d, u)
+        for p in (p_fwd, p_bwd):
+            p.bias.data += rng.standard_normal(4 * u)
+        s = T.Tensor(rng.standard_normal((n_real + n_pad, d)), requires_grad=True)
+        mask = np.arange(n_real + n_pad) < n_real
+        weights = rng.standard_normal((n_real + n_pad, 2 * u))
+        leaves = [s] + [t for p in (p_fwd, p_bwd) for t in (p.w_x, p.w_h, p.bias)]
+
+        def states_and_grads(run):
+            for leaf in leaves:
+                leaf.grad = None
+            h = run(s, mask, p_fwd, p_bwd)
+            T.sum_all(T.mul(h, T.Tensor(weights))).backward()
+            return h.data, [leaf.grad.copy() for leaf in leaves]
+
+        want_h, want_grads = states_and_grads(per_token_bilstm)
+        got_h, got_grads = states_and_grads(lambda *a: encoder.bilstm(*a).h)
+        assert np.abs(got_h - want_h).max() <= 1e-12
+        for got, want in zip(got_grads, want_grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_paper_shape_float32_forward(self, rng):
+        p_fwd, p_bwd = make_params(rng, d=100, u=300, dtype=np.float32)
+        s = T.Tensor(rng.uniform(-0.1, 0.1, (100, 100)).astype(np.float32))
+        mask = np.ones(100, dtype=bool)
+        with T.no_grad():
+            want = per_token_bilstm(s, mask, p_fwd, p_bwd).data
+            got = encoder.bilstm(s, mask, p_fwd, p_bwd).h.data
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= 1e-6
