@@ -12,6 +12,6 @@ from .data import Vocab, build_vocab, load_dataset, load_pretrained
 from .encoder import EmbeddingTable, HiddenStates, LstmParams, bilstm, embed, lstm_step
 from .heads import (GatedEncoderParams, MlpHead, PrunedHead, count_params, gated_encode,
                     mlp_forward, pruned_forward)
-from .model import PairClassifier, SentenceClassifier, build_model, parameter_shapes
+from .model import Classifier, build_model, parameter_shapes
 from .tensor import Tensor, grad_check, no_grad
 from .training import evaluate, train

@@ -21,14 +21,6 @@ class AttentionParams:
         self.w1 = w1
         self.w2 = w2
 
-    @property
-    def d_a(self):
-        return self.w1.shape[0]
-
-    @property
-    def hops(self):
-        return self.w2.shape[0]
-
     @classmethod
     def create(cls, d_a, hops, width, rng, dtype=T.DEFAULT_DTYPE):
         return cls(T.glorot(rng, (d_a, width), dtype), T.glorot(rng, (hops, d_a), dtype))

@@ -4,12 +4,13 @@ Layout: magic string, format version (u32 LE), header length (u64 LE), a JSON
 header holding the tensor manifest (name, shape, dtype), the run-config
 snapshot, and the vocabulary, then the payloads concatenated in manifest order
 as row-major little-endian float32. Saving the result of a load reproduces the
-file byte for byte.
+file byte for byte. Every payload value must be finite.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,22 @@ def save_checkpoint(path, params, config, vocab):
         {"manifest": manifest, "config": config, "vocab": vocab},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(VERSION.to_bytes(4, "little"))
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        for blob in payloads:
-            fh.write(blob)
+    # Write beside the target, then rename over it: a save that fails part way
+    # leaves the previous file as it was.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(VERSION.to_bytes(4, "little"))
+            fh.write(len(header).to_bytes(8, "little"))
+            fh.write(header)
+            for blob in payloads:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _is_manifest_entry(entry):
@@ -111,6 +121,8 @@ def load_checkpoint(path):
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload for {name}")
         arrays[name] = np.frombuffer(raw[offset:offset + nbytes], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
         manifest.append((name, tuple(shape)))
         offset += nbytes
     if offset != len(raw):
@@ -129,7 +141,7 @@ def restore_model(path, dtype=np.float32):
     """
     ckpt = load_checkpoint(path)
     cfg = RunConfig.from_dict(ckpt.config)
-    vocab = Vocab.from_tokens(ckpt.vocab)
+    vocab = Vocab(ckpt.vocab)
     rng = np.random.default_rng(cfg.seed)
     model = model_mod.build_model(cfg, len(vocab), rng, dtype)
     params = model.named_parameters()

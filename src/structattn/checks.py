@@ -50,11 +50,11 @@ def _op_checks(rng):
         ("sigmoid", lambda x: T.sum_all(T.sigmoid(x)), [_rand(rng, 5)]),
         ("relu", lambda x: T.sum_all(T.mul(T.relu(x), x)),
          [T.Tensor(rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6), dtype=np.float64)]),
-        ("elementwise_add", lambda a, b: T.frobenius_sq(T.elementwise(a, b, "add")),
+        ("add", lambda a, b: T.frobenius_sq(T.add(a, b)),
          [_rand(rng, 2, 3), _rand(rng, 2, 3)]),
-        ("elementwise_sub", lambda a, b: T.frobenius_sq(T.elementwise(a, b, "sub")),
+        ("sub", lambda a, b: T.frobenius_sq(T.sub(a, b)),
          [_rand(rng, 2, 3), _rand(rng, 2, 3)]),
-        ("elementwise_mul", lambda a, b: T.frobenius_sq(T.elementwise(a, b, "mul")),
+        ("mul", lambda a, b: T.frobenius_sq(T.mul(a, b)),
          [_rand(rng, 2, 3), _rand(rng, 2, 3)]),
         ("scale", lambda x: T.sum_all(T.scale(x, 0.37)), [_rand(rng, 4)]),
         ("frobenius_sq", T.frobenius_sq, [_rand(rng, 3, 3)]),
@@ -242,20 +242,16 @@ def full_model_check(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE, max_tokens=
     label = int(rng.integers(cfg.classes))
 
     params = net.named_parameters()
-    by_tensor = {id(t): name for name, t in params.items()}
     scenario = {
         "tokens": tokens,
         "tokens2": tokens[::-1].copy(),
         "label": label,
-        "l2": [by_tensor[id(w)] for w in net.l2_parameters()],
+        "l2": [name for name in params if name in model_mod.L2_PARAMS],
     }
 
     for p in params.values():
         p.grad = None
-    if cfg.head == "gated-pair":
-        logits, attn = net.forward(tokens, mask, scenario["tokens2"], mask)
-    else:
-        logits, attn = net.forward(tokens, mask)
+    logits, attn = net.forward(tokens, mask, scenario["tokens2"], mask)
     training.total_loss(logits, label, attn, coeff=1.0, l2_coeff=1e-4,
                         l2_params=net.l2_parameters()).backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

@@ -19,6 +19,11 @@ class ConfigError(Exception):
     pass
 
 
+# Declared field type -> accepted Python types (values may come from JSON).
+_FIELD_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
+                "bool": bool, "str": str}
+
+
 @dataclass
 class RunConfig:
     # model
@@ -55,6 +60,11 @@ class RunConfig:
     history_path: str = "history.csv"
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, but a flag is never a count or a rate.
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         for key in REQUIRED_KEYS:
             value = getattr(self, key)
             if value in ("", 0):

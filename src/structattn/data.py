@@ -42,10 +42,6 @@ class Vocab:
     def encode(self, tokens):
         return np.array([self.id(t) for t in tokens], dtype=np.int64)
 
-    @classmethod
-    def from_tokens(cls, id_to_token):
-        return cls(id_to_token)
-
 
 def build_vocab(corpus, min_count=1):
     """Vocabulary over token lists: frequency desc, ties lexicographic.
@@ -69,6 +65,10 @@ class Example:
     tokens: np.ndarray
     label: int
 
+    def inputs(self):
+        """Positional arguments of ``Classifier.forward`` for this example."""
+        return (self.tokens,)
+
 
 @dataclass
 class PairExample:
@@ -76,38 +76,44 @@ class PairExample:
     premise: np.ndarray
     label: int
 
+    def inputs(self):
+        return self.hypothesis, None, self.premise, None
+
 
 def _tokenize(text, lowercase):
     return (text.lower() if lowercase else text).split()
 
 
-def _parse_line(line, lineno, path, vocab, pairs, lowercase):
-    cells = line.rstrip("\n").split("\t")
+def _records(path, pairs):
+    """(line number, tab-separated fields) per non-blank line of a dataset file."""
     want = 3 if pairs else 2
-    if len(cells) != want:
-        raise DataError(f"{path}:{lineno}: expected {want} tab-separated fields, got {len(cells)}")
-    try:
-        label = int(cells[0])
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: label is not an integer: {cells[0]!r}") from None
-    if label < 0:
-        raise DataError(f"{path}:{lineno}: label must be >= 0")
-    token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
-    if any(not toks for toks in token_lists):
-        raise DataError(f"{path}:{lineno}: empty sentence")
-    if pairs:
-        return PairExample(vocab.encode(token_lists[0]), vocab.encode(token_lists[1]), label)
-    return Example(vocab.encode(token_lists[0]), label)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != want:
+                raise DataError(f"{path}:{lineno}: expected {want} tab-separated fields, got {len(cells)}")
+            yield lineno, cells
 
 
 def load_dataset(path, vocab, pairs=False, lowercase=False):
     """Parse a labeled dataset file into examples; unknown words map to UNK."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            examples.append(_parse_line(line, lineno, path, vocab, pairs, lowercase))
+    for lineno, cells in _records(path, pairs):
+        try:
+            label = int(cells[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: label is not an integer: {cells[0]!r}") from None
+        if label < 0:
+            raise DataError(f"{path}:{lineno}: label must be >= 0")
+        token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
+        if any(not toks for toks in token_lists):
+            raise DataError(f"{path}:{lineno}: empty sentence")
+        if pairs:
+            examples.append(PairExample(vocab.encode(token_lists[0]), vocab.encode(token_lists[1]), label))
+        else:
+            examples.append(Example(vocab.encode(token_lists[0]), label))
     if not examples:
         raise DataError(f"{path}: no examples")
     return examples
@@ -115,18 +121,7 @@ def load_dataset(path, vocab, pairs=False, lowercase=False):
 
 def corpus_tokens(path, pairs=False, lowercase=False):
     """Token lists of a dataset file, for vocabulary building."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            want = 3 if pairs else 2
-            if len(cells) != want:
-                raise DataError(f"{path}:{lineno}: expected {want} tab-separated fields, got {len(cells)}")
-            for cell in cells[1:]:
-                out.append(_tokenize(cell, lowercase))
-    return out
+    return [_tokenize(cell, lowercase) for _, cells in _records(path, pairs) for cell in cells[1:]]
 
 
 def load_pretrained(path, vocab, dim, rng, dtype=T.DEFAULT_DTYPE):
@@ -167,6 +162,10 @@ class Batch:
     def __len__(self):
         return self.tokens.shape[0]
 
+    def inputs(self, i):
+        """Positional arguments of ``Classifier.forward`` for example ``i``."""
+        return self.tokens[i], self.mask[i]
+
 
 @dataclass
 class PairBatch:
@@ -178,6 +177,9 @@ class PairBatch:
 
     def __len__(self):
         return self.hyp_tokens.shape[0]
+
+    def inputs(self, i):
+        return self.hyp_tokens[i], self.hyp_mask[i], self.prem_tokens[i], self.prem_mask[i]
 
 
 def _pad_block(token_lists):

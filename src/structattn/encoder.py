@@ -20,10 +20,9 @@ UNK_ID = 1
 class EmbeddingTable:
     """Trainable id -> vector table; row 0 is the padding row."""
 
-    def __init__(self, table, trainable=True):
+    def __init__(self, table):
         self.table = table
-        self.table.requires_grad = bool(trainable)
-        self.trainable = bool(trainable)
+        self.table.requires_grad = True
 
     @property
     def vocab_size(self):
@@ -34,10 +33,10 @@ class EmbeddingTable:
         return self.table.shape[1]
 
     @classmethod
-    def random(cls, vocab_size, dim, rng, dtype=T.DEFAULT_DTYPE, trainable=True):
+    def random(cls, vocab_size, dim, rng, dtype=T.DEFAULT_DTYPE):
         data = rng.uniform(-0.1, 0.1, size=(vocab_size, dim)).astype(dtype)
         data[PAD_ID] = 0.0
-        return cls(T.Tensor(data, requires_grad=trainable), trainable=trainable)
+        return cls(T.Tensor(data))
 
 
 def embed(tokens, table):
@@ -61,10 +60,6 @@ class LstmParams:
     @property
     def units(self):
         return self.w_h.shape[1]
-
-    @property
-    def input_dim(self):
-        return self.w_x.shape[1]
 
     @classmethod
     def create(cls, input_dim, units, rng, dtype=T.DEFAULT_DTYPE):
@@ -94,14 +89,6 @@ class HiddenStates:
 
     h: T.Tensor
     mask: np.ndarray
-
-    @property
-    def n(self):
-        return self.h.shape[0]
-
-    @property
-    def width(self):
-        return self.h.shape[1]
 
 
 def bilstm(s, mask, p_fwd, p_bwd):

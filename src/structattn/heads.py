@@ -25,14 +25,6 @@ class MlpHead:
         self.w2 = w2
         self.b2 = b2
 
-    @property
-    def in_dim(self):
-        return self.w1.shape[1]
-
-    @property
-    def classes(self):
-        return self.w2.shape[0]
-
     @classmethod
     def create(cls, in_dim, hidden, classes, rng, dtype=T.DEFAULT_DTYPE):
         return cls(
@@ -66,10 +58,6 @@ class PrunedHead:
         self.w_out = w_out
         self.b_out = b_out
 
-    @property
-    def classes(self):
-        return self.w_out.shape[0]
-
     @classmethod
     def create(cls, hops, width, p, q, classes, rng, dtype=T.DEFAULT_DTYPE):
         return cls(
@@ -96,10 +84,6 @@ class GatedEncoderParams:
             raise T.ShapeError(f"factor tensors must match: {w_fh.shape} vs {w_fp.shape}")
         self.w_fh = w_fh
         self.w_fp = w_fp
-
-    @property
-    def factor_dim(self):
-        return self.w_fh.shape[2]
 
     @classmethod
     def create(cls, hops, width, factor_dim, rng, dtype=T.DEFAULT_DTYPE):

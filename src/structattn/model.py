@@ -65,13 +65,23 @@ def count_model_params(cfg: RunConfig, vocab_size=None):
     return heads.count_params(parameter_shapes(cfg, size), audit_group)
 
 
-class SentenceClassifier:
-    """biLSTM + multi-hop attention + dense or pruned head for one sentence."""
+# Weight matrices covered by L2: attention, gated factors and head weights,
+# never embeddings, LSTM weights or biases. Summed in manifest order.
+L2_PARAMS = ("attention.w1", "attention.w2", "gated.w_fh", "gated.w_fp",
+             "head.w1", "head.w2", "head.w_v", "head.w_h", "head.w_out")
+
+
+class Classifier:
+    """biLSTM + multi-hop attention under a dense, pruned or gated-pair head.
+
+    The gated-pair head encodes both sentences with the shared encoder and
+    attention, combines their matrix embeddings with the gated encoder, and
+    classifies the result with an MLP.
+    """
 
     def __init__(self, cfg: RunConfig, vocab_size, rng, dtype=T.DEFAULT_DTYPE, embedding=None):
-        if cfg.head not in ("dense", "pruned"):
-            raise ValueError(f"SentenceClassifier supports dense/pruned heads, got {cfg.head!r}")
         self.cfg = cfg
+        self._names = tuple(parameter_shapes(cfg, vocab_size))
         width = 2 * cfg.u
         self.embedding = embedding or encoder.EmbeddingTable.random(vocab_size, cfg.d, rng, dtype)
         self.lstm_fwd = encoder.LstmParams.create(cfg.d, cfg.u, rng, dtype)
@@ -79,8 +89,11 @@ class SentenceClassifier:
         self.attention = attention.AttentionParams.create(cfg.d_a, cfg.r, width, rng, dtype)
         if cfg.head == "dense":
             self.head = heads.MlpHead.create(cfg.r * width, cfg.b, cfg.classes, rng, dtype)
-        else:
+        elif cfg.head == "pruned":
             self.head = heads.PrunedHead.create(cfg.r, width, cfg.p, cfg.q, cfg.classes, rng, dtype)
+        else:
+            self.gated = heads.GatedEncoderParams.create(cfg.r, width, cfg.k, rng, dtype)
+            self.head = heads.MlpHead.create(cfg.r * cfg.k, cfg.b, cfg.classes, rng, dtype)
 
     def encode(self, tokens, mask=None):
         """Hidden states, annotation matrix, and matrix embedding for one sentence."""
@@ -93,105 +106,33 @@ class SentenceClassifier:
         m = attention.pool(a, hidden)
         return hidden, a, m
 
-    def forward(self, tokens, mask=None, train=False, rng=None):
-        """Class logits and the annotation matrix for one (padded) sentence."""
+    def forward(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
+        """Class logits and the annotation matrix for one (padded) sentence.
+
+        For gated-pair, ``tokens`` is the hypothesis and ``prem_tokens`` the
+        premise, and the second result is the pair (A_hypothesis, A_premise).
+        """
         _, a, m = self.encode(tokens, mask)
         if self.cfg.head == "dense":
-            logits = heads.mlp_forward(m, self.head, self.cfg.dropout, train, rng)
-        else:
-            logits = heads.pruned_forward(m, self.head, train)
-        return logits, a
+            return heads.mlp_forward(m, self.head, self.cfg.dropout, train, rng), a
+        if self.cfg.head == "pruned":
+            return heads.pruned_forward(m, self.head, train), a
+        _, a_p, m_p = self.encode(prem_tokens, prem_mask)
+        f_r = heads.gated_encode(m, m_p, self.gated)
+        return heads.mlp_forward(f_r, self.head, self.cfg.dropout, train, rng), (a, a_p)
 
     def named_parameters(self):
-        params = {
-            "embedding.table": self.embedding.table,
-            "lstm_fwd.w_x": self.lstm_fwd.w_x,
-            "lstm_fwd.w_h": self.lstm_fwd.w_h,
-            "lstm_fwd.bias": self.lstm_fwd.bias,
-            "lstm_bwd.w_x": self.lstm_bwd.w_x,
-            "lstm_bwd.w_h": self.lstm_bwd.w_h,
-            "lstm_bwd.bias": self.lstm_bwd.bias,
-            "attention.w1": self.attention.w1,
-            "attention.w2": self.attention.w2,
-        }
-        if self.cfg.head == "dense":
-            params.update({
-                "head.w1": self.head.w1, "head.b1": self.head.b1,
-                "head.w2": self.head.w2, "head.b2": self.head.b2,
-            })
-        else:
-            params.update({
-                "head.w_v": self.head.w_v, "head.w_h": self.head.w_h,
-                "head.w_out": self.head.w_out, "head.b_out": self.head.b_out,
-            })
+        """Every trainable tensor under its ``parameter_shapes`` name, in that order."""
+        params = {}
+        for name in self._names:
+            part, attr = name.split(".")
+            params[name] = getattr(getattr(self, part), attr)
         return params
 
     def l2_parameters(self):
-        """Weight matrices covered by L2: attention and head, never embeddings or biases."""
-        ws = [self.attention.w1, self.attention.w2]
-        if self.cfg.head == "dense":
-            ws += [self.head.w1, self.head.w2]
-        else:
-            ws += [self.head.w_v, self.head.w_h, self.head.w_out]
-        return ws
-
-
-class PairClassifier:
-    """Shared encoder/attention over two sentences, combined by the gated encoder."""
-
-    def __init__(self, cfg: RunConfig, vocab_size, rng, dtype=T.DEFAULT_DTYPE, embedding=None):
-        if cfg.head != "gated-pair":
-            raise ValueError(f"PairClassifier needs head=gated-pair, got {cfg.head!r}")
-        self.cfg = cfg
-        width = 2 * cfg.u
-        self.embedding = embedding or encoder.EmbeddingTable.random(vocab_size, cfg.d, rng, dtype)
-        self.lstm_fwd = encoder.LstmParams.create(cfg.d, cfg.u, rng, dtype)
-        self.lstm_bwd = encoder.LstmParams.create(cfg.d, cfg.u, rng, dtype)
-        self.attention = attention.AttentionParams.create(cfg.d_a, cfg.r, width, rng, dtype)
-        self.gated = heads.GatedEncoderParams.create(cfg.r, width, cfg.k, rng, dtype)
-        self.head = heads.MlpHead.create(cfg.r * cfg.k, cfg.b, cfg.classes, rng, dtype)
-
-    def encode(self, tokens, mask=None):
-        tokens = np.asarray(tokens)
-        if mask is None:
-            mask = np.ones(tokens.shape[0], dtype=bool)
-        s = encoder.embed(tokens, self.embedding)
-        hidden = encoder.bilstm(s, mask, self.lstm_fwd, self.lstm_bwd)
-        a = attention.attend(hidden, self.attention)
-        m = attention.pool(a, hidden)
-        return hidden, a, m
-
-    def forward(self, hyp_tokens, hyp_mask, prem_tokens, prem_mask, train=False, rng=None):
-        """Logits plus both annotation matrices for a (hypothesis, premise) pair."""
-        _, a_h, m_h = self.encode(hyp_tokens, hyp_mask)
-        _, a_p, m_p = self.encode(prem_tokens, prem_mask)
-        f_r = heads.gated_encode(m_h, m_p, self.gated)
-        logits = heads.mlp_forward(f_r, self.head, self.cfg.dropout, train, rng)
-        return logits, (a_h, a_p)
-
-    def named_parameters(self):
-        return {
-            "embedding.table": self.embedding.table,
-            "lstm_fwd.w_x": self.lstm_fwd.w_x,
-            "lstm_fwd.w_h": self.lstm_fwd.w_h,
-            "lstm_fwd.bias": self.lstm_fwd.bias,
-            "lstm_bwd.w_x": self.lstm_bwd.w_x,
-            "lstm_bwd.w_h": self.lstm_bwd.w_h,
-            "lstm_bwd.bias": self.lstm_bwd.bias,
-            "attention.w1": self.attention.w1,
-            "attention.w2": self.attention.w2,
-            "gated.w_fh": self.gated.w_fh,
-            "gated.w_fp": self.gated.w_fp,
-            "head.w1": self.head.w1, "head.b1": self.head.b1,
-            "head.w2": self.head.w2, "head.b2": self.head.b2,
-        }
-
-    def l2_parameters(self):
-        return [self.attention.w1, self.attention.w2, self.gated.w_fh, self.gated.w_fp,
-                self.head.w1, self.head.w2]
+        """The tensors named in ``L2_PARAMS``, in manifest order."""
+        return [p for name, p in self.named_parameters().items() if name in L2_PARAMS]
 
 
 def build_model(cfg: RunConfig, vocab_size, rng, dtype=T.DEFAULT_DTYPE, embedding=None):
-    if cfg.head == "gated-pair":
-        return PairClassifier(cfg, vocab_size, rng, dtype, embedding)
-    return SentenceClassifier(cfg, vocab_size, rng, dtype, embedding)
+    return Classifier(cfg, vocab_size, rng, dtype, embedding)

@@ -336,13 +336,6 @@ def mul(a, b):
     return _from_op(a.data * b.data, (a, b), bk)
 
 
-def elementwise(a, b, kind):
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    return ops[kind](a, b)
-
-
 def scale(x, c):
     c = float(c)
 

@@ -39,18 +39,18 @@ def total_loss(logits, label, attn, coeff, l2_coeff, l2_params):
 
 
 def clip_grads(grads, clip):
-    """Clamp every gradient component to [-clip, +clip]."""
-    return {name: np.clip(g, -clip, clip) for name, g in grads.items()}
+    """Clamp every gradient component to [-clip, +clip] in place; returns ``grads``."""
+    for g in grads.values():
+        np.clip(g, -clip, clip, out=g)
+    return grads
 
 
-def sgd_step(params, grads, lr, clip=None):
-    """In-place SGD update with optional elementwise gradient clamping."""
+def sgd_step(params, grads, lr):
+    """In-place SGD update."""
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        if clip is not None:
-            g = np.clip(g, -clip, clip)
         p.data -= lr * g
 
 
@@ -67,42 +67,24 @@ def adagrad_step(params, grads, state, lr, eps=1e-8):
         p.data -= lr * g / (np.sqrt(acc) + eps)
 
 
-def _forward(model, b, i, train, rng):
-    if isinstance(b, data.PairBatch):
-        return model.forward(b.hyp_tokens[i], b.hyp_mask[i], b.prem_tokens[i], b.prem_mask[i],
-                             train=train, rng=rng)
-    return model.forward(b.tokens[i], b.mask[i], train=train, rng=rng)
-
-
-def _example_forward(model, ex, train=False, rng=None):
-    if isinstance(ex, data.PairExample):
-        return model.forward(ex.hypothesis, None, ex.premise, None, train=train, rng=rng)
-    return model.forward(ex.tokens, None, train=train, rng=rng)
-
-
-def evaluate(model, examples):
-    """Fraction of argmax-correct predictions; dropout off, parameters untouched."""
+def _dev_stats(model, examples):
+    """Accuracy plus the mean pairwise attention overlap; dropout off, parameters untouched."""
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    with T.no_grad():
-        for ex in examples:
-            logits, _ = _example_forward(model, ex)
-            correct += int(np.argmax(logits.data)) == ex.label
-    return correct / len(examples)
-
-
-def _dev_stats(model, examples):
-    """Accuracy plus the mean pairwise attention overlap over the dataset."""
     correct = 0
     overlaps = []
     with T.no_grad():
         for ex in examples:
-            logits, attn = _example_forward(model, ex)
+            logits, attn = model.forward(*ex.inputs())
             correct += int(np.argmax(logits.data)) == ex.label
             mats = attn if isinstance(attn, tuple) else (attn,)
             overlaps.extend(attention.mean_pairwise_overlap(a) for a in mats)
     return correct / len(examples), float(np.mean(overlaps))
+
+
+def evaluate(model, examples):
+    """Fraction of argmax-correct predictions; dropout off, parameters untouched."""
+    return _dev_stats(model, examples)[0]
 
 
 @dataclass
@@ -141,7 +123,7 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
         for bi, b in enumerate(data.batch(train_set, cfg.batch_size, rng)):
             total = None
             for i in range(len(b)):
-                logits, attn = _forward(model, b, i, train=True, rng=rng)
+                logits, attn = model.forward(*b.inputs(i), train=True, rng=rng)
                 loss = total_loss(logits, b.labels[i], attn, cfg.penalty_coeff, cfg.l2, l2_params)
                 total = loss if total is None else T.add(total, loss)
                 mats = attn if isinstance(attn, tuple) else (attn,)
@@ -151,11 +133,11 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}")
             batch_loss.backward()
             grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+            if cfg.clip is not None:
+                clip_grads(grads, cfg.clip)
             if cfg.optimizer == "sgd":
-                sgd_step(params, grads, cfg.learning_rate, cfg.clip)
+                sgd_step(params, grads, cfg.learning_rate)
             else:
-                if cfg.clip is not None:
-                    grads = clip_grads(grads, cfg.clip)
                 adagrad_step(params, grads, adagrad_state, cfg.learning_rate)
             for p in params.values():
                 p.grad = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import html
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class HeatmapDoc:
     model_id: str = ""
     predicted: int | None = None
     confidence: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _color(weight, max_weight):

@@ -84,3 +84,36 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(checkpoint.CheckpointError, match="trailing"):
         checkpoint.load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    params = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(3, dtype=np.float32)}
+    vocab = ["<pad>", "<unk>", "x"]
+    checkpoint.save_checkpoint(path, params, {"seed": 1}, vocab)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """File wrapper whose first payload write fails (magic, version, length, header come first)."""
+
+        def __init__(self, fh):
+            self.fh = fh
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, blob):
+            self.writes += 1
+            if self.writes > 4:
+                raise OSError("no space left on device")
+            return self.fh.write(blob)
+
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: DiskFull(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        checkpoint.save_checkpoint(path, {k: v * 2 for k, v in params.items()}, {"seed": 2}, vocab)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]

@@ -19,7 +19,7 @@ def test_all_op_checks_pass():
 def test_report_lists_every_op():
     names = {r.name for r in checks.run_op_checks(seed=0)}
     expected = {"matmul", "batched_dot", "softmax_rows", "softmax_rows_masked", "tanh_elem",
-                "sigmoid", "relu", "elementwise_add", "elementwise_sub", "elementwise_mul",
+                "sigmoid", "relu", "add", "sub", "mul",
                 "scale", "frobenius_sq", "sum_all", "concat", "concat_rows", "transpose",
                 "reshape", "gather_rows", "row", "slice_rows", "dropout", "cross_entropy",
                 "lstm_step", "lstm_scan", "attend_pool", "penalty", "mlp_head", "pruned_head", "gated_encode"}

@@ -66,6 +66,26 @@ class TestEvalCommand:
         assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", cfg.dev_path) == 1
         assert "shape mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("u", "abc"), ("lowercase", "yes")])
+    def test_stored_config_of_wrong_type_is_an_error(self, tmp_path, capsys, key, value):
+        cfg, _ = train_once(tmp_path)
+        ck = checkpoint.load_checkpoint(cfg.checkpoint_path)
+        ck.config[key] = value
+        checkpoint.save_checkpoint(cfg.checkpoint_path, ck.arrays, ck.config, ck.vocab)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", cfg.dev_path) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key} must be of type" in captured.err and captured.out == ""
+
+    def test_non_finite_payload_is_an_error(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        ck = checkpoint.load_checkpoint(cfg.checkpoint_path)
+        ck.arrays["attention.w1"][0, 1] = np.nan
+        checkpoint.save_checkpoint(cfg.checkpoint_path, ck.arrays, ck.config, ck.vocab)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", cfg.dev_path) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "attention.w1" in captured.err and captured.out == ""
 
     def test_out_of_range_label_is_an_error(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)

@@ -184,13 +184,21 @@ class TestCountParams:
             assert pruned.group_totals["hidden_layer"] < dense.group_totals["hidden_layer"]
 
     def test_shape_map_matches_built_models(self, rng):
-        for head, kw in [("dense", {}), ("pruned", {}), ("gated-pair", {})]:
+        l2_names = {
+            "dense": ["attention.w1", "attention.w2", "head.w1", "head.w2"],
+            "pruned": ["attention.w1", "attention.w2", "head.w_v", "head.w_h", "head.w_out"],
+            "gated-pair": ["attention.w1", "attention.w2", "gated.w_fh", "gated.w_fp",
+                           "head.w1", "head.w2"],
+        }
+        for head, want_l2 in l2_names.items():
             cfg = RunConfig(d=5, u=4, d_a=3, r=2, head=head, classes=3, b=6, p=2, q=2, k=3).validate()
             from structattn.model import build_model
             net = build_model(cfg, vocab_size=9, rng=rng)
             shapes = parameter_shapes(cfg, 9)
-            actual = {name: p.shape for name, p in net.named_parameters().items()}
-            assert shapes == actual
+            params = net.named_parameters()
+            actual = [(name, p.shape) for name, p in params.items()]
+            assert actual == list(shapes.items())
+            assert [id(w) for w in net.l2_parameters()] == [id(params[name]) for name in want_l2]
 
     def test_grouping(self):
         assert audit_group("embedding.table") == "embedding"

@@ -120,26 +120,22 @@ class TestElementwiseAndScalars:
 
     def test_mul_by_ones_is_identity(self, rng):
         a = rng.standard_normal((2, 3))
-        assert np.array_equal(T.elementwise(t64(a), t64(np.ones((2, 3))), "mul").data, a)
+        assert np.array_equal(T.mul(t64(a), t64(np.ones((2, 3)))).data, a)
 
     def test_sub_self_is_zero(self, rng):
         a = t64(rng.standard_normal(4))
-        assert (T.elementwise(a, a, "sub").data == 0).all()
+        assert (T.sub(a, a).data == 0).all()
 
     def test_elementwise_gradients(self, rng):
-        for kind in ("add", "sub", "mul"):
+        for op in (T.add, T.sub, T.mul):
             a = T.Tensor(rng.standard_normal((2, 3)))
             b = T.Tensor(rng.standard_normal((2, 3)))
-            err = T.grad_check(lambda x, y: T.frobenius_sq(T.elementwise(x, y, kind)), [a, b])
-            assert err < 1e-4, kind
+            err = T.grad_check(lambda x, y: T.frobenius_sq(op(x, y)), [a, b])
+            assert err < 1e-4, op.__name__
 
     def test_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
             T.add(t64(np.zeros(3)), t64(np.zeros(4)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            T.elementwise(t64(1.0), t64(1.0), "div")
 
 
 class TestFrobenius:

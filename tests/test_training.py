@@ -57,18 +57,18 @@ class TestSgdStep:
     def test_zero_gradients_leave_params(self, rng):
         p = {"w": T.Tensor(rng.standard_normal(3))}
         before = p["w"].data.copy()
-        training.sgd_step(p, {"w": np.zeros(3)}, lr=0.1, clip=0.5)
+        training.sgd_step(p, training.clip_grads({"w": np.zeros(3)}, 0.5), lr=0.1)
         assert np.array_equal(p["w"].data, before)
 
     def test_clip_clamps_components(self):
         p = {"w": T.Tensor(np.zeros(2))}
-        training.sgd_step(p, {"w": np.array([10.0, -10.0])}, lr=1.0, clip=0.5)
+        training.sgd_step(p, training.clip_grads({"w": np.array([10.0, -10.0])}, 0.5), lr=1.0)
         assert np.allclose(p["w"].data, [-0.5, 0.5])
 
     def test_applied_component_never_exceeds_clip(self, rng):
         p = {"w": T.Tensor(np.zeros(50))}
         g = rng.standard_normal(50) * 10
-        training.sgd_step(p, {"w": g}, lr=1.0, clip=0.5)
+        training.sgd_step(p, training.clip_grads({"w": g}, 0.5), lr=1.0)
         assert np.abs(p["w"].data).max() <= 0.5 + 1e-12
 
     def test_quadratic_loss_decreases(self):
@@ -79,7 +79,7 @@ class TestSgdStep:
 
         before = loss().item()
         loss().backward()
-        training.sgd_step({"w": w}, {"w": w.grad}, lr=0.1, clip=None)
+        training.sgd_step({"w": w}, {"w": w.grad}, lr=0.1)
         assert loss().item() < before
 
 
