@@ -21,10 +21,6 @@ class AttentionParams:
         self.w1 = w1
         self.w2 = w2
 
-    @classmethod
-    def create(cls, d_a, hops, width, rng, dtype=T.DEFAULT_DTYPE):
-        return cls(T.glorot(rng, (d_a, width), dtype), T.glorot(rng, (hops, d_a), dtype))
-
 
 def attend(hidden, p):
     """Annotation matrix A = softmax_rows(w2 @ tanh(w1 @ H^T)), masked columns zero."""

@@ -10,12 +10,14 @@ file byte for byte. Every payload value must be finite.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as model_mod
+from . import tensor as T
 from .config import RunConfig
 from .data import Vocab
 
@@ -30,21 +32,18 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
-    manifest: list  # (name, shape) in payload order
-    arrays: dict    # name -> float32 array
+    arrays: dict    # name -> float32 array, in payload order
     config: dict
     vocab: list
 
 
 def save_checkpoint(path, params, config, vocab):
-    """Write parameters (name -> Tensor or array) with config and vocab attached."""
-    names = list(params)
-    manifest = []
-    payloads = []
-    for name in names:
-        arr = np.asarray(getattr(params[name], "data", params[name]), dtype=np.float32)
-        manifest.append([name, list(arr.shape), _DTYPE_TAG])
-        payloads.append(np.ascontiguousarray(arr).astype("<f4", copy=False).tobytes())
+    """Write parameters (name -> Tensor or array) with config and vocab attached.
+
+    Each payload is written straight from its float32 array, one tensor at a
+    time, so a save holds no second copy of the model.
+    """
+    manifest = [[name, list(np.shape(getattr(p, "data", p))), _DTYPE_TAG] for name, p in params.items()]
     header = json.dumps(
         {"manifest": manifest, "config": config, "vocab": vocab},
         sort_keys=True, separators=(",", ":"),
@@ -59,8 +58,8 @@ def save_checkpoint(path, params, config, vocab):
             fh.write(VERSION.to_bytes(4, "little"))
             fh.write(len(header).to_bytes(8, "little"))
             fh.write(header)
-            for blob in payloads:
-                fh.write(blob)
+            for p in params.values():
+                fh.write(np.ascontiguousarray(getattr(p, "data", p), dtype=_DTYPE_TAG))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -91,66 +90,71 @@ def _check_header(path, header):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    offset = len(MAGIC)
-    version = int.from_bytes(raw[offset:offset + 4], "little")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")
-    offset += 4
-    header_len = int.from_bytes(raw[offset:offset + 8], "little")
-    offset += 8
-    if offset + header_len > len(raw):
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    offset += header_len
-    _check_header(path, header)
+    """Read and validate a checkpoint, one payload at a time into its own array.
 
-    manifest = []
-    arrays = {}
-    for name, shape, dtype in header["manifest"]:
-        if dtype != _DTYPE_TAG:
-            raise CheckpointError(f"{path}: unsupported dtype {dtype!r} for {name}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
-        if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated payload for {name}")
-        arrays[name] = np.frombuffer(raw[offset:offset + nbytes], dtype="<f4").reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
-        manifest.append((name, tuple(shape)))
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payloads")
-    return Checkpoint(manifest=manifest, arrays=arrays, config=header["config"], vocab=header["vocab"])
+    Every size is checked against the file's length before anything of that
+    size is read or allocated.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        version = int.from_bytes(fh.read(4), "little")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")
+        header_len = int.from_bytes(fh.read(8), "little")
+        offset = len(MAGIC) + 12
+        if offset + header_len > size:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        offset += header_len
+        _check_header(path, header)
+
+        arrays = {}
+        for name, shape, dtype in header["manifest"]:
+            if dtype != _DTYPE_TAG:
+                raise CheckpointError(f"{path}: unsupported dtype {dtype!r} for {name}")
+            nbytes = math.prod(shape) * 4  # Python ints: a huge shape cannot overflow
+            if offset + nbytes > size:
+                raise CheckpointError(f"{path}: truncated payload for {name}")
+            try:
+                arr = np.empty(shape, dtype=_DTYPE_TAG)
+            except ValueError:  # a zero-size shape whose other dimensions numpy cannot index
+                raise CheckpointError(f"{path}: shape {shape} of {name} is too large") from None
+            fh.readinto(arr)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
+            arrays[name] = arr
+            offset += nbytes
+    if offset != size:
+        raise CheckpointError(f"{path}: {size - offset} trailing bytes after payloads")
+    return Checkpoint(arrays=arrays, config=header["config"], vocab=header["vocab"])
 
 
 def save_model(path, model, vocab):
     save_checkpoint(path, model.named_parameters(), model.cfg.to_dict(), vocab.id_to_token)
 
 
-def restore_model(path, dtype=np.float32):
-    """Rebuild the model a checkpoint describes and load its parameters.
+def restore_model(path):
+    """Rebuild the model a checkpoint describes around the file's own arrays.
 
-    Shapes in the file are validated against the freshly built model.
+    The stored tensor names and shapes are checked against ``parameter_shapes``
+    of the stored config before any model is made; nothing is drawn at random.
     """
     ckpt = load_checkpoint(path)
     cfg = RunConfig.from_dict(ckpt.config)
     vocab = Vocab(ckpt.vocab)
-    rng = np.random.default_rng(cfg.seed)
-    model = model_mod.build_model(cfg, len(vocab), rng, dtype)
-    params = model.named_parameters()
-    if set(params) != set(ckpt.arrays):
+    shapes = model_mod.parameter_shapes(cfg, len(vocab))
+    if set(shapes) != set(ckpt.arrays):
         raise CheckpointError(
-            f"{path}: checkpoint tensors {sorted(ckpt.arrays)} do not match model tensors {sorted(params)}")
-    for name, p in params.items():
+            f"{path}: checkpoint tensors {sorted(ckpt.arrays)} do not match model tensors {sorted(shapes)}")
+    params = {}
+    for name, shape in shapes.items():
         arr = ckpt.arrays[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}: file {arr.shape}, model {p.data.shape}")
-        p.data = arr.astype(dtype, copy=True)
-    return model, vocab, cfg
+        if arr.shape != shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}: file {arr.shape}, model {shape}")
+        params[name] = T.Tensor(arr, requires_grad=True)
+    return model_mod.Classifier(cfg, params), vocab, cfg

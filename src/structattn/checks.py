@@ -72,12 +72,12 @@ def _op_checks(rng):
          [_rand(rng, 6)]),
         ("dropout", dropout_fixed, [_rand(rng, 8)]),
         ("cross_entropy", lambda x: T.cross_entropy(x, 2), [_rand(rng, 5)]),
-        ("lstm_step", _lstm_step_loss(rng), _lstm_step_inputs(rng)),
+        ("lstm_step", _lstm_step_loss, _lstm_step_inputs(rng)),
         ("lstm_scan", _lstm_scan_loss, _lstm_scan_inputs(rng)),
-        ("attend_pool", _attend_pool_loss(rng), _attend_pool_inputs(rng)),
+        ("attend_pool", _attend_pool_loss, _attend_pool_inputs(rng)),
         ("penalty", lambda x: attention.penalty(T.softmax_rows(x)), [_rand(rng, 3, 5)]),
-        ("mlp_head", _mlp_loss(rng), _mlp_inputs(rng)),
-        ("pruned_head", _pruned_loss(rng), _pruned_inputs(rng)),
+        ("mlp_head", _mlp_loss, _mlp_inputs(rng)),
+        ("pruned_head", _pruned_loss, _pruned_inputs(rng)),
         ("gated_encode", lambda mh, mp, wfh, wfp: T.frobenius_sq(
             heads.gated_encode(mh, mp, heads.GatedEncoderParams(wfh, wfp))),
          [_rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4, 2), _rand(rng, 3, 4, 2)]),
@@ -91,11 +91,9 @@ def _lstm_step_inputs(rng):
             _rand(rng, 4 * u, d), _rand(rng, 4 * u, u), _rand(rng, 4 * u)]
 
 
-def _lstm_step_loss(rng):
-    def loss(x, h0, c0, w_x, w_h, b):
-        h, c = encoder.lstm_step(x, h0, c0, encoder.LstmParams(w_x, w_h, b))
-        return T.sum_all(T.mul(h, c))
-    return loss
+def _lstm_step_loss(x, h0, c0, w_x, w_h, b):
+    h, c = encoder.lstm_step(x, h0, c0, encoder.LstmParams(w_x, w_h, b))
+    return T.sum_all(T.mul(h, c))
 
 
 def _lstm_scan_inputs(rng):
@@ -113,23 +111,18 @@ def _attend_pool_inputs(rng):
     return [_rand(rng, n, width), _rand(rng, d_a, width), _rand(rng, r, d_a)]
 
 
-def _attend_pool_loss(rng):
-    def loss(h, w1, w2):
-        hidden = encoder.HiddenStates(h, np.ones(h.shape[0], dtype=bool))
-        a = attention.attend(hidden, attention.AttentionParams(w1, w2))
-        return T.frobenius_sq(attention.pool(a, hidden))
-    return loss
+def _attend_pool_loss(h, w1, w2):
+    hidden = encoder.HiddenStates(h, np.ones(h.shape[0], dtype=bool))
+    a = attention.attend(hidden, attention.AttentionParams(w1, w2))
+    return T.frobenius_sq(attention.pool(a, hidden))
 
 
 def _mlp_inputs(rng):
     return [_rand(rng, 2, 3), _rand(rng, 4, 6), _rand(rng, 4), _rand(rng, 3, 4), _rand(rng, 3)]
 
 
-def _mlp_loss(rng):
-    def loss(m, w1, b1, w2, b2):
-        logits = heads.mlp_forward(m, heads.MlpHead(w1, b1, w2, b2))
-        return T.cross_entropy(logits, 1)
-    return loss
+def _mlp_loss(m, w1, b1, w2, b2):
+    return T.cross_entropy(heads.mlp_forward(m, heads.MlpHead(w1, b1, w2, b2)), 1)
 
 
 def _pruned_inputs(rng):
@@ -138,11 +131,8 @@ def _pruned_inputs(rng):
             _rand(rng, classes, r * p + width * q), _rand(rng, classes)]
 
 
-def _pruned_loss(rng):
-    def loss(m, w_v, w_h, w_out, b_out):
-        logits = heads.pruned_forward(m, heads.PrunedHead(w_v, w_h, w_out, b_out))
-        return T.cross_entropy(logits, 0)
-    return loss
+def _pruned_loss(m, w_v, w_h, w_out, b_out):
+    return T.cross_entropy(heads.pruned_forward(m, heads.PrunedHead(w_v, w_h, w_out, b_out)), 0)
 
 
 def run_op_checks(seed=0, eps=EPS, tol=TOLERANCE, extra=()):

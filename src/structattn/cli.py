@@ -56,11 +56,11 @@ def _check_labels(name, dataset, classes):
 
 
 def _build_model(cfg, vocab, rng):
-    embedding = None
+    net = model_mod.build_model(cfg, len(vocab), rng)
     if cfg.embeddings_path:
-        embedding, coverage = data.load_pretrained(cfg.embeddings_path, vocab, cfg.d, rng)
+        coverage = data.load_pretrained(cfg.embeddings_path, vocab, net.embedding.table.data)
         print(f"pretrained embedding coverage: {coverage:.3f}")
-    return model_mod.build_model(cfg, len(vocab), rng, embedding=embedding)
+    return net
 
 
 def _run_training(cfg):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .encoder import PAD_ID, UNK_ID, EmbeddingTable
+from .encoder import PAD_ID, UNK_ID
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -124,14 +123,15 @@ def corpus_tokens(path, pairs=False, lowercase=False):
     return [_tokenize(cell, lowercase) for _, cells in _records(path, pairs) for cell in cells[1:]]
 
 
-def load_pretrained(path, vocab, dim, rng, dtype=T.DEFAULT_DTYPE):
-    """Embedding table seeded from a whitespace text file of vectors.
+def load_pretrained(path, vocab, table):
+    """Overwrite rows of an embedding table (a vocab-by-dim array) from a
+    whitespace text file of vectors.
 
-    Vocabulary rows found in the file take the file's values; the rest stay
-    randomly initialized. Returns the table and the coverage ratio over
-    non-reserved vocabulary tokens.
+    Vocabulary rows found in the file take the file's values; the rest keep
+    what the table held. Returns the coverage ratio over non-reserved
+    vocabulary tokens.
     """
-    table = EmbeddingTable.random(len(vocab), dim, rng, dtype)
+    dim = table.shape[1]
     covered = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -145,12 +145,12 @@ def load_pretrained(path, vocab, dim, rng, dtype=T.DEFAULT_DTYPE):
             if idx is None or idx in (PAD_ID, UNK_ID):
                 continue
             try:
-                table.table.data[idx] = np.array([float(v) for v in values], dtype=dtype)
+                table[idx] = np.array([float(v) for v in values], dtype=table.dtype)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
             covered += 1
     real = max(len(vocab) - 2, 1)
-    return table, covered / real
+    return covered / real
 
 
 @dataclass

@@ -32,12 +32,6 @@ class EmbeddingTable:
     def dim(self):
         return self.table.shape[1]
 
-    @classmethod
-    def random(cls, vocab_size, dim, rng, dtype=T.DEFAULT_DTYPE):
-        data = rng.uniform(-0.1, 0.1, size=(vocab_size, dim)).astype(dtype)
-        data[PAD_ID] = 0.0
-        return cls(T.Tensor(data))
-
 
 def embed(tokens, table):
     """Look up token ids: row i of the result is the table row of token i."""
@@ -60,14 +54,6 @@ class LstmParams:
     @property
     def units(self):
         return self.w_h.shape[1]
-
-    @classmethod
-    def create(cls, input_dim, units, rng, dtype=T.DEFAULT_DTYPE):
-        w_x = T.glorot(rng, (4 * units, input_dim), dtype)
-        w_h = T.glorot(rng, (4 * units, units), dtype)
-        b = np.zeros(4 * units, dtype=dtype)
-        b[units:2 * units] = 1.0  # forget gate opens at init
-        return cls(w_x, w_h, T.Tensor(b, requires_grad=True))
 
 
 def lstm_step(x_t, h_prev, c_prev, p):

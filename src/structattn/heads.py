@@ -25,15 +25,6 @@ class MlpHead:
         self.w2 = w2
         self.b2 = b2
 
-    @classmethod
-    def create(cls, in_dim, hidden, classes, rng, dtype=T.DEFAULT_DTYPE):
-        return cls(
-            T.glorot(rng, (hidden, in_dim), dtype),
-            T.zeros(hidden, dtype, requires_grad=True),
-            T.glorot(rng, (classes, hidden), dtype),
-            T.zeros(classes, dtype, requires_grad=True),
-        )
-
 
 def mlp_forward(m, head, dropout_rate=0.0, train=False, rng=None):
     """Dense head forward; dropout hits the hidden layer only while training."""
@@ -58,15 +49,6 @@ class PrunedHead:
         self.w_out = w_out
         self.b_out = b_out
 
-    @classmethod
-    def create(cls, hops, width, p, q, classes, rng, dtype=T.DEFAULT_DTYPE):
-        return cls(
-            T.glorot(rng, (hops, width, p), dtype),
-            T.glorot(rng, (width, hops, q), dtype),
-            T.glorot(rng, (classes, hops * p + width * q), dtype),
-            T.zeros(classes, dtype, requires_grad=True),
-        )
-
 
 def pruned_forward(m, head, train=False):
     """Pruned head forward: ReLU row/column groups feeding the output layer."""
@@ -84,10 +66,6 @@ class GatedEncoderParams:
             raise T.ShapeError(f"factor tensors must match: {w_fh.shape} vs {w_fp.shape}")
         self.w_fh = w_fh
         self.w_fp = w_fp
-
-    @classmethod
-    def create(cls, hops, width, factor_dim, rng, dtype=T.DEFAULT_DTYPE):
-        return cls(T.glorot(rng, (hops, width, factor_dim), dtype), T.glorot(rng, (hops, width, factor_dim), dtype))
 
 
 def gated_encode(m_h, m_p, g):

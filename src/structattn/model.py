@@ -1,8 +1,10 @@
 """Full models: parameter bundles wiring encoder, attention, and a head.
 
-``parameter_shapes`` is the single source of truth for tensor names and
-shapes; model construction, checkpoints, and the parameter audit all consume
-it, so a checkpoint written by one build always lines up with another.
+``parameter_shapes`` is the single source of truth for tensor names, shapes
+and draw order. A model is one ordered name -> Tensor map: ``build_model``
+fills it from ``_init``, checkpoint restore from the file's arrays, and the
+parameter audit counts its shapes, so a checkpoint written by one build
+always lines up with another.
 """
 
 from __future__ import annotations
@@ -71,29 +73,50 @@ L2_PARAMS = ("attention.w1", "attention.w2", "gated.w_fh", "gated.w_fp",
              "head.w1", "head.w2", "head.w_v", "head.w_h", "head.w_out")
 
 
+def _init(name, shape, rng, dtype):
+    """The one init rule, applied to each tensor of ``parameter_shapes`` in order.
+
+    The embedding is uniform in [-0.1, 0.1] with a zero padding row; every
+    weight of two or more dimensions is Glorot-uniform; vectors start at zero,
+    except that each LSTM bias opens its forget gate with 1.0.
+    """
+    if name == "embedding.table":
+        table = rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+        table[encoder.PAD_ID] = 0.0
+        return T.Tensor(table, requires_grad=True)
+    if len(shape) >= 2:
+        return T.glorot(rng, shape, dtype)
+    vec = np.zeros(shape, dtype=dtype)
+    if name.startswith("lstm_") and name.endswith(".bias"):
+        u = shape[0] // 4
+        vec[u:2 * u] = 1.0
+    return T.Tensor(vec, requires_grad=True)
+
+
 class Classifier:
     """biLSTM + multi-hop attention under a dense, pruned or gated-pair head.
 
     The gated-pair head encodes both sentences with the shared encoder and
     attention, combines their matrix embeddings with the gated encoder, and
     classifies the result with an MLP.
+
+    ``params`` maps each ``parameter_shapes`` name to its tensor, in that
+    order; each component takes the tensors of its part in that order.
     """
 
-    def __init__(self, cfg: RunConfig, vocab_size, rng, dtype=T.DEFAULT_DTYPE, embedding=None):
+    def __init__(self, cfg: RunConfig, params):
         self.cfg = cfg
-        self._names = tuple(parameter_shapes(cfg, vocab_size))
-        width = 2 * cfg.u
-        self.embedding = embedding or encoder.EmbeddingTable.random(vocab_size, cfg.d, rng, dtype)
-        self.lstm_fwd = encoder.LstmParams.create(cfg.d, cfg.u, rng, dtype)
-        self.lstm_bwd = encoder.LstmParams.create(cfg.d, cfg.u, rng, dtype)
-        self.attention = attention.AttentionParams.create(cfg.d_a, cfg.r, width, rng, dtype)
-        if cfg.head == "dense":
-            self.head = heads.MlpHead.create(cfg.r * width, cfg.b, cfg.classes, rng, dtype)
-        elif cfg.head == "pruned":
-            self.head = heads.PrunedHead.create(cfg.r, width, cfg.p, cfg.q, cfg.classes, rng, dtype)
-        else:
-            self.gated = heads.GatedEncoderParams.create(cfg.r, width, cfg.k, rng, dtype)
-            self.head = heads.MlpHead.create(cfg.r * cfg.k, cfg.b, cfg.classes, rng, dtype)
+        self._params = params
+        parts = {}
+        for name, tensor in params.items():
+            parts.setdefault(name.split(".")[0], []).append(tensor)
+        self.embedding = encoder.EmbeddingTable(*parts["embedding"])
+        self.lstm_fwd = encoder.LstmParams(*parts["lstm_fwd"])
+        self.lstm_bwd = encoder.LstmParams(*parts["lstm_bwd"])
+        self.attention = attention.AttentionParams(*parts["attention"])
+        if cfg.head == "gated-pair":
+            self.gated = heads.GatedEncoderParams(*parts["gated"])
+        self.head = (heads.PrunedHead if cfg.head == "pruned" else heads.MlpHead)(*parts["head"])
 
     def encode(self, tokens, mask=None):
         """Hidden states, annotation matrix, and matrix embedding for one sentence."""
@@ -123,16 +146,14 @@ class Classifier:
 
     def named_parameters(self):
         """Every trainable tensor under its ``parameter_shapes`` name, in that order."""
-        params = {}
-        for name in self._names:
-            part, attr = name.split(".")
-            params[name] = getattr(getattr(self, part), attr)
-        return params
+        return self._params
 
     def l2_parameters(self):
         """The tensors named in ``L2_PARAMS``, in manifest order."""
         return [p for name, p in self.named_parameters().items() if name in L2_PARAMS]
 
 
-def build_model(cfg: RunConfig, vocab_size, rng, dtype=T.DEFAULT_DTYPE, embedding=None):
-    return Classifier(cfg, vocab_size, rng, dtype, embedding)
+def build_model(cfg: RunConfig, vocab_size, rng, dtype=T.DEFAULT_DTYPE):
+    """A freshly initialized model: each tensor drawn by ``_init`` in spec order."""
+    shapes = parameter_shapes(cfg, vocab_size)
+    return Classifier(cfg, {name: _init(name, shape, rng, dtype) for name, shape in shapes.items()})

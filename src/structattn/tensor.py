@@ -13,6 +13,7 @@ little headroom for central differences at eps=1e-5).
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
@@ -35,19 +36,19 @@ class LabelError(ValueError):
     """Class label lies outside the logit range."""
 
 
-_grad_enabled = True
+# A context variable, not a global: a thread (or task) inside ``no_grad``
+# switches graph building off for itself only.
+_grad_enabled = contextvars.ContextVar("structattn_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction inside the block (pure forward evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -145,7 +146,7 @@ def _toposort(root):
 
 def _builds_graph(parents):
     """Whether an op on ``parents`` records a backward node (see ``_from_op``)."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def _from_op(data, parents, backward_fn):

@@ -18,6 +18,8 @@ from structattn.encoder import HiddenStates
 from structattn.synth import make_keyword_task, write_lines
 
 from conftest import ACCEPTANCE_LINES, CONFIG_DIR, load_sets
+from test_attention import params as attention_params
+from test_heads import gated_params
 
 
 def report(num, text):
@@ -131,7 +133,7 @@ def test_criterion_6_single_hop_reduction_and_r_sweep(tmp_path, rng, capsys):
     # exact r=1 equivalence in 64-bit mode
     n, width, d_a = 6, 8, 5
     hidden = HiddenStates(T.Tensor(rng.standard_normal((n, width))), np.ones(n, dtype=bool))
-    p = attention.AttentionParams.create(d_a, 1, width, rng, np.float64)
+    p = attention_params(rng, d_a, 1, width)
     full = attention.attend(hidden, p)
     single = attention.attend_vector(hidden, p.w1, T.row(p.w2, 0))
     assert np.array_equal(full.data[0], single.data)
@@ -163,7 +165,7 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
         mask = np.ones(n, dtype=bool)
         mask[n - 2:] = False
         hidden = HiddenStates(T.Tensor(rng.standard_normal((n, 6))), mask)
-        a = attention.attend(hidden, attention.AttentionParams.create(4, hops, 6, rng, np.float64)).data
+        a = attention.attend(hidden, attention_params(rng, 4, hops, 6)).data
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-6
         assert (a[:, ~mask] == 0).all()
 
@@ -187,7 +189,7 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
                           dense_twin_logits(m, head))
 
     # gated encoder annihilates a zero embedding
-    g = heads.GatedEncoderParams.create(3, 4, 5, rng, np.float64)
+    g = gated_params(rng, 3, 4, 5)
     out = heads.gated_encode(T.zeros((3, 4), np.float64),
                              T.Tensor(rng.standard_normal((3, 4))), g)
     assert (out.data == 0.0).all()

@@ -15,7 +15,7 @@ def hidden(rng, n=5, width=6, mask=None, dtype=np.float64):
 
 
 def params(rng, d_a=4, hops=3, width=6, dtype=np.float64):
-    return attention.AttentionParams.create(d_a, hops, width, rng, dtype)
+    return attention.AttentionParams(T.glorot(rng, (d_a, width), dtype), T.glorot(rng, (hops, d_a), dtype))
 
 
 class TestAttend:

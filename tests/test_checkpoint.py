@@ -1,10 +1,17 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from structattn import checkpoint, training
+from structattn.config import ConfigError, load_run_config
+from structattn.data import DataError, Vocab
 from structattn.model import build_model
 
 from conftest import load_sets, tiny_config
+
+MIB = 2**20
 
 
 def trained_model(tmp_path, **extra):
@@ -117,3 +124,80 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
         checkpoint.save_checkpoint(path, {k: v * 2 for k, v in params.items()}, {"seed": 2}, vocab)
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by ``tracemalloc`` while ``fn(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def four_tensors():
+    return {f"t{i}": np.full((1024, 1024), i + 0.5, dtype=np.float32) for i in range(4)}  # 4 MiB each
+
+
+def test_save_holds_no_second_copy_of_the_tensors(tmp_path):
+    peak, _ = traced_peak(checkpoint.save_checkpoint, tmp_path / "m.ckpt", four_tensors(), {}, ["<pad>", "<unk>"])
+    assert peak < 4 * MIB
+
+
+def test_load_reads_payloads_straight_into_their_arrays(tmp_path):
+    path = tmp_path / "m.ckpt"
+    params = four_tensors()
+    checkpoint.save_checkpoint(path, params, {}, ["<pad>", "<unk>"])
+    peak, ck = traced_peak(checkpoint.load_checkpoint, path)
+    assert peak < 1.5 * 16 * MIB
+    for name, arr in params.items():
+        assert np.array_equal(ck.arrays[name], arr)
+
+
+def test_zero_size_tensor_round_trips(tmp_path):
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    params = {"empty": np.zeros((0, 3), np.float32), "w": np.arange(4, dtype=np.float32)}
+    checkpoint.save_checkpoint(p1, params, {}, ["<pad>", "<unk>"])
+    ck = checkpoint.load_checkpoint(p1)
+    assert ck.arrays["empty"].shape == (0, 3) and np.array_equal(ck.arrays["w"], params["w"])
+    checkpoint.save_checkpoint(p2, ck.arrays, ck.config, ck.vocab)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("shape, message", [([2**40, 2**40], "truncated payload for w"),
+                                            ([0, 2**40, 2**40], "too large")])
+def test_manifest_shape_beyond_numpy_is_an_error(tmp_path, shape, message):
+    header = json.dumps({"manifest": [["w", shape, "<f4"]], "config": {}, "vocab": []}).encode("utf-8")
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(checkpoint.MAGIC + checkpoint.VERSION.to_bytes(4, "little")
+                     + len(header).to_bytes(8, "little") + header + bytes(16))
+    with pytest.raises(checkpoint.CheckpointError, match=message):
+        checkpoint.load_checkpoint(path)
+
+
+def test_every_bit_flip_and_truncation_loads_or_raises_a_typed_error(tmp_path):
+    """Exhaustive over a tiny checkpoint (about 12 000 cases, a few seconds)."""
+    cfg = load_run_config(None, ["d=2", "u=2", "d_a=2", "r=2", "head=dense", "b=2", "classes=2"])
+    vocab = Vocab(["<pad>", "<unk>", "a", "b"])
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_model(path, build_model(cfg, len(vocab), np.random.default_rng(0)), vocab)
+    blob = path.read_bytes()
+
+    def corrupted():
+        for length in range(len(blob)):
+            yield blob[:length]
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            yield bytes(flipped)
+
+    outcomes = {"loaded": 0, "typed error": 0}
+    for case in corrupted():
+        path.write_bytes(case)
+        try:
+            checkpoint.restore_model(path)
+            outcomes["loaded"] += 1
+        except (checkpoint.CheckpointError, ConfigError, DataError):
+            outcomes["typed error"] += 1
+    assert all(outcomes.values()), outcomes

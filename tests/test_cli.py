@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from structattn import attention, checkpoint, cli, data, training
+from structattn import model as model_mod
 from structattn import tensor as T
 
 from conftest import CONFIG_DIR, tiny_config
@@ -76,6 +77,22 @@ class TestEvalCommand:
         assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", cfg.dev_path) == 1
         captured = capsys.readouterr()
         assert f"error: {key} must be of type" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_stored_config_larger_than_the_file_is_an_error(self, tmp_path, capsys, monkeypatch, command):
+        cfg, _ = train_once(tmp_path)
+        ck = checkpoint.load_checkpoint(cfg.checkpoint_path)
+        ck.config["b"] = 10**9  # head.w1 would be 10**9 x 16: restore must not build it
+        checkpoint.save_checkpoint(cfg.checkpoint_path, ck.arrays, ck.config, ck.vocab)
+        monkeypatch.setattr(model_mod, "build_model", lambda *args: pytest.fail("restore drew a model"))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("kw0_0 f00\n", encoding="utf-8")
+        args = (["--data", cfg.dev_path] if command == "eval"
+                else ["--sentences", str(sentences), "--out", str(tmp_path / "e.csv")])
+        capsys.readouterr()
+        assert run_cli(command, "--checkpoint", cfg.checkpoint_path, *args) == 1
+        captured = capsys.readouterr()
+        assert "shape mismatch for head.w1" in captured.err and captured.out == ""
 
     def test_non_finite_payload_is_an_error(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)

@@ -97,31 +97,35 @@ class TestLoadPretrained:
         vocab = data.build_vocab([["x", "y"]])
         path = tmp_path / "vec.txt"
         path.write_text("x 1 2 3\ny 4 5 6\n", encoding="utf-8")
-        table, coverage = data.load_pretrained(path, vocab, 3, rng)
+        table = rng.uniform(-0.1, 0.1, (len(vocab), 3)).astype(np.float32)
+        coverage = data.load_pretrained(path, vocab, table)
         assert coverage == 1.0
-        assert np.array_equal(table.table.data[vocab.token_to_id["x"]], [1, 2, 3])
+        assert np.array_equal(table[vocab.token_to_id["x"]], [1, 2, 3])
+        assert table.dtype == np.float32
 
     def test_empty_file_random_everything(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
         path = tmp_path / "vec.txt"
         path.write_text("", encoding="utf-8")
-        table, coverage = data.load_pretrained(path, vocab, 3, rng)
+        table = rng.uniform(-0.1, 0.1, (len(vocab), 3))
+        before = table.copy()
+        coverage = data.load_pretrained(path, vocab, table)
         assert coverage == 0.0
-        assert table.table.shape == (4, 3)
+        assert np.array_equal(table, before)
 
     def test_dimension_mismatch_reports_line(self, tmp_path, rng):
         vocab = data.build_vocab([["x"]])
         path = tmp_path / "vec.txt"
         path.write_text("x 1 2 3\nx 1 2\n", encoding="utf-8")
         with pytest.raises(data.DataError, match=":2:"):
-            data.load_pretrained(path, vocab, 3, rng)
+            data.load_pretrained(path, vocab, np.zeros((len(vocab), 3)))
 
     def test_vocab_untouched(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
         before = list(vocab.id_to_token)
         path = tmp_path / "vec.txt"
         path.write_text("x 9 9\nzz 1 1\n", encoding="utf-8")
-        data.load_pretrained(path, vocab, 2, rng)
+        data.load_pretrained(path, vocab, np.zeros((len(vocab), 2)))
         assert vocab.id_to_token == before
 
 

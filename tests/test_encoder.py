@@ -3,37 +3,53 @@ import pytest
 
 from structattn import encoder
 from structattn import tensor as T
+from structattn.config import load_run_config
+from structattn.model import build_model
+
+
+def lstm_params(rng, d, u, dtype):
+    return encoder.LstmParams(T.glorot(rng, (4 * u, d), dtype), T.glorot(rng, (4 * u, u), dtype),
+                              T.zeros(4 * u, dtype, requires_grad=True))
 
 
 def make_params(rng, d=3, u=4, dtype=np.float64):
-    return (encoder.LstmParams.create(d, u, rng, dtype),
-            encoder.LstmParams.create(d, u, rng, dtype))
+    return lstm_params(rng, d, u, dtype), lstm_params(rng, d, u, dtype)
+
+
+def random_table(rng, vocab_size, dim, dtype=T.DEFAULT_DTYPE):
+    return encoder.EmbeddingTable(T.uniform(rng, -0.1, 0.1, (vocab_size, dim), dtype))
+
+
+def toy_model(rng):
+    cfg = load_run_config(None, ["d=3", "u=4", "d_a=2", "r=2", "head=dense", "b=2", "classes=2"])
+    return build_model(cfg, 6, rng)
 
 
 class TestEmbedding:
     def test_single_token_is_table_row(self, rng):
-        table = encoder.EmbeddingTable.random(6, 4, rng)
+        table = random_table(rng, 6, 4)
         out = encoder.embed([3], table)
         assert out.shape == (1, 4)
         assert np.array_equal(out.data[0], table.table.data[3])
 
     def test_repeated_tokens_identical_rows(self, rng):
-        table = encoder.EmbeddingTable.random(6, 4, rng)
+        table = random_table(rng, 6, 4)
         out = encoder.embed([2, 2, 2], table)
         assert np.array_equal(out.data[0], out.data[1])
         assert np.array_equal(out.data[1], out.data[2])
 
     def test_pad_row_starts_zero(self, rng):
-        table = encoder.EmbeddingTable.random(6, 4, rng)
-        assert (table.table.data[encoder.PAD_ID] == 0).all()
+        table = toy_model(rng).named_parameters()["embedding.table"].data
+        assert (table[encoder.PAD_ID] == 0).all()
+        assert (table[encoder.PAD_ID + 1:] != 0).all()
 
     def test_out_of_range_id(self, rng):
-        table = encoder.EmbeddingTable.random(6, 4, rng)
+        table = random_table(rng, 6, 4)
         with pytest.raises(IndexError):
             encoder.embed([6], table)
 
     def test_gradient_accumulates_over_repeats(self, rng):
-        table = encoder.EmbeddingTable.random(5, 3, rng, dtype=np.float64)
+        table = random_table(rng, 5, 3, np.float64)
 
         def loss(tab):
             wrapped = encoder.EmbeddingTable(tab)
@@ -61,9 +77,11 @@ class TestLstmStep:
         assert np.allclose(c.data, c_prev.data)
 
     def test_forget_bias_initialized_to_one(self, rng):
-        p = encoder.LstmParams.create(3, 4, rng)
-        assert (p.bias.data[4:8] == 1.0).all()
-        assert (p.bias.data[:4] == 0.0).all()
+        params = toy_model(rng).named_parameters()
+        for part in ("lstm_fwd", "lstm_bwd"):
+            bias = params[f"{part}.bias"].data
+            assert (bias[4:8] == 1.0).all()
+            assert (bias[:4] == 0.0).all() and (bias[8:] == 0.0).all()
 
     def test_deterministic_and_stateless(self, rng):
         p, _ = make_params(rng)

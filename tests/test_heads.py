@@ -11,6 +11,21 @@ def t64(a):
     return T.Tensor(np.asarray(a, dtype=np.float64))
 
 
+def mlp_head(rng, in_dim, hidden, classes, dtype=np.float64):
+    return heads.MlpHead(T.glorot(rng, (hidden, in_dim), dtype), T.zeros(hidden, dtype, requires_grad=True),
+                         T.glorot(rng, (classes, hidden), dtype), T.zeros(classes, dtype, requires_grad=True))
+
+
+def pruned_head(rng, r, width, p, q, classes, dtype=np.float64):
+    return heads.PrunedHead(T.glorot(rng, (r, width, p), dtype), T.glorot(rng, (width, r, q), dtype),
+                            T.glorot(rng, (classes, r * p + width * q), dtype),
+                            T.zeros(classes, dtype, requires_grad=True))
+
+
+def gated_params(rng, r, width, k, dtype=np.float64):
+    return heads.GatedEncoderParams(T.glorot(rng, (r, width, k), dtype), T.glorot(rng, (r, width, k), dtype))
+
+
 class TestMlpHead:
     def test_zero_weights_give_output_bias(self, rng):
         bias = rng.standard_normal(3)
@@ -20,7 +35,7 @@ class TestMlpHead:
         assert np.array_equal(logits.data, bias)
 
     def test_eval_deterministic_under_dropout_rate(self, rng):
-        head = heads.MlpHead.create(6, 5, 3, rng, np.float64)
+        head = mlp_head(rng, 6, 5, 3)
         m = t64(rng.standard_normal((2, 3)))
         a = heads.mlp_forward(m, head, dropout_rate=0.5, train=False).data
         b = heads.mlp_forward(m, head, dropout_rate=0.5, train=False).data
@@ -72,13 +87,13 @@ class TestPrunedHead:
         assert np.array_equal(logits.data, dense_twin_logits(m, head))
 
     def test_matches_dense_twin_to_rounding_on_gaussians(self, rng):
-        head = heads.PrunedHead.create(3, 4, 2, 2, 3, rng, np.float64)
+        head = pruned_head(rng, 3, 4, 2, 2, 3)
         m = rng.standard_normal((3, 4))
         logits = heads.pruned_forward(t64(m), head)
         np.testing.assert_allclose(logits.data, dense_twin_logits(m, head), rtol=1e-12, atol=1e-14)
 
     def test_single_group_reduces_to_dense_layer(self, rng):
-        head = heads.PrunedHead.create(1, 4, 3, 2, 2, rng, np.float64)
+        head = pruned_head(rng, 1, 4, 3, 2, 2)
         m = rng.standard_normal((1, 4))
         logits = heads.pruned_forward(t64(m), head)
         mv = np.maximum(m[0] @ head.w_v.data[0], 0)           # plain dense layer on the row
@@ -88,7 +103,7 @@ class TestPrunedHead:
 
     def test_group_isolation(self, rng):
         # row group i must not react to changes in other rows of M
-        head = heads.PrunedHead.create(3, 4, 2, 2, 3, rng, np.float64)
+        head = pruned_head(rng, 3, 4, 2, 2, 3)
         m1 = rng.standard_normal((3, 4))
         m2 = m1.copy()
         m2[1] += 1.0
@@ -111,7 +126,7 @@ class TestPrunedHead:
 
 class TestGatedEncoder:
     def test_zero_embedding_annihilates(self, rng):
-        g = heads.GatedEncoderParams.create(3, 4, 5, rng, np.float64)
+        g = gated_params(rng, 3, 4, 5)
         m_p = t64(rng.standard_normal((3, 4)))
         out = heads.gated_encode(T.zeros((3, 4), np.float64), m_p, g)
         assert (out.data == 0).all()
@@ -126,7 +141,7 @@ class TestGatedEncoder:
         assert np.allclose(out.data, m_h * m_p)
 
     def test_mismatched_embeddings_rejected(self, rng):
-        g = heads.GatedEncoderParams.create(3, 4, 5, rng)
+        g = gated_params(rng, 3, 4, 5, np.float32)
         with pytest.raises(T.ShapeError):
             heads.gated_encode(T.zeros((3, 4)), T.zeros((2, 4)), g)
 

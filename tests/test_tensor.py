@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -260,6 +261,27 @@ class TestBackward:
         with T.no_grad():
             out = T.sum_all(x)
         assert out._backward is None and not out.requires_grad
+
+    def test_no_grad_in_one_thread_leaves_others_building(self, rng):
+        w = T.Tensor(rng.standard_normal(3), requires_grad=True)
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def hold_no_grad():
+            with T.no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                inside.append(T.sum_all(T.mul(w, w)).requires_grad)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert T.sum_all(T.mul(w, w)).requires_grad
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive() and inside == [False]
 
     def test_deterministic(self, rng):
         x = T.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
