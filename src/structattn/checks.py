@@ -81,6 +81,9 @@ def _op_checks(rng):
         ("gated_encode", lambda mh, mp, wfh, wfp: T.frobenius_sq(
             heads.gated_encode(mh, mp, heads.GatedEncoderParams(wfh, wfp))),
          [_rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4, 2), _rand(rng, 3, 4, 2)]),
+        ("linear", lambda x, w, b: T.frobenius_sq(T.linear(x, w, b)),
+         [_rand(rng, 3, 4), _rand(rng, 2, 4), _rand(rng, 2)]),
+        ("cross_entropy_batch", lambda x: T.cross_entropy(x, np.array([2, 0, 2])), [_rand(rng, 3, 5)]),
     ]
     return checks
 
@@ -122,7 +125,7 @@ def _mlp_inputs(rng):
 
 
 def _mlp_loss(m, w1, b1, w2, b2):
-    return T.cross_entropy(heads.mlp_forward(m, heads.MlpHead(w1, b1, w2, b2)), 1)
+    return T.cross_entropy(heads.mlp_forward([m], heads.MlpHead(w1, b1, w2, b2)), [1])
 
 
 def _pruned_inputs(rng):
@@ -132,7 +135,7 @@ def _pruned_inputs(rng):
 
 
 def _pruned_loss(m, w_v, w_h, w_out, b_out):
-    return T.cross_entropy(heads.pruned_forward(m, heads.PrunedHead(w_v, w_h, w_out, b_out)), 0)
+    return T.cross_entropy(heads.pruned_forward([m], heads.PrunedHead(w_v, w_h, w_out, b_out)), [0])
 
 
 def run_op_checks(seed=0, eps=EPS, tol=TOLERANCE, extra=()):
@@ -241,8 +244,8 @@ def full_model_check(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE, max_tokens=
 
     for p in params.values():
         p.grad = None
-    logits, attn = net.forward(tokens, mask, scenario["tokens2"], mask)
-    training.total_loss(logits, label, attn, coeff=1.0, l2_coeff=1e-4,
+    logits, attns = net.forward_batch([tokens], [mask], [scenario["tokens2"]], [mask])
+    training.total_loss(logits, [label], attns, coeff=1.0, l2_coeff=1e-4,
                         l2_params=net.l2_parameters()).backward()
     analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for name, p in params.items()}

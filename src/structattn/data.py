@@ -31,6 +31,13 @@ class Vocab:
             raise DataError("vocab must reserve ids 0/1 for the pad/unk tokens")
         self.id_to_token = list(id_to_token)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        if len(self.token_to_id) != len(self.id_to_token):
+            # a repeated token would map to its last id and strand the earlier row
+            seen = {}
+            for i, tok in enumerate(self.id_to_token):
+                if tok in seen:
+                    raise DataError(f"vocab token {tok!r} is repeated at ids {seen[tok]} and {i}")
+                seen[tok] = i
 
     def __len__(self):
         return len(self.id_to_token)
@@ -64,19 +71,12 @@ class Example:
     tokens: np.ndarray
     label: int
 
-    def inputs(self):
-        """Positional arguments of ``Classifier.forward`` for this example."""
-        return (self.tokens,)
-
 
 @dataclass
 class PairExample:
     hypothesis: np.ndarray
     premise: np.ndarray
     label: int
-
-    def inputs(self):
-        return self.hypothesis, None, self.premise, None
 
 
 def _tokenize(text, lowercase):
@@ -162,9 +162,9 @@ class Batch:
     def __len__(self):
         return self.tokens.shape[0]
 
-    def inputs(self, i):
-        """Positional arguments of ``Classifier.forward`` for example ``i``."""
-        return self.tokens[i], self.mask[i]
+    def inputs(self):
+        """Positional arguments of ``Classifier.forward_batch`` for this batch."""
+        return self.tokens, self.mask
 
 
 @dataclass
@@ -178,8 +178,8 @@ class PairBatch:
     def __len__(self):
         return self.hyp_tokens.shape[0]
 
-    def inputs(self, i):
-        return self.hyp_tokens[i], self.hyp_mask[i], self.prem_tokens[i], self.prem_mask[i]
+    def inputs(self):
+        return self.hyp_tokens, self.hyp_mask, self.prem_tokens, self.prem_mask
 
 
 def _pad_block(token_lists):

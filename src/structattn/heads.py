@@ -17,7 +17,7 @@ from . import tensor as T
 
 
 class MlpHead:
-    """Dense head: logits = w2 @ relu(w1 @ flatten(M) + b1) + b2."""
+    """Dense head: logits = relu(flatten(M) @ w1ᵀ + b1) @ w2ᵀ + b2."""
 
     def __init__(self, w1, b1, w2, b2):
         self.w1 = w1
@@ -26,12 +26,16 @@ class MlpHead:
         self.b2 = b2
 
 
-def mlp_forward(m, head, dropout_rate=0.0, train=False, rng=None):
-    """Dense head forward; dropout hits the hidden layer only while training."""
-    x = T.flatten(m)
-    hidden = T.relu(T.add(T.matmul(head.w1, x), head.b1))
+def mlp_forward(ms, head, dropout_rate=0.0, train=False, rng=None):
+    """B-by-C logits for a batch of B matrix embeddings, one GEMM per layer.
+
+    Each matrix is flattened into a row of the B-by-(r*c) input; dropout hits
+    the hidden layer only while training.
+    """
+    x = T.concat_rows([T.flatten(m) for m in ms])
+    hidden = T.relu(T.linear(x, head.w1, head.b1))
     hidden = T.dropout(hidden, dropout_rate, rng, train)
-    return T.add(T.matmul(head.w2, hidden), head.b2)
+    return T.linear(hidden, head.w2, head.b2)
 
 
 class PrunedHead:
@@ -50,12 +54,15 @@ class PrunedHead:
         self.b_out = b_out
 
 
-def pruned_forward(m, head, train=False):
-    """Pruned head forward: ReLU row/column groups feeding the output layer."""
-    mv = T.relu(T.batched_dot(m, head.w_v))
-    mh = T.relu(T.batched_dot(T.transpose(m), head.w_h))
-    feats = T.concat([T.flatten(mv), T.flatten(mh)])
-    return T.add(T.matmul(head.w_out, feats), head.b_out)
+def pruned_forward(ms, head, train=False):
+    """B-by-C logits for a batch of B matrix embeddings: ReLU row/column groups
+    per matrix, then one output-layer GEMM over the stacked features."""
+    feats = []
+    for m in ms:
+        mv = T.relu(T.batched_dot(m, head.w_v))
+        mh = T.relu(T.batched_dot(T.transpose(m), head.w_h))
+        feats.append(T.concat([T.flatten(mv), T.flatten(mh)]))
+    return T.linear(T.concat_rows(feats), head.w_out, head.b_out)
 
 
 class GatedEncoderParams:

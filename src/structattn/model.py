@@ -129,20 +129,33 @@ class Classifier:
         m = attention.pool(a, hidden)
         return hidden, a, m
 
-    def forward(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
-        """Class logits and the annotation matrix for one (padded) sentence.
+    def forward_batch(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
+        """B-by-C class logits and each example's annotation matrix for a batch.
 
-        For gated-pair, ``tokens`` is the hypothesis and ``prem_tokens`` the
-        premise, and the second result is the pair (A_hypothesis, A_premise).
+        ``tokens`` holds B (padded) id sequences and ``mask`` their masks, e.g.
+        the rows of a ``data.Batch``; a missing mask marks every token real.
+        Each sentence is encoded on its own, then the head classifies the B
+        matrix embeddings together. For gated-pair, ``tokens`` are the
+        hypotheses and ``prem_tokens`` the premises, and each example's
+        annotation is the pair (A_hypothesis, A_premise).
         """
-        _, a, m = self.encode(tokens, mask)
-        if self.cfg.head == "dense":
-            return heads.mlp_forward(m, self.head, self.cfg.dropout, train, rng), a
+        rows, attns = [], []
+        for i in range(len(tokens)):
+            _, a, m = self.encode(tokens[i], None if mask is None else mask[i])
+            if self.cfg.head == "gated-pair":
+                _, a_p, m_p = self.encode(prem_tokens[i], None if prem_mask is None else prem_mask[i])
+                m, a = heads.gated_encode(m, m_p, self.gated), (a, a_p)
+            rows.append(m)
+            attns.append(a)
         if self.cfg.head == "pruned":
-            return heads.pruned_forward(m, self.head, train), a
-        _, a_p, m_p = self.encode(prem_tokens, prem_mask)
-        f_r = heads.gated_encode(m, m_p, self.gated)
-        return heads.mlp_forward(f_r, self.head, self.cfg.dropout, train, rng), (a, a_p)
+            return heads.pruned_forward(rows, self.head, train), attns
+        return heads.mlp_forward(rows, self.head, self.cfg.dropout, train, rng), attns
+
+    def forward(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
+        """Class logits (1-D) and the annotation matrix for one (padded)
+        sentence or pair: the B = 1 case of ``forward_batch``."""
+        logits, attns = self.forward_batch([tokens], [mask], [prem_tokens], [prem_mask], train, rng)
+        return T.reshape(logits, (logits.shape[1],)), attns[0]
 
     def named_parameters(self):
         """Every trainable tensor under its ``parameter_shapes`` name, in that order."""

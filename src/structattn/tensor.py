@@ -497,24 +497,56 @@ def dropout(x, rate, rng, train):
     return _from_op(data, (x,), bk)
 
 
-def cross_entropy(logits, label):
-    """Negative log-likelihood of ``label`` under stabilized log-softmax."""
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-D logits, got shape {logits.shape}")
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise LabelError(f"label {label} out of range for {logits.shape[0]} classes")
-    z = logits.data - logits.data.max()
-    lse = np.log(np.exp(z).sum())
-    data = lse - z[label]
+def cross_entropy(logits, labels):
+    """Mean negative log-likelihood of ``labels`` under stabilized log-softmax.
+
+    B-by-C logits take B labels; 1-D logits take one label, the B = 1 case.
+    """
+    if logits.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy expects 1-D or 2-D logits, got shape {logits.shape}")
+    classes = logits.shape[-1]
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    z = logits.data.reshape(-1, classes)
+    if labels.shape != (z.shape[0],):
+        raise ShapeError(f"cross_entropy needs {z.shape[0]} labels, got {labels.size}")
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise LabelError(f"label {int(bad[0])} out of range for {classes} classes")
+    rows = np.arange(z.shape[0])
+    z = z - z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    data = (lse - z[rows, labels]).mean()
 
     def bk(g):
         if logits.requires_grad:
-            p = np.exp(z - lse)
-            p[label] -= 1.0
-            logits._acc(g * p)
+            p = np.exp(z - lse[:, None])
+            p[rows, labels] -= 1.0
+            logits._acc(((g / len(rows)) * p).reshape(logits.shape))
 
     return _from_op(data, (logits,), bk)
+
+
+def linear(x, w, b):
+    """Affine map of the rows of ``x``: ``x @ wᵀ + b`` as one GEMM.
+
+    ``x`` is B-by-k, ``w`` n-by-k and ``b`` an n-vector. The backward pass
+    computes dW = gᵀx, db = the column sums of g and dx = g·w, one call each,
+    so neither a transposed copy of ``w`` nor a per-row outer product of its
+    size enters the graph.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
+        raise ShapeError(f"linear needs x B*k, w n*k and b n, got {x.shape}, {w.shape} and {b.shape}")
+    data = x.data @ w.data.T + b.data
+
+    def bk(g):
+        if w.requires_grad:
+            w._acc(g.T @ x.data)
+        if b.requires_grad:
+            b._acc(g.sum(axis=0))
+        if x.requires_grad:
+            x._acc(g @ w.data)
+
+    return _from_op(data, (x, w, b), bk)
 
 
 def lstm_scan(x, w_x, w_h, bias, reverse=False):

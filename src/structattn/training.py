@@ -1,9 +1,10 @@
 """Loss assembly, optimizers, the training loop, and evaluation.
 
-Batch loss is the mean over examples; the attention penalty is averaged per
-example and added with its coefficient, L2 covers attention and head weight
-matrices only. Training keeps the parameters of the best dev epoch and stops
-early after ``patience`` epochs without improvement.
+Each batch runs through the model and the loss once: the mean cross-entropy,
+the attention penalty averaged per example and added with its coefficient,
+and L2 over attention and head weight matrices only, added once per batch.
+Training keeps the parameters of the best dev epoch and stops early after
+``patience`` epochs without improvement.
 """
 
 from __future__ import annotations
@@ -21,17 +22,25 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def total_loss(logits, label, attn, coeff, l2_coeff, l2_params):
-    """Cross-entropy plus coeff * penalty(A) plus l2 * sum of squared weights.
+def _matrices(attn):
+    """An example's annotation matrices: one, or the pair of a pair model."""
+    return attn if isinstance(attn, tuple) else (attn,)
 
-    ``attn`` is one annotation matrix or a tuple of them (pair models); with
-    a zero coefficient the penalty path is not built at all.
+
+def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
+    """Batch loss: mean cross-entropy, plus coeff times the mean penalty, plus
+    l2 times the sum of squared weights, once.
+
+    ``logits`` is B-by-C with B ``labels``; ``attns`` holds each example's
+    annotation matrix, or a tuple of them for pair models. With a zero
+    coefficient the penalty path is not built at all.
     """
-    loss = T.cross_entropy(logits, label)
+    loss = T.cross_entropy(logits, labels)
     if coeff:
-        mats = attn if isinstance(attn, tuple) else (attn,)
-        for a in mats:
-            loss = T.add(loss, T.scale(attention.penalty(a), coeff / len(mats)))
+        for attn in attns:
+            mats = _matrices(attn)
+            for a in mats:
+                loss = T.add(loss, T.scale(attention.penalty(a), coeff / (len(mats) * len(attns))))
     if l2_coeff:
         for w in l2_params:
             loss = T.add(loss, T.scale(T.frobenius_sq(w), l2_coeff))
@@ -68,17 +77,20 @@ def adagrad_step(params, grads, state, lr, eps=1e-8):
 
 
 def _dev_stats(model, examples):
-    """Accuracy plus the mean pairwise attention overlap; dropout off, parameters untouched."""
+    """Accuracy plus the mean pairwise attention overlap; dropout off, parameters untouched.
+
+    Predicts ``cfg.batch_size`` examples at a time, one head GEMM per chunk.
+    """
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     overlaps = []
     with T.no_grad():
-        for ex in examples:
-            logits, attn = model.forward(*ex.inputs())
-            correct += int(np.argmax(logits.data)) == ex.label
-            mats = attn if isinstance(attn, tuple) else (attn,)
-            overlaps.extend(attention.mean_pairwise_overlap(a) for a in mats)
+        for b in data.batch(examples, model.cfg.batch_size):
+            logits, attns = model.forward_batch(*b.inputs())
+            correct += int((np.argmax(logits.data, axis=1) == b.labels).sum())
+            for attn in attns:
+                overlaps.extend(attention.mean_pairwise_overlap(a) for a in _matrices(attn))
     return correct / len(examples), float(np.mean(overlaps))
 
 
@@ -121,14 +133,10 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
         penalty_sum = 0.0
         n_seen = 0
         for bi, b in enumerate(data.batch(train_set, cfg.batch_size, rng)):
-            total = None
-            for i in range(len(b)):
-                logits, attn = model.forward(*b.inputs(i), train=True, rng=rng)
-                loss = total_loss(logits, b.labels[i], attn, cfg.penalty_coeff, cfg.l2, l2_params)
-                total = loss if total is None else T.add(total, loss)
-                mats = attn if isinstance(attn, tuple) else (attn,)
-                penalty_sum += float(np.mean([attention.penalty_value(a) for a in mats]))
-            batch_loss = T.scale(total, 1.0 / len(b))
+            logits, attns = model.forward_batch(*b.inputs(), train=True, rng=rng)
+            batch_loss = total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, l2_params)
+            for attn in attns:
+                penalty_sum += float(np.mean([attention.penalty_value(a) for a in _matrices(attn)]))
             if not np.isfinite(batch_loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}")
             batch_loss.backward()

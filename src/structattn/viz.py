@@ -92,12 +92,14 @@ def render_csv(docs, mode="overall"):
 
 
 def render_embedding_csv(blocks):
-    """Matrix embeddings as CSV, one r-row block per sentence."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """Matrix embeddings as CSV, one r-row block per sentence.
+
+    Every field is an int or a float written with ``repr`` (the shortest
+    string that reads back to the same value), so no field needs quoting.
+    """
     width = blocks[0][1].shape[1] if blocks else 0
-    writer.writerow(["sentence", "hop"] + [f"dim{j}" for j in range(width)])
+    lines = [",".join(["sentence", "hop"] + [f"dim{j}" for j in range(width)])]
     for sentence_id, m in blocks:
-        for hop in range(m.shape[0]):
-            writer.writerow([sentence_id, hop] + [repr(float(v)) for v in m[hop]])
-    return buf.getvalue()
+        lines.extend(",".join([str(sentence_id), str(hop), *map(repr, row)])
+                     for hop, row in enumerate(m.tolist()))
+    return "\n".join(lines) + "\n"

@@ -185,7 +185,7 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
     from test_heads import dense_twin_logits, dyadic, dyadic_pruned_head
     head = dyadic_pruned_head(rng, 3, 4, 2, 2, 3)
     m = dyadic(rng, (3, 4))
-    assert np.array_equal(heads.pruned_forward(T.Tensor(m, dtype=np.float64), head).data,
+    assert np.array_equal(heads.pruned_forward([T.Tensor(m, dtype=np.float64)], head).data[0],
                           dense_twin_logits(m, head))
 
     # gated encoder annihilates a zero embedding

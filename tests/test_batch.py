@@ -1,0 +1,108 @@
+"""Batch-major forward and loss against the per-example reference, in float64.
+
+The reference runs each example through the single-sentence ``forward`` and
+its own ``total_loss`` (L2 included), sums the losses and divides by B. The
+batched path encodes each sentence, runs the head once over the stacked
+matrix embeddings and adds L2 once; in exact arithmetic both are equal.
+"""
+
+import numpy as np
+import pytest
+
+from structattn import data, training
+from structattn import tensor as T
+from structattn.config import RunConfig
+from structattn.model import build_model
+
+TOL = 1e-12
+VOCAB = 20
+LENGTHS = (3, 7, 1, 5)  # mixed lengths, so every batch row but one is padded
+
+HEADS = {
+    "dense": dict(head="dense", b=6, dropout=0.3),
+    "pruned": dict(head="pruned", p=2, q=3),
+    "gated-pair": dict(head="gated-pair", b=6, k=3, dropout=0.0),
+}
+
+
+def setup(head, seed=0):
+    cfg = RunConfig(d=5, u=4, d_a=3, r=2, classes=3, penalty_coeff=0.7, l2=1e-3,
+                    **HEADS[head]).validate()
+    rng = np.random.default_rng(seed)
+    net = build_model(cfg, VOCAB, rng, dtype=np.float64)
+
+    def sentence(n):
+        return rng.integers(2, VOCAB, size=n)
+
+    if head == "gated-pair":
+        examples = [data.PairExample(sentence(n), sentence(9 - n), int(rng.integers(3))) for n in LENGTHS]
+    else:
+        examples = [data.Example(sentence(n), int(rng.integers(3))) for n in LENGTHS]
+    return cfg, net, data.batch(examples, len(examples))[0]
+
+
+def example_inputs(b, i):
+    """Example i of a batch, as the single-sentence ``forward`` takes it."""
+    return [x[i] for x in b.inputs()]
+
+
+def loss_and_grads(net, build):
+    params = net.named_parameters()
+    for p in params.values():
+        p.grad = None
+    loss = build()
+    loss.backward()
+    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+             for name, p in params.items()}
+    return loss.item(), grads
+
+
+def batched_loss(net, cfg, b, rng):
+    logits, attns = net.forward_batch(*b.inputs(), train=True, rng=rng)
+    assert logits.shape == (len(b), cfg.classes) and len(attns) == len(b)
+    return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())
+
+
+def reference_loss(net, cfg, b, rng):
+    total = None
+    for i in range(len(b)):
+        logits, attn = net.forward(*example_inputs(b, i), train=True, rng=rng)
+        loss = training.total_loss(logits, b.labels[i], [attn], cfg.penalty_coeff, cfg.l2,
+                                   net.l2_parameters())
+        total = loss if total is None else T.add(total, loss)
+    return T.scale(total, 1.0 / len(b))
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_batch_loss_and_gradients_match_per_example_reference(head):
+    cfg, net, b = setup(head)
+    # two generators seeded alike: dropout must draw the same masks on both paths
+    loss, grads = loss_and_grads(net, lambda: batched_loss(net, cfg, b, np.random.default_rng(7)))
+    ref_loss, ref_grads = loss_and_grads(net, lambda: reference_loss(net, cfg, b, np.random.default_rng(7)))
+    assert loss == pytest.approx(ref_loss, rel=TOL, abs=TOL)
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=TOL, atol=TOL, err_msg=name)
+    assert np.abs(grads["head.b2" if head != "pruned" else "head.b_out"]).max() > 0
+
+
+def test_dropout_is_live_in_the_dense_case():
+    cfg, net, b = setup("dense")
+    with T.no_grad():
+        dropped = batched_loss(net, cfg, b, np.random.default_rng(7)).item()
+        cfg.dropout = 0.0
+        kept = batched_loss(net, cfg, b, np.random.default_rng(7)).item()
+    assert dropped != kept
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_single_sentence_forward_is_row_of_batch_forward(head):
+    cfg, net, b = setup(head)
+    with T.no_grad():
+        logits, attns = net.forward_batch(*b.inputs())
+        for i in range(len(b)):
+            alone, attn = net.forward(*example_inputs(b, i))
+            assert alone.shape == (cfg.classes,)
+            np.testing.assert_allclose(alone.data, logits.data[i], rtol=TOL, atol=TOL)
+            pairs = zip(attn, attns[i]) if head == "gated-pair" else [(attn, attns[i])]
+            for a, a_batch in pairs:
+                assert np.array_equal(a.data, a_batch.data)

@@ -104,6 +104,21 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err and "attention.w1" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "embed"])
+    def test_duplicate_vocabulary_token_is_an_error(self, tmp_path, capsys, command):
+        cfg, _ = train_once(tmp_path)
+        ck = checkpoint.load_checkpoint(cfg.checkpoint_path)
+        ck.vocab[3] = ck.vocab[2]
+        checkpoint.save_checkpoint(cfg.checkpoint_path, ck.arrays, ck.config, ck.vocab)
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("kw0_0 f00\n", encoding="utf-8")
+        args = (["--data", cfg.dev_path] if command == "eval"
+                else ["--sentences", str(sentences), "--out", str(tmp_path / "e.csv")])
+        capsys.readouterr()
+        assert run_cli(command, "--checkpoint", cfg.checkpoint_path, *args) == 1
+        captured = capsys.readouterr()
+        assert f"{ck.vocab[2]!r} is repeated at ids 2 and 3" in captured.err and captured.out == ""
+
     def test_out_of_range_label_is_an_error(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)
         bad = tmp_path / "bad.txt"

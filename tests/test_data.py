@@ -37,6 +37,14 @@ class TestVocab:
         with pytest.raises(data.DataError):
             data.build_vocab([])
 
+    @pytest.mark.parametrize("tokens, token, first, second", [
+        (["<pad>", "<unk>", "b", "b", "<pad>"], "b", 2, 3),
+        (["<pad>", "<unk>", "a", "<unk>"], "<unk>", 1, 3),
+    ])
+    def test_duplicate_token_rejected(self, tokens, token, first, second):
+        with pytest.raises(data.DataError, match=f"{token!r} is repeated at ids {first} and {second}"):
+            data.Vocab(tokens)
+
 
 class TestLoadDataset:
     def test_parse_line(self, tmp_path):

@@ -236,6 +236,32 @@ class TestCrossEntropy:
         err = T.grad_check(lambda x: T.cross_entropy(x, 1), [T.Tensor(rng.standard_normal(4))])
         assert err < 1e-4
 
+    def test_batch_is_mean_of_rows(self, rng):
+        logits = rng.standard_normal((3, 4))
+        labels = [2, 0, 3]
+        rows = [T.cross_entropy(t64(row), label).item() for row, label in zip(logits, labels)]
+        assert T.cross_entropy(t64(logits), labels).item() == pytest.approx(np.mean(rows), rel=1e-12)
+
+    def test_batch_label_count_and_range(self):
+        with pytest.raises(T.ShapeError):
+            T.cross_entropy(t64(np.zeros((3, 2))), [0, 1])
+        with pytest.raises(T.LabelError, match="label -1"):
+            T.cross_entropy(t64(np.zeros((2, 2))), [0, -1])
+
+
+class TestLinear:
+    def test_equals_affine_map_of_each_row(self, rng):
+        x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4)), rng.standard_normal(2)
+        out = T.linear(t64(x), t64(w), t64(b)).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], w @ x[i] + b, rtol=1e-12, atol=1e-14)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(T.ShapeError):
+            T.linear(t64(np.zeros((3, 4))), t64(np.zeros((2, 5))), t64(np.zeros(2)))
+        with pytest.raises(T.ShapeError):
+            T.linear(t64(np.zeros((3, 4))), t64(np.zeros((2, 4))), t64(np.zeros(3)))
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,42 +16,42 @@ def t64(a):
 
 class TestTotalLoss:
     def test_zero_coeff_is_cross_entropy_plus_l2(self, rng):
-        logits = t64(rng.standard_normal(3))
+        logits = t64(rng.standard_normal((1, 3)))
         a = t64(rng.dirichlet(np.ones(4), size=2))
         w = t64(rng.standard_normal((2, 2)))
-        loss = training.total_loss(logits, 1, a, coeff=0.0, l2_coeff=0.01, l2_params=[w])
-        expected = T.cross_entropy(logits, 1).item() + 0.01 * (w.data ** 2).sum()
+        loss = training.total_loss(logits, [1], [a], coeff=0.0, l2_coeff=0.01, l2_params=[w])
+        expected = T.cross_entropy(logits, [1]).item() + 0.01 * (w.data ** 2).sum()
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_one_hot_attention_adds_nothing(self, rng):
-        logits = t64(rng.standard_normal(3))
+        logits = t64(rng.standard_normal((1, 3)))
         disjoint = t64(np.eye(3))
-        with_pen = training.total_loss(logits, 0, disjoint, 1.0, 0.0, [])
-        without = training.total_loss(logits, 0, disjoint, 0.0, 0.0, [])
+        with_pen = training.total_loss(logits, [0], [disjoint], 1.0, 0.0, [])
+        without = training.total_loss(logits, [0], [disjoint], 0.0, 0.0, [])
         assert with_pen.item() == without.item()
 
     def test_zero_coeff_ignores_attention_path(self, rng):
-        logits = t64(rng.standard_normal(3))
+        logits = t64(rng.standard_normal((1, 3)))
         a1 = t64(rng.dirichlet(np.ones(5), size=2))
         a2 = t64(rng.dirichlet(np.ones(5), size=2))
-        assert training.total_loss(logits, 0, a1, 0.0, 0.0, []).item() == \
-               training.total_loss(logits, 0, a2, 0.0, 0.0, []).item()
+        assert training.total_loss(logits, [0], [a1], 0.0, 0.0, []).item() == \
+               training.total_loss(logits, [0], [a2], 0.0, 0.0, []).item()
 
     def test_pair_attention_averages_penalties(self, rng):
-        logits = t64(rng.standard_normal(2))
+        logits = t64(rng.standard_normal((1, 2)))
         a1 = t64(rng.dirichlet(np.ones(4), size=2))
         a2 = t64(rng.dirichlet(np.ones(4), size=2))
-        loss = training.total_loss(logits, 0, (a1, a2), 2.0, 0.0, [])
-        base = T.cross_entropy(logits, 0).item()
+        loss = training.total_loss(logits, [0], [(a1, a2)], 2.0, 0.0, [])
+        base = T.cross_entropy(logits, [0]).item()
         expected = base + attention.penalty_value(a1.data) + attention.penalty_value(a2.data)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_gradient(self, rng):
         def loss(logits, scores, w):
             a = T.softmax_rows(scores)
-            return training.total_loss(logits, 1, a, 0.7, 1e-3, [w])
+            return training.total_loss(logits, [1], [a], 0.7, 1e-3, [w])
 
-        inputs = [T.Tensor(rng.standard_normal(s)) for s in [(3,), (2, 5), (3, 3)]]
+        inputs = [T.Tensor(rng.standard_normal(s)) for s in [(1, 3), (2, 5), (3, 3)]]
         assert T.grad_check(loss, inputs) < 1e-4
 
 
@@ -114,14 +116,16 @@ class TestAdagradStep:
 
 
 class StubModel:
-    """Fixed-logit model for evaluate() tests."""
+    """Fixed-logit model for evaluate() tests; predicts in chunks of four."""
+
+    cfg = SimpleNamespace(batch_size=4)
 
     def __init__(self, logits_for):
         self.logits_for = logits_for
 
-    def forward(self, tokens, mask=None, train=False, rng=None):
-        logits = self.logits_for(tokens)
-        return T.Tensor(np.asarray(logits, dtype=np.float32)), T.Tensor(np.ones((1, len(tokens))))
+    def forward_batch(self, tokens, mask=None, train=False, rng=None):
+        logits = [self.logits_for(t) for t in tokens]
+        return T.Tensor(np.asarray(logits, dtype=np.float32)), [T.Tensor(np.ones((1, len(t)))) for t in tokens]
 
 
 class TestEvaluate:

@@ -82,3 +82,26 @@ def test_prediction_metadata_optional(rng):
     doc.confidence = None
     html_text = viz.render_html([doc], "overall")
     assert "predicted" not in html_text
+
+
+def per_value_repr_csv(blocks):
+    """The embedding CSV as csv.writer writes it with repr(float(v)) per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    width = blocks[0][1].shape[1] if blocks else 0
+    writer.writerow(["sentence", "hop"] + [f"dim{j}" for j in range(width)])
+    for sentence_id, block in blocks:
+        for hop in range(block.shape[0]):
+            writer.writerow([sentence_id, hop] + [repr(float(v)) for v in block[hop]])
+    return buf.getvalue()
+
+
+def test_embedding_csv_bytes_match_per_value_repr(rng):
+    tiny = np.finfo(np.float32).smallest_subnormal
+    m = rng.standard_normal((3, 5)).astype(np.float32)
+    m[0, :4] = [0.0, -0.0, tiny, np.finfo(np.float32).max]
+    blocks = [(0, m), (7, rng.standard_normal((3, 5)).astype(np.float32)), (8, rng.standard_normal((3, 5)))]
+    text = viz.render_embedding_csv(blocks)
+    assert text.encode("utf-8") == per_value_repr_csv(blocks).encode("utf-8")
+    assert ",-0.0," in text and "e-45," in text
+    assert viz.render_embedding_csv([]) == per_value_repr_csv([])
