@@ -84,6 +84,10 @@ def _op_checks(rng):
         ("linear", lambda x, w, b: T.frobenius_sq(T.linear(x, w, b)),
          [_rand(rng, 3, 4), _rand(rng, 2, 4), _rand(rng, 2)]),
         ("cross_entropy_batch", lambda x: T.cross_entropy(x, np.array([2, 0, 2])), [_rand(rng, 3, 5)]),
+        # the tanh path gives ``a`` a gradient first, so both the in-place add
+        # and the allocating branch of the backward are checked
+        ("sum_squares", lambda a, b: T.add(T.sum_squares([a, b], 0.37), T.sum_all(T.tanh_elem(a))),
+         [_rand(rng, 3, 4), _rand(rng, 5)]),
     ]
     return checks
 

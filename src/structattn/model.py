@@ -81,9 +81,9 @@ def _init(name, shape, rng, dtype):
     except that each LSTM bias opens its forget gate with 1.0.
     """
     if name == "embedding.table":
-        table = rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
-        table[encoder.PAD_ID] = 0.0
-        return T.Tensor(table, requires_grad=True)
+        table = T.uniform(rng, -0.1, 0.1, shape, dtype)
+        table.data[encoder.PAD_ID] = 0.0
+        return table
     if len(shape) >= 2:
         return T.glorot(rng, shape, dtype)
     vec = np.zeros(shape, dtype=dtype)

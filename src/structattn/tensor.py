@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
 
@@ -22,6 +23,10 @@ DEFAULT_DTYPE = np.float32
 # Masked softmax logits get this instead of -inf so that finite inputs always
 # produce finite outputs; exp() underflows it to exactly 0.
 MASK_SENTINEL = -1e30
+
+# Full-size passes over large weights (init draws, the L2 term) work
+# on row blocks of about this many elements, so their temporaries stay small.
+_BLOCK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -88,8 +93,19 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def _acc(self, g):
+    def _acc(self, g, fresh=False):
+        """Add ``g`` into this tensor's gradient.
+
+        ``fresh`` marks an array the op's backward has just made and holds
+        nowhere else; the first gradient of that kind, with this tensor's shape
+        and dtype, is adopted as is. Everything else (the upstream gradient
+        passed through, views of it, numpy scalars) is copied, so no two
+        gradients ever share memory.
+        """
         if self.grad is None:
+            if fresh and type(g) is np.ndarray and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -162,8 +178,28 @@ def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad=False):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
+def _row_blocks(x):
+    """Slices of ``x`` along its first axis of about ``_BLOCK`` elements each.
+
+    Each slice is a view; a 0-d array is one block, ``...``.
+    """
+    if x.ndim == 0:
+        return [...]
+    step = max(1, _BLOCK // (math.prod(x.shape[1:]) or 1))
+    return [slice(s, s + step) for s in range(0, x.shape[0], step)]
+
+
 def uniform(rng, low, high, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
-    return Tensor(rng.uniform(low, high, size=shape).astype(dtype), requires_grad=requires_grad)
+    """Uniform draws in [low, high), made block by block straight into ``dtype``.
+
+    Block draws consume the generator's stream in order, so the values are
+    the bits of one whole-array ``rng.uniform(...).astype(dtype)``, without
+    its full-size float64 copy.
+    """
+    out = np.empty(shape, dtype)
+    for rows in _row_blocks(out):
+        out[rows] = rng.uniform(low, high, size=out[rows].shape)
+    return Tensor(out, requires_grad=requires_grad)
 
 
 def glorot(rng, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
@@ -189,24 +225,24 @@ def matmul(a, b):
     def bk(g):
         if a.ndim == 2 and b.ndim == 2:
             if a.requires_grad:
-                a._acc(g @ b.data.T)
+                a._acc(g @ b.data.T, fresh=True)
             if b.requires_grad:
-                b._acc(a.data.T @ g)
+                b._acc(a.data.T @ g, fresh=True)
         elif a.ndim == 1 and b.ndim == 2:
             if a.requires_grad:
-                a._acc(b.data @ g)
+                a._acc(b.data @ g, fresh=True)
             if b.requires_grad:
-                b._acc(np.outer(a.data, g))
+                b._acc(np.outer(a.data, g), fresh=True)
         elif a.ndim == 2 and b.ndim == 1:
             if a.requires_grad:
-                a._acc(np.outer(g, b.data))
+                a._acc(np.outer(g, b.data), fresh=True)
             if b.requires_grad:
-                b._acc(a.data.T @ g)
+                b._acc(a.data.T @ g, fresh=True)
         else:  # 1-D dot
             if a.requires_grad:
-                a._acc(g * b.data)
+                a._acc(g * b.data, fresh=True)
             if b.requires_grad:
-                b._acc(g * a.data)
+                b._acc(g * a.data, fresh=True)
 
     return _from_op(data, (a, b), bk)
 
@@ -223,9 +259,9 @@ def batched_dot(m, w):
 
     def bk(g):
         if m.requires_grad:
-            m._acc(np.einsum("rk,rck->rc", g, w.data))
+            m._acc(np.einsum("rk,rck->rc", g, w.data), fresh=True)
         if w.requires_grad:
-            w._acc(np.einsum("rc,rk->rck", m.data, g))
+            w._acc(np.einsum("rc,rk->rck", m.data, g), fresh=True)
 
     return _from_op(data, (m, w), bk)
 
@@ -254,7 +290,7 @@ def softmax_rows(x, mask=None):
 
     def bk(g):
         if x.requires_grad:
-            x._acc((g - (g * s).sum(axis=1, keepdims=True)) * s)
+            x._acc((g - (g * s).sum(axis=1, keepdims=True)) * s, fresh=True)
 
     return _from_op(s, (x,), bk)
 
@@ -264,7 +300,7 @@ def tanh_elem(x):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g * (1.0 - y * y))
+            x._acc(g * (1.0 - y * y), fresh=True)
 
     return _from_op(y, (x,), bk)
 
@@ -281,7 +317,7 @@ def sigmoid(x):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g * y * (1.0 - y))
+            x._acc(g * y * (1.0 - y), fresh=True)
 
     return _from_op(y, (x,), bk)
 
@@ -291,7 +327,7 @@ def relu(x):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g * (x.data > 0))
+            x._acc(g * (x.data > 0), fresh=True)
 
     return _from_op(y, (x,), bk)
 
@@ -320,7 +356,7 @@ def sub(a, b):
         if a.requires_grad:
             a._acc(g)
         if b.requires_grad:
-            b._acc(-g)
+            b._acc(-g, fresh=True)
 
     return _from_op(a.data - b.data, (a, b), bk)
 
@@ -330,9 +366,9 @@ def mul(a, b):
 
     def bk(g):
         if a.requires_grad:
-            a._acc(g * b.data)
+            a._acc(g * b.data, fresh=True)
         if b.requires_grad:
-            b._acc(g * a.data)
+            b._acc(g * a.data, fresh=True)
 
     return _from_op(a.data * b.data, (a, b), bk)
 
@@ -342,7 +378,7 @@ def scale(x, c):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g * c)
+            x._acc(g * c, fresh=True)
 
     return _from_op(x.data * c, (x,), bk)
 
@@ -353,9 +389,41 @@ def frobenius_sq(x):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g * 2.0 * x.data)
+            x._acc(g * 2.0 * x.data, fresh=True)
 
     return _from_op(data, (x,), bk)
+
+
+def sum_squares(ws, coeff):
+    """``coeff`` times the summed squares of every tensor in ``ws``, as one scalar.
+
+    The L2 term of many weights in one node, one memory pass per weight each
+    way: the forward pass sums ``vdot`` of row blocks in float64, with no
+    squared copy; the backward pass adds 2·coeff·g·w into each existing
+    ``w.grad`` in place, a block at a time, and allocates a gradient only for
+    a weight that has none yet.
+    """
+    ws = list(ws)
+    coeff = float(coeff)
+    total = 0.0
+    for w in ws:
+        for rows in _row_blocks(w.data):
+            block = w.data[rows]
+            total += float(np.vdot(block, block))
+    dtype = np.result_type(*(w.data for w in ws)) if ws else DEFAULT_DTYPE
+    data = np.asarray(coeff * total, dtype=dtype)
+
+    def bk(g):
+        c = 2.0 * coeff * float(g)
+        for w in ws:
+            if not w.requires_grad:
+                continue
+            if w.grad is None:
+                w.grad = np.zeros_like(w.data)
+            for rows in _row_blocks(w.data):
+                w.grad[rows] += np.multiply(w.data[rows], c)
+
+    return _from_op(data, tuple(ws), bk)
 
 
 def sum_all(x):
@@ -363,7 +431,7 @@ def sum_all(x):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(np.full_like(x.data, g))
+            x._acc(np.full_like(x.data, g), fresh=True)
 
     return _from_op(data, (x,), bk)
 
@@ -492,7 +560,7 @@ def dropout(x, rate, rng, train):
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g * keep)
+            x._acc(g * keep, fresh=True)
 
     return _from_op(data, (x,), bk)
 
@@ -521,7 +589,7 @@ def cross_entropy(logits, labels):
         if logits.requires_grad:
             p = np.exp(z - lse[:, None])
             p[rows, labels] -= 1.0
-            logits._acc(((g / len(rows)) * p).reshape(logits.shape))
+            logits._acc(((g / len(rows)) * p).reshape(logits.shape), fresh=True)
 
     return _from_op(data, (logits,), bk)
 
@@ -540,11 +608,11 @@ def linear(x, w, b):
 
     def bk(g):
         if w.requires_grad:
-            w._acc(g.T @ x.data)
+            w._acc(g.T @ x.data, fresh=True)
         if b.requires_grad:
-            b._acc(g.sum(axis=0))
+            b._acc(g.sum(axis=0), fresh=True)
         if x.requires_grad:
-            x._acc(g @ w.data)
+            x._acc(g @ w.data, fresh=True)
 
     return _from_op(data, (x, w, b), bk)
 
@@ -622,13 +690,13 @@ def lstm_scan(x, w_x, w_h, bias, reverse=False):
             if k < n - 1:
                 dh = wh.T @ dz[t]
         if w_h.requires_grad:
-            w_h._acc(dz.T @ previous(hs))
+            w_h._acc(dz.T @ previous(hs), fresh=True)
         if w_x.requires_grad:
-            w_x._acc(dz.T @ x.data)
+            w_x._acc(dz.T @ x.data, fresh=True)
         if bias.requires_grad:
-            bias._acc(dz.sum(axis=0))
+            bias._acc(dz.sum(axis=0), fresh=True)
         if x.requires_grad:
-            x._acc(dz @ w_x.data)
+            x._acc(dz @ w_x.data, fresh=True)
 
     return _from_op(hs, parents, bk)
 

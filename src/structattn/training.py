@@ -2,9 +2,11 @@
 
 Each batch runs through the model and the loss once: the mean cross-entropy,
 the attention penalty averaged per example and added with its coefficient,
-and L2 over attention and head weight matrices only, added once per batch.
-Training keeps the parameters of the best dev epoch and stops early after
-``patience`` epochs without improvement.
+and L2 over attention and head weight matrices only, added once per batch as
+one fused node. A step passes over each full-size weight about once: its
+gradient is adopted from the op that made it, L2 adds into it in place, and
+clipping and the SGD update run in place. Training keeps the parameters of the
+best dev epoch and stops early after ``patience`` epochs without improvement.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
 
     ``logits`` is B-by-C with B ``labels``; ``attns`` holds each example's
     annotation matrix, or a tuple of them for pair models. With a zero
-    coefficient the penalty path is not built at all.
+    coefficient the penalty path is not built at all. The L2 node is the
+    first operand of the last add, so its backward runs after every other
+    gradient of the weights exists and adds into them in place.
     """
     loss = T.cross_entropy(logits, labels)
     if coeff:
@@ -42,8 +46,7 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
             for a in mats:
                 loss = T.add(loss, T.scale(attention.penalty(a), coeff / (len(mats) * len(attns))))
     if l2_coeff:
-        for w in l2_params:
-            loss = T.add(loss, T.scale(T.frobenius_sq(w), l2_coeff))
+        loss = T.add(T.sum_squares(l2_params, l2_coeff), loss)
     return loss
 
 
@@ -55,12 +58,13 @@ def clip_grads(grads, clip):
 
 
 def sgd_step(params, grads, lr):
-    """In-place SGD update."""
+    """In-place SGD update; each gradient is scaled by ``lr`` in place and spent."""
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        p.data -= lr * g
+        np.multiply(g, lr, out=g)
+        p.data -= g
 
 
 def adagrad_step(params, grads, state, lr, eps=1e-8):
@@ -149,6 +153,7 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
                 adagrad_step(params, grads, adagrad_state, cfg.learning_rate)
             for p in params.values():
                 p.grad = None
+            del grads  # the step's gradients must not live on through the dev pass
             loss_sum += batch_loss.item() * len(b)
             n_seen += len(b)
 
@@ -176,4 +181,4 @@ def restore_params(model, snapshot):
         p = params[name]
         if p.data.shape != arr.shape:
             raise T.ShapeError(f"snapshot shape {arr.shape} does not match {p.data.shape} for {name}")
-        p.data = arr.astype(p.data.dtype, copy=True)
+        np.copyto(p.data, arr)

@@ -106,3 +106,27 @@ def test_single_sentence_forward_is_row_of_batch_forward(head):
             pairs = zip(attn, attns[i]) if head == "gated-pair" else [(attn, attns[i])]
             for a, a_batch in pairs:
                 assert np.array_equal(a.data, a_batch.data)
+
+
+def per_weight_l2_loss(net, cfg, b, rng):
+    """The batch loss with L2 as one ``scale(frobenius_sq(w), l2)`` node per weight."""
+    logits, attns = net.forward_batch(*b.inputs(), train=True, rng=rng)
+    loss = training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, 0.0, [])
+    for w in net.l2_parameters():
+        loss = T.add(loss, T.scale(T.frobenius_sq(w), cfg.l2))
+    return loss
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_fused_l2_matches_per_weight_chain(head):
+    cfg, net, b = setup(head)
+    loss, grads = loss_and_grads(net, lambda: batched_loss(net, cfg, b, np.random.default_rng(7)))
+    ref_loss, ref_grads = loss_and_grads(
+        net, lambda: per_weight_l2_loss(net, cfg, b, np.random.default_rng(7)))
+    assert loss == pytest.approx(ref_loss, rel=TOL, abs=TOL)
+    for name, g in ref_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=TOL, atol=TOL, err_msg=name)
+    cfg.l2 = 0.0
+    _, unregularized = loss_and_grads(net, lambda: batched_loss(net, cfg, b, np.random.default_rng(7)))
+    for w_name in ("attention.w1", "head.w1" if head != "pruned" else "head.w_out"):
+        assert not np.array_equal(grads[w_name], unregularized[w_name])

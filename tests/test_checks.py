@@ -23,7 +23,7 @@ def test_report_lists_every_op():
                 "scale", "frobenius_sq", "sum_all", "concat", "concat_rows", "transpose",
                 "reshape", "gather_rows", "row", "slice_rows", "dropout", "cross_entropy",
                 "lstm_step", "lstm_scan", "attend_pool", "penalty", "mlp_head", "pruned_head", "gated_encode",
-                "linear", "cross_entropy_batch"}
+                "linear", "cross_entropy_batch", "sum_squares"}
     assert expected <= names
 
 

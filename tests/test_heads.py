@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,40 @@ class TestCountParams:
         assert audit_group("head.b1") == "other"
         assert audit_group("lstm_fwd.w_x") == "other"
         assert audit_group("gated.w_fh") == "other"
+
+
+# sha256 prefixes of every ``build_model`` tensor (vocabulary 5000, rng seed
+# 7). The embedding, ``head.w1`` and the gated ``head.w1`` span several init
+# row blocks, so these pin the block-wise float32 draws to the old
+# whole-array float64 draws, bit for bit.
+ENCODER_HASHES = {
+    "embedding.table": "47dbbc6e9b0c4576", "lstm_fwd.w_x": "dda5e65e078f03b7",
+    "lstm_fwd.w_h": "d59415deb2b0ff82", "lstm_fwd.bias": "0879332a2e31551e",
+    "lstm_bwd.w_x": "881147397763c2ce", "lstm_bwd.w_h": "5eac80c8f76592c9",
+    "lstm_bwd.bias": "0879332a2e31551e", "attention.w1": "4d940e60f30051dc",
+    "attention.w2": "aa607235dbf7b276",
+}
+HEAD_HASHES = {
+    "dense": (dict(b=1200), {
+        "head.w1": "0aaabfc7b6e9cbeb", "head.b1": "24ddaa4710480313",
+        "head.w2": "a6ae6baa6d3edfd7", "head.b2": "15ec7bf0b50732b4"}),
+    "pruned": (dict(p=4, q=3), {
+        "head.w_v": "0a166d88259ad7bb", "head.w_h": "f01b3883e71b49ac",
+        "head.w_out": "6cc49e7157bdd4d8", "head.b_out": "15ec7bf0b50732b4"}),
+    "gated-pair": (dict(b=4000, k=5), {
+        "gated.w_fh": "f71374dd1e4aa56b", "gated.w_fp": "7d1f17e10f1e7a3f",
+        "head.w1": "489af2f1cc289ce0", "head.b1": "f85f2c34eb2843d2",
+        "head.w2": "7b98d8647fb77872", "head.b2": "15ec7bf0b50732b4"}),
+}
+
+
+@pytest.mark.parametrize("head", sorted(HEAD_HASHES))
+def test_built_tensors_keep_their_bits(head):
+    from structattn.model import build_model
+    extra, head_hashes = HEAD_HASHES[head]
+    cfg = RunConfig(d=16, u=8, d_a=6, r=4, classes=3, seed=0, head=head, **extra).validate()
+    net = build_model(cfg, 5000, np.random.default_rng(7))
+    params = net.named_parameters()
+    got = {name: hashlib.sha256(p.data.tobytes()).hexdigest()[:16] for name, p in params.items()}
+    assert all(p.dtype == np.float32 for p in params.values())
+    assert got == {**ENCODER_HASHES, **head_hashes}

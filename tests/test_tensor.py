@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,166 @@ class TestLinear:
             T.linear(t64(np.zeros((3, 4))), t64(np.zeros((2, 5))), t64(np.zeros(2)))
         with pytest.raises(T.ShapeError):
             T.linear(t64(np.zeros((3, 4))), t64(np.zeros((2, 4))), t64(np.zeros(3)))
+
+
+class TestSumSquares:
+    # 300 x 500 spans three row blocks; the vector is a single block
+    def weights(self, rng):
+        return [T.Tensor(rng.standard_normal((300, 500)), requires_grad=True),
+                T.Tensor(rng.standard_normal(7), requires_grad=True)]
+
+    def test_value_is_coeff_times_summed_squares(self, rng):
+        ws = self.weights(rng)
+        want = 0.37 * sum((w.data ** 2).sum() for w in ws)
+        assert T.sum_squares(ws, 0.37).item() == pytest.approx(want, rel=1e-12)
+        assert T.sum_squares(ws, 0.37).dtype == np.float64
+        assert T.sum_squares([T.Tensor(np.ones(3, np.float32))], 1.0).dtype == np.float32
+
+    def test_backward_adds_into_existing_gradient_in_place(self, rng):
+        ws = self.weights(rng)
+        existing = rng.standard_normal(ws[0].shape)
+        ws[0].grad = existing.copy()
+        held = ws[0].grad
+        T.sum_squares(ws, 0.37).backward()
+        assert ws[0].grad is held
+        np.testing.assert_allclose(ws[0].grad, existing + 0.74 * ws[0].data, rtol=1e-12)
+        np.testing.assert_allclose(ws[1].grad, 0.74 * ws[1].data, rtol=1e-12)
+
+    def test_same_bits_as_frobenius_chain_in_float32(self, rng):
+        w = T.Tensor(rng.standard_normal((300, 500)).astype(np.float32), requires_grad=True)
+        x = T.Tensor(rng.standard_normal((2, 500)).astype(np.float32))
+        b = T.zeros(300)
+
+        def grad(l2_term):
+            w.grad = None
+            T.add(l2_term(), T.sum_all(T.linear(x, w, b))).backward()
+            return w.grad
+
+        fused = grad(lambda: T.sum_squares([w], 1e-4))
+        chain = grad(lambda: T.scale(T.frobenius_sq(w), 1e-4))
+        assert np.array_equal(fused, chain)
+
+    def test_frozen_weight_gets_no_gradient(self, rng):
+        frozen = t64(rng.standard_normal(4))
+        live = T.Tensor(rng.standard_normal(4), requires_grad=True)
+        T.sum_squares([frozen, live], 2.0).backward()
+        assert frozen.grad is None
+        np.testing.assert_allclose(live.grad, 4.0 * live.data, rtol=1e-15)
+
+    def test_gradient(self, rng):
+        inputs = [T.Tensor(rng.standard_normal(s)) for s in [(3, 4), (2, 3, 2)]]
+        assert T.grad_check(lambda a, b: T.scale(T.sum_squares([a, b], 0.37), 1.7), inputs) < 1e-6
+
+
+class TestUniform:
+    # 300 x 1000 draws in five row blocks
+    @pytest.mark.parametrize("shape", [(300, 1000), (40, 90, 30), (70000,), ()])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_one_whole_array_draw(self, shape, dtype):
+        got = T.uniform(np.random.default_rng(4), -0.3, 0.2, shape, dtype)
+        ref_rng = np.random.default_rng(4)
+        want = ref_rng.uniform(-0.3, 0.2, size=shape).astype(dtype)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got.data, want)
+        assert got.requires_grad
+
+    def test_glorot_equals_one_whole_array_draw(self):
+        shape = (300, 1000)
+        limit = float(np.sqrt(6.0 / 1300))
+        rng = np.random.default_rng(4)
+        got = T.glorot(rng, shape)
+        ref_rng = np.random.default_rng(4)
+        assert np.array_equal(got.data, ref_rng.uniform(-limit, limit, size=shape).astype(np.float32))
+        # the stream is left where a whole-array draw leaves it
+        assert rng.uniform() == ref_rng.uniform()
+
+
+def leaf(rng, *shape, dtype=np.float64):
+    return T.Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+
+def backward_unshared(loss):
+    """Run ``loss.backward()`` and check that no leaf gradient shares memory
+    with another, with any node's value or with any inner node's gradient."""
+    grads = list(loss.backward().values())
+    nodes = T._toposort(loss)
+    others = [n.data for n in nodes] + [n.grad for n in nodes if n._prev and isinstance(n.grad, np.ndarray)]
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+        assert not any(np.shares_memory(g, o) for o in others)
+
+
+class TestGradientBuffers:
+    """Backwards that pass the upstream gradient through must copy it; only
+    arrays an op made itself are adopted. The upstream gradient here is the
+    fresh product of ``mul``, so a wrongly adopted one would alias."""
+
+    def test_add_of_two_leaves(self, rng):
+        a, b, c = leaf(rng, 2, 3), leaf(rng, 2, 3), t64(rng.standard_normal((2, 3)))
+        backward_unshared(T.sum_all(T.mul(T.add(a, b), c)))
+        assert np.array_equal(a.grad, c.data) and np.array_equal(b.grad, c.data)
+
+    def test_add_of_a_leaf_to_itself(self, rng):
+        x, c = leaf(rng, 2, 3), t64(rng.standard_normal((2, 3)))
+        backward_unshared(T.sum_all(T.mul(T.add(x, x), c)))
+        assert np.array_equal(x.grad, 2 * c.data)
+
+    def test_sub_keeps_both_sides_apart(self, rng):
+        a, b, c = leaf(rng, 2, 3), leaf(rng, 2, 3), t64(rng.standard_normal((2, 3)))
+        backward_unshared(T.sum_all(T.mul(T.sub(a, b), c)))
+        assert np.array_equal(a.grad, c.data) and np.array_equal(b.grad, -c.data)
+
+    def test_reshape_and_transpose_of_a_leaf(self, rng):
+        x, y = leaf(rng, 2, 3), leaf(rng, 2, 3)
+        c = t64(rng.standard_normal((3, 2)))
+        backward_unshared(T.add(T.sum_all(T.mul(T.reshape(x, (3, 2)), c)),
+                             T.sum_all(T.mul(T.transpose(y), c))))
+        assert np.array_equal(x.grad, c.data.reshape(2, 3))
+        assert np.array_equal(y.grad, c.data.T)
+
+    def test_concat_of_two_leaves(self, rng):
+        a, b, c = leaf(rng, 3), leaf(rng, 2), t64(rng.standard_normal(5))
+        backward_unshared(T.sum_all(T.mul(T.concat([a, b]), c)))
+        assert np.array_equal(a.grad, c.data[:3]) and np.array_equal(b.grad, c.data[3:])
+
+    def test_scalar_gradients_become_arrays(self, rng):
+        x = leaf(rng)
+        T.scale(T.scale(x, 2.0), 3.0).backward()
+        assert type(x.grad) is np.ndarray and x.grad.shape == () and x.grad == 6.0
+
+    def test_float32_linear_leaf_adopts_its_weight_gradient(self, rng):
+        x, w, b = (leaf(rng, *shape, dtype=np.float32) for shape in [(4, 6), (5, 6), (5,)])
+        c = T.Tensor(rng.standard_normal((4, 5)).astype(np.float32))
+        backward_unshared(T.sum_all(T.mul(T.linear(x, w, b), c)))
+        for t in (x, w, b):
+            assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
+        np.testing.assert_allclose(w.grad, c.data.T @ x.data, rtol=1e-6)
+
+    def test_dense_backward_peak_stays_near_its_gradients(self):
+        """Tracemalloc peak of ``backward()`` on a dense batch loss with L2, over
+        the gradients it leaves behind, is below half of ``head.w1``: the weight
+        gradient is adopted and L2 adds into it, with no W1-sized temporary."""
+        from structattn import data, training
+        from structattn.config import RunConfig
+        from structattn.model import build_model
+
+        cfg = RunConfig(d=4, u=4, d_a=4, r=8, head="dense", b=8192, classes=2, l2=1e-3).validate()
+        rng = np.random.default_rng(0)
+        net = build_model(cfg, 10, rng)
+        examples = [data.Example(rng.integers(2, 10, size=n), n % 2) for n in (3, 5, 4, 2)]
+        b = data.batch(examples, 4)[0]
+        logits, attns = net.forward_batch(*b.inputs())
+        loss = training.total_loss(logits, b.labels, attns, 1.0, cfg.l2, net.l2_parameters())
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        w1 = net.head.w1.data.nbytes
+        kept = sum(p.grad.nbytes for p in net.named_parameters().values())
+        assert w1 <= kept < 1.1 * w1
+        assert peak - kept < 0.5 * w1, (peak / w1, kept / w1)
 
 
 class TestBackward:

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,6 +116,23 @@ class TestAdagradStep:
         assert p["w"].data[0] == pytest.approx(expected, rel=1e-7)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_sgd_gives_the_bits_of_the_whole_array_formula(dtype):
+    rng = np.random.default_rng(11)
+    shapes = {"w": (300, 400), "b": (7,)}
+    start = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    params = {k: T.Tensor(v.copy()) for k, v in start.items()}
+    ref = {k: v.copy() for k, v in start.items()}
+    for _ in range(4):
+        grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        for k in shapes:
+            ref[k] -= 0.05 * grads[k]
+        training.sgd_step(params, grads, lr=0.05)
+        for k in shapes:
+            assert params[k].data.dtype == dtype
+            assert np.array_equal(params[k].data, ref[k]), k
+
+
 class StubModel:
     """Fixed-logit model for evaluate() tests; predicts in chunks of four."""
 
@@ -207,6 +225,37 @@ class TestTrainLoop:
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         with pytest.raises(ValueError):
             training.train(net, [], dev_set, cfg)
+
+    def test_step_gradients_do_not_outlive_the_step(self, tmp_path):
+        """Tracemalloc peak of one ``train`` call on a model whose ``head.w1``
+        is almost all of it: the step's gradients are spent in place and
+        dropped before the dev pass, so only one W1-sized array (the gradient,
+        later the best-epoch snapshot) is ever alive beside the model."""
+        cfg = tiny_config(tmp_path, r=8, b=8192, max_epochs=1, patience=1)
+        vocab, train_set, dev_set = load_sets(cfg)
+        net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+        w1 = net.head.w1.data.nbytes
+        assert w1 > 0.9 * sum(p.data.nbytes for p in net.named_parameters().values())
+        tracemalloc.start()
+        try:
+            training.train(net, train_set, dev_set, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w1, peak / w1
+
+    def test_restore_copies_into_the_parameters(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        vocab, _, _ = load_sets(cfg)
+        net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+        arrays = {k: p.data for k, p in net.named_parameters().items()}
+        snapshot = {k: np.full_like(a, 0.25) for k, a in arrays.items()}
+        training.restore_params(net, snapshot)
+        for k, p in net.named_parameters().items():
+            assert p.data is arrays[k] and np.array_equal(p.data, snapshot[k])
+            assert not np.shares_memory(p.data, snapshot[k])
+        with pytest.raises(T.ShapeError):
+            training.restore_params(net, {"head.w1": np.zeros((1, 1))})
 
     def test_history_records_fields(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=2, patience=2)
