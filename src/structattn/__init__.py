@@ -5,13 +5,12 @@ embedding, trained with a Frobenius-norm redundancy penalty, with dense,
 pruned-structured, and gated pairwise classifier heads.
 """
 
-from .attention import (AttentionParams, attend, attend_vector, mean_pairwise_overlap,
-                        overall_attention, overlap, penalty, pool)
+from .attention import (attend, attend_vector, mean_pairwise_overlap, overall_attention, overlap,
+                        penalty, pool)
 from .config import RunConfig, load_run_config
 from .data import Vocab, build_vocab, load_dataset, load_pretrained
-from .encoder import EmbeddingTable, HiddenStates, LstmParams, bilstm, embed, lstm_step
-from .heads import (GatedEncoderParams, MlpHead, PrunedHead, count_params, gated_encode,
-                    mlp_forward, pruned_forward)
-from .model import Classifier, build_model, parameter_shapes
+from .encoder import HiddenStates, bilstm, embed, lstm_step
+from .heads import gated_encode, mlp_forward, pruned_forward
+from .model import Classifier, build_model, count_model_params, parameter_shapes
 from .tensor import Tensor, grad_check, no_grad
 from .training import evaluate, train

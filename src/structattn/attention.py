@@ -12,19 +12,12 @@ import numpy as np
 from . import tensor as T
 
 
-class AttentionParams:
-    """Bias-free two-layer attention MLP: w1 is d_a-by-2u, w2 is r-by-d_a."""
+def attend(hidden, w1, w2):
+    """Annotation matrix A = softmax_rows(w2 @ tanh(w1 @ H^T)), masked columns zero.
 
-    def __init__(self, w1, w2):
-        if w1.ndim != 2 or w2.ndim != 2 or w2.shape[1] != w1.shape[0]:
-            raise T.ShapeError(f"inconsistent attention shapes: w1 {w1.shape}, w2 {w2.shape}")
-        self.w1 = w1
-        self.w2 = w2
-
-
-def attend(hidden, p):
-    """Annotation matrix A = softmax_rows(w2 @ tanh(w1 @ H^T)), masked columns zero."""
-    scores = T.matmul(p.w2, T.tanh_elem(T.matmul(p.w1, T.transpose(hidden.h))))
+    The bias-free attention MLP has w1 d_a-by-2u and w2 r-by-d_a.
+    """
+    scores = T.matmul(w2, T.tanh_elem(T.matmul(w1, T.transpose(hidden.h))))
     return T.softmax_rows(scores, hidden.mask)
 
 

@@ -78,8 +78,7 @@ def _op_checks(rng):
         ("penalty", lambda x: attention.penalty(T.softmax_rows(x)), [_rand(rng, 3, 5)]),
         ("mlp_head", _mlp_loss, _mlp_inputs(rng)),
         ("pruned_head", _pruned_loss, _pruned_inputs(rng)),
-        ("gated_encode", lambda mh, mp, wfh, wfp: T.frobenius_sq(
-            heads.gated_encode(mh, mp, heads.GatedEncoderParams(wfh, wfp))),
+        ("gated_encode", lambda mh, mp, wfh, wfp: T.frobenius_sq(heads.gated_encode(mh, mp, wfh, wfp)),
          [_rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4, 2), _rand(rng, 3, 4, 2)]),
         ("linear", lambda x, w, b: T.frobenius_sq(T.linear(x, w, b)),
          [_rand(rng, 3, 4), _rand(rng, 2, 4), _rand(rng, 2)]),
@@ -99,7 +98,7 @@ def _lstm_step_inputs(rng):
 
 
 def _lstm_step_loss(x, h0, c0, w_x, w_h, b):
-    h, c = encoder.lstm_step(x, h0, c0, encoder.LstmParams(w_x, w_h, b))
+    h, c = encoder.lstm_step(x, h0, c0, w_x, w_h, b)
     return T.sum_all(T.mul(h, c))
 
 
@@ -120,7 +119,7 @@ def _attend_pool_inputs(rng):
 
 def _attend_pool_loss(h, w1, w2):
     hidden = encoder.HiddenStates(h, np.ones(h.shape[0], dtype=bool))
-    a = attention.attend(hidden, attention.AttentionParams(w1, w2))
+    a = attention.attend(hidden, w1, w2)
     return T.frobenius_sq(attention.pool(a, hidden))
 
 
@@ -129,7 +128,7 @@ def _mlp_inputs(rng):
 
 
 def _mlp_loss(m, w1, b1, w2, b2):
-    return T.cross_entropy(heads.mlp_forward([m], heads.MlpHead(w1, b1, w2, b2)), [1])
+    return T.cross_entropy(heads.mlp_forward([m], w1, b1, w2, b2), [1])
 
 
 def _pruned_inputs(rng):
@@ -139,7 +138,7 @@ def _pruned_inputs(rng):
 
 
 def _pruned_loss(m, w_v, w_h, w_out, b_out):
-    return T.cross_entropy(heads.pruned_forward([m], heads.PrunedHead(w_v, w_h, w_out, b_out)), [0])
+    return T.cross_entropy(heads.pruned_forward([m], w_v, w_h, w_out, b_out), [0])
 
 
 def run_op_checks(seed=0, eps=EPS, tol=TOLERANCE, extra=()):
@@ -223,7 +222,7 @@ def _oracle_loss(p, cfg, scenario):
     return loss
 
 
-def full_model_check(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE, max_tokens=6):
+def full_model_check(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE):
     """Finite differences through the whole loss against every trainable scalar.
 
     Analytic gradients come from the 64-bit graph; the numeric side perturbs
@@ -233,9 +232,8 @@ def full_model_check(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE, max_tokens=
     rng = np.random.default_rng(seed)
     vocab_size = 12
     net = model_mod.build_model(cfg, vocab_size, rng, dtype=np.float64)
-    n = min(max_tokens, 5)
-    tokens = rng.integers(2, vocab_size, size=n)
-    mask = np.ones(n, dtype=bool)
+    tokens = rng.integers(2, vocab_size, size=5)
+    mask = np.ones(tokens.size, dtype=bool)
     label = int(rng.integers(cfg.classes))
 
     params = net.named_parameters()
@@ -273,7 +271,7 @@ def full_model_check(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE, max_tokens=
     return CheckResult("full_model_loss", worst, worst < tol)
 
 
-def run_all_checks(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE, extra=()):
-    results = run_op_checks(seed, eps, tol, extra)
+def run_all_checks(cfg: RunConfig, seed=0, eps=EPS, tol=TOLERANCE):
+    results = run_op_checks(seed, eps, tol)
     results.append(full_model_check(cfg, seed, eps, tol))
     return results

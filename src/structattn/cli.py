@@ -58,7 +58,8 @@ def _check_labels(name, dataset, classes):
 def _build_model(cfg, vocab, rng):
     net = model_mod.build_model(cfg, len(vocab), rng)
     if cfg.embeddings_path:
-        coverage = data.load_pretrained(cfg.embeddings_path, vocab, net.embedding.table.data)
+        table = net.named_parameters()["embedding.table"].data
+        coverage = data.load_pretrained(cfg.embeddings_path, vocab, table)
         print(f"pretrained embedding coverage: {coverage:.3f}")
     return net
 
@@ -179,10 +180,11 @@ def cmd_sweep(args):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("param", "value", "seed") + HISTORY_FIELDS)
-    for idx, value in enumerate(values):
-        # Early stopping is disabled so every value contributes a full curve.
-        run_cfg = replace(cfg, patience=cfg.max_epochs, seed=cfg.seed + 1000 * idx,
-                          **{("r" if args.param == "r" else "penalty_coeff"): value})
+    # Early stopping is disabled so every value contributes a full curve. Every
+    # run's config is validated before the first one trains.
+    run_cfgs = [replace(cfg, patience=cfg.max_epochs, seed=cfg.seed + 1000 * idx,
+                        **{args.param: value}).validate() for idx, value in enumerate(values)]
+    for value, run_cfg in zip(values, run_cfgs):
         print(f"sweep {args.param}={value} (seed {run_cfg.seed})")
         _, _, result = _run_training(run_cfg)
         writer.writerows(_history_rows(result.history, prefix=[args.param, value, run_cfg.seed]))

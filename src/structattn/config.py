@@ -7,6 +7,7 @@ and a handful of structural keys have no defaults and must be provided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 HEAD_KINDS = ("dense", "pruned", "gated-pair")
@@ -65,10 +66,9 @@ class RunConfig:
             # bool is an int subclass, but a flag is never a count or a rate.
             if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-        for key in REQUIRED_KEYS:
-            value = getattr(self, key)
-            if value in ("", 0):
-                raise ConfigError(f"missing required config key: {key}")
+            # NaN and inf slip past every bound below; None is only ``clip = none``.
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.head not in HEAD_KINDS:
             raise ConfigError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.optimizer not in ("sgd", "adagrad"):
@@ -77,11 +77,14 @@ class RunConfig:
             raise ConfigError("learning_rate must be > 0")
         if self.penalty_coeff < 0:
             raise ConfigError("penalty_coeff must be >= 0")
+        if self.l2 < 0:
+            raise ConfigError("l2 must be >= 0")
         if self.clip is not None and self.clip <= 0:
             raise ConfigError("clip must be > 0 or none")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        for key in ("d", "u", "d_a", "r", "classes", "b", "p", "q", "k", "batch_size", "max_epochs"):
+        for key in ("d", "u", "d_a", "r", "classes", "b", "p", "q", "k", "batch_size", "max_epochs",
+                    "vocab_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         return self

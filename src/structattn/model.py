@@ -1,13 +1,16 @@
-"""Full models: parameter bundles wiring encoder, attention, and a head.
+"""Full models: one name -> tensor map wiring encoder, attention, and a head.
 
 ``parameter_shapes`` is the single source of truth for tensor names, shapes
 and draw order. A model is one ordered name -> Tensor map: ``build_model``
 fills it from ``_init``, checkpoint restore from the file's arrays, and the
 parameter audit counts its shapes, so a checkpoint written by one build
-always lines up with another.
+always lines up with another. ``Classifier`` is the one place that hands
+each named tensor to the layer that uses it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +65,36 @@ def audit_group(name):
     return "other"
 
 
+@dataclass
+class ParamAudit:
+    """Per-tensor parameter counts with group subtotals; total is always the sum."""
+
+    rows: list  # (group, name, shape, count)
+    group_totals: dict
+    total: int
+
+    def format(self):
+        lines = [f"{'group':<14}{'name':<22}{'shape':<18}{'count':>12}"]
+        for group, name, shape, count in self.rows:
+            lines.append(f"{group:<14}{name:<22}{str(shape):<18}{count:>12}")
+        lines.append("-" * 66)
+        for group, total in self.group_totals.items():
+            lines.append(f"{group:<54}{total:>12}")
+        lines.append(f"{'total':<54}{self.total:>12}")
+        return "\n".join(lines)
+
+
 def count_model_params(cfg: RunConfig, vocab_size=None):
+    """Audit every trainable scalar of ``parameter_shapes``, grouped by ``audit_group``."""
     size = cfg.vocab_size if vocab_size is None else vocab_size
-    return heads.count_params(parameter_shapes(cfg, size), audit_group)
+    rows = []
+    group_totals = {}
+    for name, shape in parameter_shapes(cfg, size).items():
+        count = int(np.prod(shape))
+        group = audit_group(name)
+        rows.append((group, name, shape, count))
+        group_totals[group] = group_totals.get(group, 0) + count
+    return ParamAudit(rows=rows, group_totals=group_totals, total=sum(c for _, _, _, c in rows))
 
 
 # Weight matrices covered by L2: attention, gated factors and head weights,
@@ -101,31 +131,23 @@ class Classifier:
     classifies the result with an MLP.
 
     ``params`` maps each ``parameter_shapes`` name to its tensor, in that
-    order; each component takes the tensors of its part in that order.
+    order; each layer is called with the tensors it uses, by name.
     """
 
     def __init__(self, cfg: RunConfig, params):
         self.cfg = cfg
         self._params = params
-        parts = {}
-        for name, tensor in params.items():
-            parts.setdefault(name.split(".")[0], []).append(tensor)
-        self.embedding = encoder.EmbeddingTable(*parts["embedding"])
-        self.lstm_fwd = encoder.LstmParams(*parts["lstm_fwd"])
-        self.lstm_bwd = encoder.LstmParams(*parts["lstm_bwd"])
-        self.attention = attention.AttentionParams(*parts["attention"])
-        if cfg.head == "gated-pair":
-            self.gated = heads.GatedEncoderParams(*parts["gated"])
-        self.head = (heads.PrunedHead if cfg.head == "pruned" else heads.MlpHead)(*parts["head"])
 
     def encode(self, tokens, mask=None):
         """Hidden states, annotation matrix, and matrix embedding for one sentence."""
+        p = self._params
         tokens = np.asarray(tokens)
         if mask is None:
             mask = np.ones(tokens.shape[0], dtype=bool)
-        s = encoder.embed(tokens, self.embedding)
-        hidden = encoder.bilstm(s, mask, self.lstm_fwd, self.lstm_bwd)
-        a = attention.attend(hidden, self.attention)
+        s = encoder.embed(tokens, p["embedding.table"])
+        hidden = encoder.bilstm(s, mask, (p["lstm_fwd.w_x"], p["lstm_fwd.w_h"], p["lstm_fwd.bias"]),
+                                (p["lstm_bwd.w_x"], p["lstm_bwd.w_h"], p["lstm_bwd.bias"]))
+        a = attention.attend(hidden, p["attention.w1"], p["attention.w2"])
         m = attention.pool(a, hidden)
         return hidden, a, m
 
@@ -139,17 +161,20 @@ class Classifier:
         hypotheses and ``prem_tokens`` the premises, and each example's
         annotation is the pair (A_hypothesis, A_premise).
         """
+        p = self._params
         rows, attns = [], []
         for i in range(len(tokens)):
             _, a, m = self.encode(tokens[i], None if mask is None else mask[i])
             if self.cfg.head == "gated-pair":
                 _, a_p, m_p = self.encode(prem_tokens[i], None if prem_mask is None else prem_mask[i])
-                m, a = heads.gated_encode(m, m_p, self.gated), (a, a_p)
+                m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
             rows.append(m)
             attns.append(a)
         if self.cfg.head == "pruned":
-            return heads.pruned_forward(rows, self.head, train), attns
-        return heads.mlp_forward(rows, self.head, self.cfg.dropout, train, rng), attns
+            return heads.pruned_forward(rows, p["head.w_v"], p["head.w_h"],
+                                        p["head.w_out"], p["head.b_out"]), attns
+        return heads.mlp_forward(rows, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
+                                 self.cfg.dropout, train, rng), attns
 
     def forward(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
         """Class logits (1-D) and the annotation matrix for one (padded)

@@ -127,20 +127,6 @@ class Tensor:
                 leaves[id(node)] = (node, node.grad)
         return {node: grad for node, grad in leaves.values()}
 
-    # Small amount of sugar; library code mostly calls the named ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def _toposort(root):
     order = []

@@ -17,7 +17,7 @@ from structattn.config import load_run_config
 from structattn.encoder import HiddenStates
 from structattn.synth import make_keyword_task, write_lines
 
-from conftest import ACCEPTANCE_LINES, CONFIG_DIR, load_sets
+from support import ACCEPTANCE_LINES, CONFIG_DIR, load_sets
 from test_attention import params as attention_params
 from test_heads import gated_params
 
@@ -133,9 +133,9 @@ def test_criterion_6_single_hop_reduction_and_r_sweep(tmp_path, rng, capsys):
     # exact r=1 equivalence in 64-bit mode
     n, width, d_a = 6, 8, 5
     hidden = HiddenStates(T.Tensor(rng.standard_normal((n, width))), np.ones(n, dtype=bool))
-    p = attention_params(rng, d_a, 1, width)
-    full = attention.attend(hidden, p)
-    single = attention.attend_vector(hidden, p.w1, T.row(p.w2, 0))
+    w1, w2 = attention_params(rng, d_a, 1, width)
+    full = attention.attend(hidden, w1, w2)
+    single = attention.attend_vector(hidden, w1, T.row(w2, 0))
     assert np.array_equal(full.data[0], single.data)
 
     cfg = toy_run_config(tmp_path, max_epochs=2, patience=2)
@@ -165,7 +165,7 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
         mask = np.ones(n, dtype=bool)
         mask[n - 2:] = False
         hidden = HiddenStates(T.Tensor(rng.standard_normal((n, 6))), mask)
-        a = attention.attend(hidden, attention_params(rng, 4, hops, 6)).data
+        a = attention.attend(hidden, *attention_params(rng, 4, hops, 6)).data
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-6
         assert (a[:, ~mask] == 0).all()
 
@@ -185,13 +185,12 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
     from test_heads import dense_twin_logits, dyadic, dyadic_pruned_head
     head = dyadic_pruned_head(rng, 3, 4, 2, 2, 3)
     m = dyadic(rng, (3, 4))
-    assert np.array_equal(heads.pruned_forward([T.Tensor(m, dtype=np.float64)], head).data[0],
+    assert np.array_equal(heads.pruned_forward([T.Tensor(m, dtype=np.float64)], *head).data[0],
                           dense_twin_logits(m, head))
 
     # gated encoder annihilates a zero embedding
-    g = gated_params(rng, 3, 4, 5)
     out = heads.gated_encode(T.zeros((3, 4), np.float64),
-                             T.Tensor(rng.standard_normal((3, 4))), g)
+                             T.Tensor(rng.standard_normal((3, 4))), *gated_params(rng, 3, 4, 5))
     assert (out.data == 0.0).all()
 
     # checkpoint round trip is bitwise; seeded reruns are bitwise identical

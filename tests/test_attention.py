@@ -15,26 +15,26 @@ def hidden(rng, n=5, width=6, mask=None, dtype=np.float64):
 
 
 def params(rng, d_a=4, hops=3, width=6, dtype=np.float64):
-    return attention.AttentionParams(T.glorot(rng, (d_a, width), dtype), T.glorot(rng, (hops, d_a), dtype))
+    """The attention MLP's (w1, w2)."""
+    return T.glorot(rng, (d_a, width), dtype), T.glorot(rng, (hops, d_a), dtype)
 
 
 class TestAttend:
     def test_zero_output_weights_give_uniform_rows(self, rng):
         h = hidden(rng, n=4, mask=[True, True, True, False])
-        p = attention.AttentionParams(T.Tensor(rng.standard_normal((4, 6))), T.zeros((3, 4), np.float64))
-        a = attention.attend(h, p).data
+        a = attention.attend(h, T.Tensor(rng.standard_normal((4, 6))), T.zeros((3, 4), np.float64)).data
         assert np.allclose(a[:, :3], 1 / 3)
         assert (a[:, 3] == 0).all()
 
     def test_single_position_is_all_ones_column(self, rng):
-        a = attention.attend(hidden(rng, n=1), params(rng)).data
+        a = attention.attend(hidden(rng, n=1), *params(rng)).data
         assert np.array_equal(a, np.ones((3, 1)))
 
     def test_single_hop_equals_attend_vector_exactly(self, rng):
         h = hidden(rng)
-        p = params(rng, hops=1)
-        a = attention.attend(h, p)
-        v = attention.attend_vector(h, p.w1, T.row(p.w2, 0))
+        w1, w2 = params(rng, hops=1)
+        a = attention.attend(h, w1, w2)
+        v = attention.attend_vector(h, w1, T.row(w2, 0))
         assert np.array_equal(a.data[0], v.data)
 
     def test_row_stochastic_with_masked_columns(self, rng):
@@ -43,7 +43,7 @@ class TestAttend:
             if n > 2:
                 mask[-1] = False
             h = hidden(rng, n=n, mask=mask)
-            a = attention.attend(h, params(rng, d_a=d_a, hops=hops)).data
+            a = attention.attend(h, *params(rng, d_a=d_a, hops=hops)).data
             assert a.shape == (hops, n)
             assert np.abs(a.sum(axis=1) - 1).max() < 1e-6
             assert (a >= 0).all() and (a <= 1).all()

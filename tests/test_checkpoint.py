@@ -9,7 +9,7 @@ from structattn.config import ConfigError, load_run_config
 from structattn.data import DataError, Vocab
 from structattn.model import build_model
 
-from conftest import load_sets, tiny_config
+from support import load_sets, tiny_config
 
 MIB = 2**20
 

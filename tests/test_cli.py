@@ -9,19 +9,24 @@ from structattn import attention, checkpoint, cli, data, training
 from structattn import model as model_mod
 from structattn import tensor as T
 
-from conftest import CONFIG_DIR, tiny_config
+from support import CONFIG_DIR, tiny_config
 
 
 def run_cli(*args):
     return cli.main(list(args))
 
 
-def train_once(tmp_path, **extra):
+def write_config(tmp_path, **extra):
     cfg = tiny_config(tmp_path, **extra)
     cfg_path = tmp_path / "run.cfg"
     lines = [f"{k} = {v if v is not None else 'none'}" for k, v in cfg.to_dict().items()
              if v != ""]
     cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cfg, cfg_path
+
+
+def train_once(tmp_path, **extra):
+    cfg, cfg_path = write_config(tmp_path, **extra)
     assert run_cli("train", "--config", str(cfg_path)) == 0
     return cfg, cfg_path
 
@@ -40,6 +45,17 @@ class TestTrainCommand:
         rc = run_cli("train", "--config", str(cfg_path), "--set", "train_path=missing.txt")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "l2=-1"), ("train", "learning_rate=nan"), ("train", "clip=nan"),
+        ("train", "penalty_coeff=inf"), ("train", "l2=nan"), ("params", "vocab_size=-5"),
+    ])
+    def test_invalid_setting_is_an_error(self, tmp_path, capsys, command, setting):
+        cfg, cfg_path = write_config(tmp_path)
+        assert run_cli(command, "--config", str(cfg_path), "--set", setting) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {setting.split('=')[0]} must be") and captured.out == ""
+        assert not Path(cfg.checkpoint_path).exists()
 
     def test_rerun_same_seed_identical_history(self, tmp_path):
         cfg, cfg_path = train_once(tmp_path)
@@ -263,6 +279,17 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 3
         assert {r["value"] for r in rows} == {"1", "2", "3"}
+
+    @pytest.mark.parametrize("param, values", [("r", "2,0"), ("penalty_coeff", "1.0,-1"),
+                                               ("penalty_coeff", "inf")])
+    def test_invalid_value_is_an_error_before_any_run(self, tmp_path, capsys, param, values):
+        _, cfg_path = write_config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--param", param,
+                       "--values", values, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -72,9 +72,18 @@ def test_dense_head_keeps_regularization_defaults(tmp_path):
 
 
 def test_validation_bounds(tmp_path):
-    for bad in ["learning_rate=0", "penalty_coeff=-1", "clip=0", "dropout=1.0", "batch_size=0"]:
+    for bad in ["learning_rate=0", "penalty_coeff=-1", "clip=0", "dropout=1.0", "batch_size=0",
+                "l2=-1", "vocab_size=-5", "vocab_size=0", "learning_rate=nan", "learning_rate=inf",
+                "clip=nan", "clip=inf", "penalty_coeff=inf", "l2=nan", "dropout=nan"]:
         with pytest.raises(ConfigError):
             load_run_config(write(tmp_path, MINIMAL), [bad])
+
+
+def test_stored_non_finite_value_rejected():
+    good = RunConfig(d=4, u=4, d_a=4, r=2, head="dense", classes=2).validate().to_dict()
+    for key in ("learning_rate", "penalty_coeff", "l2", "clip"):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            RunConfig.from_dict({**good, key: float("nan")})
 
 
 def test_dict_round_trip():

@@ -8,8 +8,9 @@ from structattn.model import build_model
 
 
 def lstm_params(rng, d, u, dtype):
-    return encoder.LstmParams(T.glorot(rng, (4 * u, d), dtype), T.glorot(rng, (4 * u, u), dtype),
-                              T.zeros(4 * u, dtype, requires_grad=True))
+    """One direction's (w_x, w_h, bias)."""
+    return (T.glorot(rng, (4 * u, d), dtype), T.glorot(rng, (4 * u, u), dtype),
+            T.zeros(4 * u, dtype, requires_grad=True))
 
 
 def make_params(rng, d=3, u=4, dtype=np.float64):
@@ -17,7 +18,7 @@ def make_params(rng, d=3, u=4, dtype=np.float64):
 
 
 def random_table(rng, vocab_size, dim, dtype=T.DEFAULT_DTYPE):
-    return encoder.EmbeddingTable(T.uniform(rng, -0.1, 0.1, (vocab_size, dim), dtype))
+    return T.uniform(rng, -0.1, 0.1, (vocab_size, dim), dtype)
 
 
 def toy_model(rng):
@@ -30,7 +31,7 @@ class TestEmbedding:
         table = random_table(rng, 6, 4)
         out = encoder.embed([3], table)
         assert out.shape == (1, 4)
-        assert np.array_equal(out.data[0], table.table.data[3])
+        assert np.array_equal(out.data[0], table.data[3])
 
     def test_repeated_tokens_identical_rows(self, rng):
         table = random_table(rng, 6, 4)
@@ -52,17 +53,16 @@ class TestEmbedding:
         table = random_table(rng, 5, 3, np.float64)
 
         def loss(tab):
-            wrapped = encoder.EmbeddingTable(tab)
-            return T.frobenius_sq(encoder.embed([1, 1, 2], wrapped))
+            return T.frobenius_sq(encoder.embed([1, 1, 2], tab))
 
-        assert T.grad_check(loss, [table.table]) < 1e-4
+        assert T.grad_check(loss, [table]) < 1e-4
 
 
 class TestLstmStep:
     def test_zero_parameters_give_zero_state(self):
         u, d = 3, 2
-        p = encoder.LstmParams(T.zeros((4 * u, d)), T.zeros((4 * u, u)), T.zeros(4 * u))
-        h, c = encoder.lstm_step(T.zeros(d), T.zeros(u), T.zeros(u), p)
+        h, c = encoder.lstm_step(T.zeros(d), T.zeros(u), T.zeros(u),
+                                 T.zeros((4 * u, d)), T.zeros((4 * u, u)), T.zeros(4 * u))
         assert (h.data == 0).all() and (c.data == 0).all()
 
     def test_saturated_forget_gate_copies_cell(self, rng):
@@ -70,10 +70,9 @@ class TestLstmStep:
         u, d = 3, 2
         bias = np.full(4 * u, -60.0)
         bias[u:2 * u] = 60.0
-        p = encoder.LstmParams(T.zeros((4 * u, d)), T.zeros((4 * u, u)),
-                               T.Tensor(bias, dtype=np.float64))
         c_prev = T.Tensor(rng.standard_normal(u))
-        _, c = encoder.lstm_step(T.zeros(d, np.float64), T.zeros(u, np.float64), c_prev, p)
+        _, c = encoder.lstm_step(T.zeros(d, np.float64), T.zeros(u, np.float64), c_prev,
+                                 T.zeros((4 * u, d)), T.zeros((4 * u, u)), T.Tensor(bias, dtype=np.float64))
         assert np.allclose(c.data, c_prev.data)
 
     def test_forget_bias_initialized_to_one(self, rng):
@@ -88,15 +87,15 @@ class TestLstmStep:
         x = T.Tensor(rng.standard_normal(3))
         h0 = T.Tensor(rng.standard_normal(4))
         c0 = T.Tensor(rng.standard_normal(4))
-        h1, c1 = encoder.lstm_step(x, h0, c0, p)
-        h2, c2 = encoder.lstm_step(x, h0, c0, p)
+        h1, c1 = encoder.lstm_step(x, h0, c0, *p)
+        h2, c2 = encoder.lstm_step(x, h0, c0, *p)
         assert np.array_equal(h1.data, h2.data) and np.array_equal(c1.data, c2.data)
 
     def test_gradient(self, rng):
         d, u = 3, 4
 
-        def loss(x, h0, c0, w_x, w_h, b):
-            h, c = encoder.lstm_step(x, h0, c0, encoder.LstmParams(w_x, w_h, b))
+        def loss(*args):
+            h, c = encoder.lstm_step(*args)
             return T.sum_all(T.mul(h, c))
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
@@ -104,8 +103,12 @@ class TestLstmStep:
         assert T.grad_check(loss, inputs) < 1e-4
 
     def test_inconsistent_shapes_rejected(self):
+        # 12 gate rows cannot hold four gates of u=4 units
+        bad = (T.zeros((12, 2)), T.zeros((12, 4)), T.zeros(12))
         with pytest.raises(T.ShapeError):
-            encoder.LstmParams(T.zeros((12, 2)), T.zeros((12, 4)), T.zeros(12))
+            encoder.lstm_step(T.zeros(2), T.zeros(4), T.zeros(4), *bad)
+        with pytest.raises(T.ShapeError):
+            encoder.bilstm(T.zeros((3, 2)), np.ones(3, dtype=bool), bad, bad)
 
 
 class TestBilstm:
@@ -139,7 +142,7 @@ class TestBilstm:
 
     def test_reversal_swaps_direction_halves(self, rng):
         p_fwd, p_bwd = make_params(rng)
-        u = p_fwd.units
+        u = p_fwd[1].shape[1]
         base = rng.standard_normal((4, 3))
         fwd_run = encoder.bilstm(T.Tensor(base), np.ones(4, dtype=bool), p_fwd, p_bwd)
         rev_run = encoder.bilstm(T.Tensor(base[::-1].copy()), np.ones(4, dtype=bool), p_bwd, p_fwd)
@@ -164,9 +167,7 @@ class TestBilstm:
         d, u = 2, 3
 
         def loss(s, wxf, whf, bf, wxb, whb, bb):
-            out = encoder.bilstm(s, np.ones(3, dtype=bool),
-                                 encoder.LstmParams(wxf, whf, bf),
-                                 encoder.LstmParams(wxb, whb, bb))
+            out = encoder.bilstm(s, np.ones(3, dtype=bool), (wxf, whf, bf), (wxb, whb, bb))
             return T.frobenius_sq(out.h)
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
@@ -176,13 +177,13 @@ class TestBilstm:
 
 def per_token_bilstm(s, mask, p_fwd, p_bwd):
     """The per-token autodiff graph ``bilstm`` replaced, as a reference."""
-    n, n_real, u = s.shape[0], int(mask.sum()), p_fwd.units
+    n, n_real, u = s.shape[0], int(mask.sum()), p_fwd[1].shape[1]
     halves = []
     for p, order in ((p_fwd, range(n_real)), (p_bwd, range(n_real - 1, -1, -1))):
         h, c = T.zeros(u, s.dtype), T.zeros(u, s.dtype)
         states = [None] * n_real
         for t in order:
-            h, c = encoder.lstm_step(T.row(s, t), h, c, p)
+            h, c = encoder.lstm_step(T.row(s, t), h, c, *p)
             states[t] = h
         halves.append(states)
     rows = [T.concat([f, b]) for f, b in zip(*halves)]
@@ -196,12 +197,12 @@ class TestFusedScanMatchesPerTokenGraph:
     def test_states_and_gradients_float64(self, rng, n_real, n_pad):
         d, u = 3, 4
         p_fwd, p_bwd = make_params(rng, d, u)
-        for p in (p_fwd, p_bwd):
-            p.bias.data += rng.standard_normal(4 * u)
+        for _, _, bias in (p_fwd, p_bwd):
+            bias.data += rng.standard_normal(4 * u)
         s = T.Tensor(rng.standard_normal((n_real + n_pad, d)), requires_grad=True)
         mask = np.arange(n_real + n_pad) < n_real
         weights = rng.standard_normal((n_real + n_pad, 2 * u))
-        leaves = [s] + [t for p in (p_fwd, p_bwd) for t in (p.w_x, p.w_h, p.bias)]
+        leaves = [s, *p_fwd, *p_bwd]
 
         def states_and_grads(run):
             for leaf in leaves:

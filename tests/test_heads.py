@@ -6,7 +6,7 @@ import pytest
 from structattn import heads
 from structattn import tensor as T
 from structattn.config import RunConfig
-from structattn.model import audit_group, count_model_params, parameter_shapes
+from structattn.model import audit_group, build_model, count_model_params, parameter_shapes
 
 
 def t64(a):
@@ -14,39 +14,40 @@ def t64(a):
 
 
 def mlp_head(rng, in_dim, hidden, classes, dtype=np.float64):
-    return heads.MlpHead(T.glorot(rng, (hidden, in_dim), dtype), T.zeros(hidden, dtype, requires_grad=True),
-                         T.glorot(rng, (classes, hidden), dtype), T.zeros(classes, dtype, requires_grad=True))
+    """The dense head's (w1, b1, w2, b2)."""
+    return (T.glorot(rng, (hidden, in_dim), dtype), T.zeros(hidden, dtype, requires_grad=True),
+            T.glorot(rng, (classes, hidden), dtype), T.zeros(classes, dtype, requires_grad=True))
 
 
 def pruned_head(rng, r, width, p, q, classes, dtype=np.float64):
-    return heads.PrunedHead(T.glorot(rng, (r, width, p), dtype), T.glorot(rng, (width, r, q), dtype),
-                            T.glorot(rng, (classes, r * p + width * q), dtype),
-                            T.zeros(classes, dtype, requires_grad=True))
+    """The structured head's (w_v, w_h, w_out, b_out)."""
+    return (T.glorot(rng, (r, width, p), dtype), T.glorot(rng, (width, r, q), dtype),
+            T.glorot(rng, (classes, r * p + width * q), dtype),
+            T.zeros(classes, dtype, requires_grad=True))
 
 
 def gated_params(rng, r, width, k, dtype=np.float64):
-    return heads.GatedEncoderParams(T.glorot(rng, (r, width, k), dtype), T.glorot(rng, (r, width, k), dtype))
+    """The gated encoder's (w_fh, w_fp)."""
+    return T.glorot(rng, (r, width, k), dtype), T.glorot(rng, (r, width, k), dtype)
 
 
 class TestMlpHead:
     def test_zero_weights_give_output_bias(self, rng):
         bias = rng.standard_normal(3)
-        head = heads.MlpHead(T.zeros((4, 6), np.float64), T.zeros(4, np.float64),
-                             T.zeros((3, 4), np.float64), t64(bias))
-        logits = heads.mlp_forward([t64(rng.standard_normal((2, 3)))], head)
+        logits = heads.mlp_forward([t64(rng.standard_normal((2, 3)))], T.zeros((4, 6), np.float64),
+                                   T.zeros(4, np.float64), T.zeros((3, 4), np.float64), t64(bias))
         assert np.array_equal(logits.data, bias[None])
 
     def test_eval_deterministic_under_dropout_rate(self, rng):
         head = mlp_head(rng, 6, 5, 3)
         m = t64(rng.standard_normal((2, 3)))
-        a = heads.mlp_forward([m], head, dropout_rate=0.5, train=False).data
-        b = heads.mlp_forward([m], head, dropout_rate=0.5, train=False).data
+        a = heads.mlp_forward([m], *head, dropout_rate=0.5, train=False).data
+        b = heads.mlp_forward([m], *head, dropout_rate=0.5, train=False).data
         assert np.array_equal(a, b)
 
     def test_gradient_through_head(self, rng):
-        def loss(m, w1, b1, w2, b2):
-            logits = heads.mlp_forward([m], heads.MlpHead(w1, b1, w2, b2))
-            return T.cross_entropy(logits, [0])
+        def loss(m, *weights):
+            return T.cross_entropy(heads.mlp_forward([m], *weights), [0])
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(2, 3), (5, 6), (5,), (3, 5), (3,)]]
@@ -55,17 +56,18 @@ class TestMlpHead:
 
 def dense_twin_logits(m, head):
     """Plain-numpy dense layer whose cross-group weights are zero."""
-    r, width, p = head.w_v.shape
-    q = head.w_h.shape[2]
+    w_v, w_h, w_out, b_out = head
+    r, width, p = w_v.shape
+    q = w_h.shape[2]
     big_v = np.zeros((r * p, r * width))
     for i in range(r):
-        big_v[i * p:(i + 1) * p, i * width:(i + 1) * width] = head.w_v.data[i].T
+        big_v[i * p:(i + 1) * p, i * width:(i + 1) * width] = w_v.data[i].T
     big_h = np.zeros((width * q, width * r))
     for j in range(width):
-        big_h[j * q:(j + 1) * q, j * r:(j + 1) * r] = head.w_h.data[j].T
+        big_h[j * q:(j + 1) * q, j * r:(j + 1) * r] = w_h.data[j].T
     mv = np.maximum(big_v @ m.reshape(-1), 0)
     mh = np.maximum(big_h @ m.T.reshape(-1), 0)
-    return head.w_out.data @ np.concatenate([mv, mh]) + head.b_out.data
+    return w_out.data @ np.concatenate([mv, mh]) + b_out.data
 
 
 def dyadic(rng, shape):
@@ -75,9 +77,8 @@ def dyadic(rng, shape):
 
 
 def dyadic_pruned_head(rng, r, width, p, q, classes):
-    return heads.PrunedHead(t64(dyadic(rng, (r, width, p))), t64(dyadic(rng, (width, r, q))),
-                            t64(dyadic(rng, (classes, r * p + width * q))),
-                            t64(dyadic(rng, (classes,))))
+    return (t64(dyadic(rng, (r, width, p))), t64(dyadic(rng, (width, r, q))),
+            t64(dyadic(rng, (classes, r * p + width * q))), t64(dyadic(rng, (classes,))))
 
 
 class TestPrunedHead:
@@ -85,40 +86,39 @@ class TestPrunedHead:
         # dyadic inputs make every summation order exact, so equality is pure structure
         head = dyadic_pruned_head(rng, 3, 4, 2, 2, 3)
         m = dyadic(rng, (3, 4))
-        logits = heads.pruned_forward([t64(m)], head)
+        logits = heads.pruned_forward([t64(m)], *head)
         assert np.array_equal(logits.data[0], dense_twin_logits(m, head))
 
     def test_matches_dense_twin_to_rounding_on_gaussians(self, rng):
         head = pruned_head(rng, 3, 4, 2, 2, 3)
         m = rng.standard_normal((3, 4))
-        logits = heads.pruned_forward([t64(m)], head)
+        logits = heads.pruned_forward([t64(m)], *head)
         np.testing.assert_allclose(logits.data[0], dense_twin_logits(m, head), rtol=1e-12, atol=1e-14)
 
     def test_single_group_reduces_to_dense_layer(self, rng):
-        head = pruned_head(rng, 1, 4, 3, 2, 2)
+        w_v, w_h, w_out, b_out = pruned_head(rng, 1, 4, 3, 2, 2)
         m = rng.standard_normal((1, 4))
-        logits = heads.pruned_forward([t64(m)], head)
-        mv = np.maximum(m[0] @ head.w_v.data[0], 0)           # plain dense layer on the row
-        mh = np.maximum(m[0][:, None] * head.w_h.data[:, 0, :], 0)
+        logits = heads.pruned_forward([t64(m)], w_v, w_h, w_out, b_out)
+        mv = np.maximum(m[0] @ w_v.data[0], 0)           # plain dense layer on the row
+        mh = np.maximum(m[0][:, None] * w_h.data[:, 0, :], 0)
         feats = np.concatenate([mv.reshape(-1), mh.reshape(-1)])
-        assert np.allclose(logits.data[0], head.w_out.data @ feats + head.b_out.data)
+        assert np.allclose(logits.data[0], w_out.data @ feats + b_out.data)
 
     def test_group_isolation(self, rng):
         # row group i must not react to changes in other rows of M
-        head = pruned_head(rng, 3, 4, 2, 2, 3)
+        w_v = pruned_head(rng, 3, 4, 2, 2, 3)[0]
         m1 = rng.standard_normal((3, 4))
         m2 = m1.copy()
         m2[1] += 1.0
-        mv1 = T.batched_dot(t64(m1), head.w_v).data
-        mv2 = T.batched_dot(t64(m2), head.w_v).data
+        mv1 = T.batched_dot(t64(m1), w_v).data
+        mv2 = T.batched_dot(t64(m2), w_v).data
         assert np.array_equal(mv1[0], mv2[0])
         assert np.array_equal(mv1[2], mv2[2])
         assert not np.array_equal(mv1[1], mv2[1])
 
     def test_gradient(self, rng):
-        def loss(m, w_v, w_h, w_out, b_out):
-            logits = heads.pruned_forward([m], heads.PrunedHead(w_v, w_h, w_out, b_out))
-            return T.cross_entropy(logits, [1])
+        def loss(m, *weights):
+            return T.cross_entropy(heads.pruned_forward([m], *weights), [1])
 
         r, width, p, q, classes = 2, 4, 3, 2, 3
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
@@ -130,27 +130,26 @@ class TestGatedEncoder:
     def test_zero_embedding_annihilates(self, rng):
         g = gated_params(rng, 3, 4, 5)
         m_p = t64(rng.standard_normal((3, 4)))
-        out = heads.gated_encode(T.zeros((3, 4), np.float64), m_p, g)
+        out = heads.gated_encode(T.zeros((3, 4), np.float64), m_p, *g)
         assert (out.data == 0).all()
 
     def test_identity_slices_give_elementwise_product(self, rng):
         width = 4
         eye = np.stack([np.eye(width)] * 3)
-        g = heads.GatedEncoderParams(t64(eye), t64(eye))
         m_h = rng.standard_normal((3, width))
         m_p = rng.standard_normal((3, width))
-        out = heads.gated_encode(t64(m_h), t64(m_p), g)
+        out = heads.gated_encode(t64(m_h), t64(m_p), t64(eye), t64(eye))
         assert np.allclose(out.data, m_h * m_p)
 
     def test_mismatched_embeddings_rejected(self, rng):
         g = gated_params(rng, 3, 4, 5, np.float32)
         with pytest.raises(T.ShapeError):
-            heads.gated_encode(T.zeros((3, 4)), T.zeros((2, 4)), g)
+            heads.gated_encode(T.zeros((3, 4)), T.zeros((2, 4)), *g)
 
     def test_gradient_into_mlp(self, rng):
         def loss(m_h, m_p, w_fh, w_fp, w1, b1, w2, b2):
-            f_r = heads.gated_encode(m_h, m_p, heads.GatedEncoderParams(w_fh, w_fp))
-            logits = heads.mlp_forward([f_r], heads.MlpHead(w1, b1, w2, b2))
+            f_r = heads.gated_encode(m_h, m_p, w_fh, w_fp)
+            logits = heads.mlp_forward([f_r], w1, b1, w2, b2)
             return T.cross_entropy(logits, [0])
 
         r, width, k, b, classes = 2, 3, 4, 5, 2
@@ -184,12 +183,19 @@ class TestCountParams:
         assert rows["head.w_h"] == 180_000
         assert audit.group_totals["softmax"] == 52_500
 
-    def test_total_is_sum_of_parts(self, rng):
-        shapes = {"a.w": (3, 4), "b.w": (5,), "c.w": (2, 2, 2)}
-        audit = heads.count_params(shapes, lambda name: name[0])
-        assert audit.total == 12 + 5 + 8
-        assert sum(audit.group_totals.values()) == audit.total
-        assert audit.group_totals == {"a": 12, "b": 5, "c": 8}
+    def test_total_is_sum_of_parts(self):
+        # d=5, u=4, d_a=3, r=2, b=6, 3 classes, 9 words: embedding 9*5; two LSTM
+        # directions of 16*5 + 16*4 + 16; attention 3*8 + 2*3; head 6*16 + 6 + 3*6 + 3
+        cfg = RunConfig(d=5, u=4, d_a=3, r=2, head="dense", classes=3, b=6).validate()
+        audit = count_model_params(cfg, vocab_size=9)
+        assert audit.group_totals == {"embedding": 45, "other": 359, "hidden_layer": 96, "softmax": 18}
+        assert audit.total == 518
+        for head in ("dense", "pruned", "gated-pair"):
+            cfg = RunConfig(d=5, u=4, d_a=3, r=2, head=head, classes=3, b=6, p=2, q=2, k=3).validate()
+            audit = count_model_params(cfg, vocab_size=9)
+            counts = {name: count for _, name, _, count in audit.rows}
+            assert counts == {name: int(np.prod(shape)) for name, shape in parameter_shapes(cfg, 9).items()}
+            assert audit.total == sum(counts.values()) == sum(audit.group_totals.values())
 
     def test_pruning_shrinks_hidden_layer_when_groups_cover_budget(self):
         # with p*r = b the row-group layer keeps 1/r of the dense weights
@@ -209,7 +215,6 @@ class TestCountParams:
         }
         for head, want_l2 in l2_names.items():
             cfg = RunConfig(d=5, u=4, d_a=3, r=2, head=head, classes=3, b=6, p=2, q=2, k=3).validate()
-            from structattn.model import build_model
             net = build_model(cfg, vocab_size=9, rng=rng)
             shapes = parameter_shapes(cfg, 9)
             params = net.named_parameters()

@@ -418,7 +418,7 @@ class TestGradientBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        w1 = net.head.w1.data.nbytes
+        w1 = net.named_parameters()["head.w1"].data.nbytes
         kept = sum(p.grad.nbytes for p in net.named_parameters().values())
         assert w1 <= kept < 1.1 * w1
         assert peak - kept < 0.5 * w1, (peak / w1, kept / w1)

@@ -8,7 +8,7 @@ from structattn import attention, data, training
 from structattn import tensor as T
 from structattn.model import build_model
 
-from conftest import load_sets, tiny_config
+from support import load_sets, tiny_config
 
 
 def t64(a):
@@ -215,7 +215,7 @@ class TestTrainLoop:
         cfg = tiny_config(tmp_path)
         vocab, train_set, dev_set = load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
-        net.attention.w1.data[0, 0] = np.nan
+        net.named_parameters()["attention.w1"].data[0, 0] = np.nan
         with pytest.raises(training.TrainingDiverged, match="epoch 1, batch 0"):
             training.train(net, train_set, dev_set, cfg)
 
@@ -234,7 +234,7 @@ class TestTrainLoop:
         cfg = tiny_config(tmp_path, r=8, b=8192, max_epochs=1, patience=1)
         vocab, train_set, dev_set = load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
-        w1 = net.head.w1.data.nbytes
+        w1 = net.named_parameters()["head.w1"].data.nbytes
         assert w1 > 0.9 * sum(p.data.nbytes for p in net.named_parameters().values())
         tracemalloc.start()
         try:
