@@ -145,9 +145,13 @@ def load_pretrained(path, vocab, table):
             if idx is None or idx in (PAD_ID, UNK_ID):
                 continue
             try:
-                table[idx] = np.array([float(v) for v in values], dtype=table.dtype)
+                with np.errstate(over="ignore"):  # out of the table's range gives inf, rejected below
+                    vector = np.array([float(v) for v in values], dtype=table.dtype)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
+            if not np.isfinite(vector).all():
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
+            table[idx] = vector
             covered += 1
     real = max(len(vocab) - 2, 1)
     return covered / real

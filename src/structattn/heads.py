@@ -19,7 +19,7 @@ def mlp_forward(ms, w1, b1, w2, b2, dropout_rate=0.0, train=False, rng=None):
     Each matrix is flattened into a row of the B-by-(r*c) input; dropout hits
     the hidden layer only while training.
     """
-    x = T.concat_rows([T.flatten(m) for m in ms])
+    x = T.concat_rows([T.reshape(m, (-1,)) for m in ms])
     hidden = T.relu(T.linear(x, w1, b1))
     hidden = T.dropout(hidden, dropout_rate, rng, train)
     return T.linear(hidden, w2, b2)
@@ -37,7 +37,7 @@ def pruned_forward(ms, w_v, w_h, w_out, b_out):
     for m in ms:
         mv = T.relu(T.batched_dot(m, w_v))
         mh = T.relu(T.batched_dot(T.transpose(m), w_h))
-        feats.append(T.concat([T.flatten(mv), T.flatten(mh)]))
+        feats.append(T.concat([T.reshape(mv, (-1,)), T.reshape(mh, (-1,))]))
     return T.linear(T.concat_rows(feats), w_out, b_out)
 
 

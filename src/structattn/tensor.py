@@ -110,7 +110,7 @@ class Tensor:
         self.grad += g
 
     def backward(self):
-        """Backpropagate from a scalar and return {leaf tensor: gradient}.
+        """Backpropagate from a scalar, filling in ``grad``.
 
         Every reachable leaf with ``requires_grad`` receives a gradient of the
         same shape as its data. Deterministic for identical graphs.
@@ -119,13 +119,9 @@ class Tensor:
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
         order = _toposort(self)
         self.grad = np.ones((), dtype=self.data.dtype)
-        leaves = {}
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-            elif node.requires_grad and not node._prev:
-                leaves[id(node)] = (node, node.grad)
-        return {node: grad for node, grad in leaves.values()}
 
 
 def _toposort(root):
@@ -480,11 +476,6 @@ def reshape(x, shape):
     return _from_op(data, (x,), bk)
 
 
-def flatten(x):
-    """Row-major flattening to 1-D."""
-    return reshape(x, (-1,))
-
-
 def gather_rows(x, ids):
     """Select rows of a 2-D tensor; gradients accumulate across repeated ids."""
     ids = np.asarray(ids)
@@ -686,33 +677,3 @@ def lstm_scan(x, w_x, w_h, bias, reverse=False):
 
     return _from_op(hs, parents, bk)
 
-
-def grad_check(fn, inputs, eps=1e-5):
-    """Max relative error of backprop gradients against central differences.
-
-    ``fn`` maps the given tensors to a scalar Tensor. Inputs are copied to
-    float64 with requires_grad; relative error per coordinate is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    xs = [Tensor(np.asarray(t.data, dtype=np.float64).copy(), requires_grad=True) for t in inputs]
-    fn(*xs).backward()
-    worst = 0.0
-    for x in xs:
-        analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-        flat = x.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        with no_grad():
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = fn(*xs).item()
-                flat[i] = orig - eps
-                lo = fn(*xs).item()
-                flat[i] = orig
-                numeric[i] = (hi - lo) / (2.0 * eps)
-        a = analytic.reshape(-1)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
-        err = np.abs(a - numeric) / denom
-        if err.size:
-            worst = max(worst, float(err.max()))
-    return worst

@@ -50,27 +50,29 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     return loss
 
 
-def clip_grads(grads, clip):
-    """Clamp every gradient component to [-clip, +clip] in place; returns ``grads``."""
-    for g in grads.values():
-        np.clip(g, -clip, clip, out=g)
-    return grads
+def clip_grads(params, clip):
+    """Clamp every component of each ``p.grad`` to [-clip, +clip] in place."""
+    for p in params.values():
+        if p.grad is not None:
+            np.clip(p.grad, -clip, clip, out=p.grad)
 
 
-def sgd_step(params, grads, lr):
-    """In-place SGD update; each gradient is scaled by ``lr`` in place and spent."""
-    for name, p in params.items():
-        g = grads.get(name)
+def sgd_step(params, lr):
+    """In-place SGD update from each ``p.grad``, which is scaled by ``lr`` in place and spent."""
+    for p in params.values():
+        g = p.grad
         if g is None:
             continue
         np.multiply(g, lr, out=g)
         p.data -= g
+        p.grad = None
 
 
-def adagrad_step(params, grads, state, lr, eps=1e-8):
-    """AdaGrad: accumulate squared gradients, scale steps by 1/sqrt(acc)."""
+def adagrad_step(params, state, lr, eps=1e-8):
+    """AdaGrad from each ``p.grad``, which is spent: accumulate squared
+    gradients, scale steps by 1/sqrt(acc)."""
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             continue
         acc = state.get(name)
@@ -78,6 +80,7 @@ def adagrad_step(params, grads, state, lr, eps=1e-8):
             acc = state[name] = np.zeros_like(p.data)
         acc += g * g
         p.data -= lr * g / (np.sqrt(acc) + eps)
+        p.grad = None
 
 
 def _dev_stats(model, examples):
@@ -144,16 +147,12 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
             if not np.isfinite(batch_loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}")
             batch_loss.backward()
-            grads = {name: p.grad for name, p in params.items() if p.grad is not None}
             if cfg.clip is not None:
-                clip_grads(grads, cfg.clip)
+                clip_grads(params, cfg.clip)
             if cfg.optimizer == "sgd":
-                sgd_step(params, grads, cfg.learning_rate)
+                sgd_step(params, cfg.learning_rate)
             else:
-                adagrad_step(params, grads, adagrad_state, cfg.learning_rate)
-            for p in params.values():
-                p.grad = None
-            del grads  # the step's gradients must not live on through the dev pass
+                adagrad_step(params, adagrad_state, cfg.learning_rate)
             loss_sum += batch_loss.item() * len(b)
             n_seen += len(b)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from structattn import attention
+from structattn import attention, checks
 from structattn import tensor as T
 from structattn.encoder import HiddenStates
 
@@ -65,7 +65,7 @@ class TestAttendVector:
             return T.sum_all(T.mul(m, m))
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in [(5, 6), (3, 6), (3,)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
 
 
 class TestPool:
@@ -131,7 +131,7 @@ class TestPenalty:
 
     def test_gradient_matches_finite_differences(self, rng):
         x = T.Tensor(rng.standard_normal((3, 5)))
-        err = T.grad_check(lambda t: attention.penalty(T.softmax_rows(t)), [x])
+        err = checks.grad_check(lambda t: attention.penalty(T.softmax_rows(t)), [x])
         assert err < 1e-4
 
     def test_value_helper_agrees(self, rng):

@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 
-from structattn import checks
+from structattn import checks, cli
 from structattn import tensor as T
 from structattn.config import RunConfig
+
+from support import CONFIG_DIR
 
 
 def toy_cfg(head="dense"):
@@ -18,29 +22,43 @@ def test_all_op_checks_pass():
 
 def test_report_lists_every_op():
     names = {r.name for r in checks.run_op_checks(seed=0)}
-    expected = {"matmul", "batched_dot", "softmax_rows", "softmax_rows_masked", "tanh_elem",
-                "sigmoid", "relu", "add", "sub", "mul",
-                "scale", "frobenius_sq", "sum_all", "concat", "concat_rows", "transpose",
-                "reshape", "gather_rows", "row", "slice_rows", "dropout", "cross_entropy",
-                "lstm_step", "lstm_scan", "attend_pool", "penalty", "mlp_head", "pruned_head", "gated_encode",
-                "linear", "cross_entropy_batch", "sum_squares"}
-    assert expected <= names
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")}
+    expected = (ops - {"zeros", "uniform", "glorot", "no_grad"}) | {
+        "softmax_rows_masked", "cross_entropy_batch", "lstm_step", "attend_pool", "penalty",
+        "mlp_head", "pruned_head", "gated_encode"}
+    assert expected <= names, expected - names
+
+
+def wrong_double(backward_factor, nan_at=None):
+    """A loss through an op that doubles its input but whose backward claims
+    ``backward_factor``, and NaN at coordinate ``nan_at`` if one is given."""
+    def op(x):
+        def bk(g):
+            grad = g * backward_factor * np.ones_like(x.data)
+            if nan_at is not None:
+                grad[nan_at] = np.nan
+            x._acc(grad)
+        return T._from_op(x.data * 2.0, (x,), bk)
+    return lambda x: T.sum_all(op(x))
 
 
 def test_corrupted_backward_rule_is_reported():
-    def broken_double(x):
-        data = x.data * 2.0
+    err = checks.grad_check(wrong_double(2.5), [T.Tensor(np.ones(3))])
+    assert not err < checks.TOLERANCE
 
-        def bk(g):
-            x._acc(g * 2.5)  # wrong: forward doubles, backward claims 2.5x
-        return T._from_op(data, (x,), bk)
 
-    extra = [("broken_double", lambda x: T.sum_all(broken_double(x)),
-              [T.Tensor(np.ones(3))])]
-    results = checks.run_op_checks(seed=0, extra=extra)
-    by_name = {r.name: r for r in results}
-    assert not by_name["broken_double"].passed
-    assert by_name["matmul"].passed
+def test_nan_gradient_is_never_a_pass(monkeypatch, capsys):
+    """A backward 2x wrong everywhere and NaN on one coordinate: the NaN error
+    is not dropped in favour of the finite ones, and ``gradcheck`` fails."""
+    loss = wrong_double(4.0, nan_at=1)
+    err = checks.grad_check(loss, [T.Tensor(np.ones(3))])
+    assert type(err) is float and np.isnan(err)
+    monkeypatch.setattr(checks, "_op_checks", lambda rng: [("nan_double", loss, [T.Tensor(np.ones(3))])])
+    assert cli.main(["gradcheck", "--config", str(CONFIG_DIR / "gradcheck.cfg")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["nan_double", "nan", "FAIL"]
+    assert out[-1].startswith("1 of 2 checks FAILED")
 
 
 def test_full_model_check_dense():

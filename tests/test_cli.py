@@ -49,6 +49,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("command, setting", [
         ("train", "l2=-1"), ("train", "learning_rate=nan"), ("train", "clip=nan"),
         ("train", "penalty_coeff=inf"), ("train", "l2=nan"), ("params", "vocab_size=-5"),
+        ("train", "seed=-1"),
     ])
     def test_invalid_setting_is_an_error(self, tmp_path, capsys, command, setting):
         cfg, cfg_path = write_config(tmp_path)
@@ -56,6 +57,16 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {setting.split('=')[0]} must be") and captured.out == ""
         assert not Path(cfg.checkpoint_path).exists()
+
+    def test_non_finite_pretrained_vector_is_an_error(self, tmp_path, capsys):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text("f01 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\nf10 inf 0.1 0.2 0.3 0.4 0.5 0.6 0.7\n",
+                           encoding="utf-8")
+        cfg, cfg_path = write_config(tmp_path, embeddings_path=vectors)
+        assert run_cli("train", "--config", str(cfg_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {vectors}:2: non-finite vector component\n"
+        assert captured.out == "" and not Path(cfg.checkpoint_path).exists()
 
     def test_rerun_same_seed_identical_history(self, tmp_path):
         cfg, cfg_path = train_once(tmp_path)

@@ -128,6 +128,15 @@ class TestLoadPretrained:
         with pytest.raises(data.DataError, match=":2:"):
             data.load_pretrained(path, vocab, np.zeros((len(vocab), 3)))
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e39"])
+    def test_non_finite_component_reports_line(self, tmp_path, value):
+        vocab = data.build_vocab([["x", "y"]])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"x 1 2\ny {value} 0.1\n", encoding="utf-8")
+        table = np.zeros((len(vocab), 2), dtype=np.float32)
+        with pytest.raises(data.DataError, match=r":2: non-finite vector component"):
+            data.load_pretrained(path, vocab, table)
+
     def test_vocab_untouched(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
         before = list(vocab.id_to_token)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from structattn import encoder
+from structattn import checks, encoder
 from structattn import tensor as T
 from structattn.config import load_run_config
 from structattn.model import build_model
@@ -55,7 +55,7 @@ class TestEmbedding:
         def loss(tab):
             return T.frobenius_sq(encoder.embed([1, 1, 2], tab))
 
-        assert T.grad_check(loss, [table]) < 1e-4
+        assert checks.grad_check(loss, [table]) < 1e-4
 
 
 class TestLstmStep:
@@ -100,7 +100,7 @@ class TestLstmStep:
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(d,), (u,), (u,), (4 * u, d), (4 * u, u), (4 * u,)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
 
     def test_inconsistent_shapes_rejected(self):
         # 12 gate rows cannot hold four gates of u=4 units
@@ -172,7 +172,7 @@ class TestBilstm:
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(3, d), (4 * u, d), (4 * u, u), (4 * u,), (4 * u, d), (4 * u, u), (4 * u,)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
 
 
 def per_token_bilstm(s, mask, p_fwd, p_bwd):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from structattn import heads
+from structattn import checks, heads
 from structattn import tensor as T
 from structattn.config import RunConfig
 from structattn.model import audit_group, build_model, count_model_params, parameter_shapes
@@ -51,7 +51,7 @@ class TestMlpHead:
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(2, 3), (5, 6), (5,), (3, 5), (3,)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
 
 
 def dense_twin_logits(m, head):
@@ -123,7 +123,7 @@ class TestPrunedHead:
         r, width, p, q, classes = 2, 4, 3, 2, 3
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(r, width), (r, width, p), (width, r, q), (classes, r * p + width * q), (classes,)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
 
 
 class TestGatedEncoder:
@@ -156,7 +156,7 @@ class TestGatedEncoder:
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
                   [(r, width), (r, width), (r, width, k), (r, width, k),
                    (b, r * k), (b,), (classes, b), (classes,)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
 
 
 def preset(head, **kw):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from structattn import attention, data, training
+from structattn import attention, checks, data, training
 from structattn import tensor as T
 from structattn.model import build_model
 
@@ -53,25 +53,37 @@ class TestTotalLoss:
             return training.total_loss(logits, [1], [a], 0.7, 1e-3, [w])
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in [(1, 3), (2, 5), (3, 3)]]
-        assert T.grad_check(loss, inputs) < 1e-4
+        assert checks.grad_check(loss, inputs) < 1e-4
+
+
+def set_grads(params, grads):
+    """Give each named parameter its gradient, as ``backward`` would."""
+    for name, g in grads.items():
+        params[name].grad = g
+    return params
+
+
+def clipped_sgd(params, grads, lr, clip=0.5):
+    training.clip_grads(set_grads(params, grads), clip)
+    training.sgd_step(params, lr=lr)
+    assert all(p.grad is None for p in params.values())
 
 
 class TestSgdStep:
     def test_zero_gradients_leave_params(self, rng):
         p = {"w": T.Tensor(rng.standard_normal(3))}
         before = p["w"].data.copy()
-        training.sgd_step(p, training.clip_grads({"w": np.zeros(3)}, 0.5), lr=0.1)
+        clipped_sgd(p, {"w": np.zeros(3)}, lr=0.1)
         assert np.array_equal(p["w"].data, before)
 
     def test_clip_clamps_components(self):
         p = {"w": T.Tensor(np.zeros(2))}
-        training.sgd_step(p, training.clip_grads({"w": np.array([10.0, -10.0])}, 0.5), lr=1.0)
+        clipped_sgd(p, {"w": np.array([10.0, -10.0])}, lr=1.0)
         assert np.allclose(p["w"].data, [-0.5, 0.5])
 
     def test_applied_component_never_exceeds_clip(self, rng):
         p = {"w": T.Tensor(np.zeros(50))}
-        g = rng.standard_normal(50) * 10
-        training.sgd_step(p, training.clip_grads({"w": g}, 0.5), lr=1.0)
+        clipped_sgd(p, {"w": rng.standard_normal(50) * 10}, lr=1.0)
         assert np.abs(p["w"].data).max() <= 0.5 + 1e-12
 
     def test_quadratic_loss_decreases(self):
@@ -82,15 +94,21 @@ class TestSgdStep:
 
         before = loss().item()
         loss().backward()
-        training.sgd_step({"w": w}, {"w": w.grad}, lr=0.1)
+        training.sgd_step({"w": w}, lr=0.1)
+        assert w.grad is None
         assert loss().item() < before
+
+
+def adagrad(params, grads, state, lr, **kw):
+    training.adagrad_step(set_grads(params, grads), state, lr=lr, **kw)
+    assert all(p.grad is None for p in params.values())
 
 
 class TestAdagradStep:
     def test_first_step_is_learning_rate(self):
         p = {"w": T.Tensor(np.zeros(1))}
         state = {}
-        training.adagrad_step(p, {"w": np.ones(1)}, state, lr=0.5)
+        adagrad(p, {"w": np.ones(1)}, state, lr=0.5)
         assert p["w"].data[0] == pytest.approx(-0.5, rel=1e-6)
 
     def test_repeated_gradients_shrink_steps(self):
@@ -98,7 +116,7 @@ class TestAdagradStep:
         state = {}
         positions = [0.0]
         for _ in range(4):
-            training.adagrad_step(p, {"w": np.ones(1)}, state, lr=0.5)
+            adagrad(p, {"w": np.ones(1)}, state, lr=0.5)
             positions.append(float(p["w"].data[0]))
         steps = -np.diff(positions)
         assert (np.diff(steps) < 0).all()
@@ -108,10 +126,10 @@ class TestAdagradStep:
         lr, eps = 0.1, 1e-8
         p = {"w": T.Tensor(np.array([1.0]))}
         state = {}
-        training.adagrad_step(p, {"w": np.array([2.0])}, state, lr=lr, eps=eps)
+        adagrad(p, {"w": np.array([2.0])}, state, lr=lr, eps=eps)
         expected = 1.0 - lr * 2.0 / (np.sqrt(4.0) + eps)
         assert p["w"].data[0] == pytest.approx(expected, rel=1e-7)
-        training.adagrad_step(p, {"w": np.array([0.5])}, state, lr=lr, eps=eps)
+        adagrad(p, {"w": np.array([0.5])}, state, lr=lr, eps=eps)
         expected -= lr * 0.5 / (np.sqrt(4.25) + eps)
         assert p["w"].data[0] == pytest.approx(expected, rel=1e-7)
 
@@ -127,9 +145,9 @@ def test_in_place_sgd_gives_the_bits_of_the_whole_array_formula(dtype):
         grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
         for k in shapes:
             ref[k] -= 0.05 * grads[k]
-        training.sgd_step(params, grads, lr=0.05)
+        training.sgd_step(set_grads(params, grads), lr=0.05)
         for k in shapes:
-            assert params[k].data.dtype == dtype
+            assert params[k].data.dtype == dtype and params[k].grad is None
             assert np.array_equal(params[k].data, ref[k]), k
 
 
