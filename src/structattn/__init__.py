@@ -10,7 +10,7 @@ from .attention import (attend, attend_vector, mean_pairwise_overlap, overall_at
 from .checks import grad_check
 from .config import RunConfig, load_run_config
 from .data import Vocab, build_vocab, load_dataset, load_pretrained
-from .encoder import HiddenStates, bilstm, embed, lstm_step
+from .encoder import bilstm, embed, lstm_step
 from .heads import gated_encode, mlp_forward, pruned_forward
 from .model import Classifier, build_model, count_model_params, parameter_shapes
 from .tensor import Tensor, no_grad

@@ -12,27 +12,27 @@ import numpy as np
 from . import tensor as T
 
 
-def attend(hidden, w1, w2):
-    """Annotation matrix A = softmax_rows(w2 @ tanh(w1 @ H^T)), masked columns zero.
+def attend(h, w1, w2):
+    """Annotation matrix A = softmax_rows(w2 @ tanh(w1 @ H^T)) over the n rows of H.
 
     The bias-free attention MLP has w1 d_a-by-2u and w2 r-by-d_a.
     """
-    scores = T.matmul(w2, T.tanh_elem(T.matmul(w1, T.transpose(hidden.h))))
-    return T.softmax_rows(scores, hidden.mask)
+    scores = T.matmul(w2, T.tanh_elem(T.matmul(w1, T.transpose(h))))
+    return T.softmax_rows(scores)
 
 
-def attend_vector(hidden, w1, w2_row):
+def attend_vector(h, w1, w2_row):
     """Single-hop attention: a weight vector over the n positions."""
-    scores = T.matmul(w2_row, T.tanh_elem(T.matmul(w1, T.transpose(hidden.h))))
-    a = T.softmax_rows(T.reshape(scores, (1, -1)), hidden.mask)
+    scores = T.matmul(w2_row, T.tanh_elem(T.matmul(w1, T.transpose(h))))
+    a = T.softmax_rows(T.reshape(scores, (1, -1)))
     return T.row(a, 0)
 
 
-def pool(a, hidden):
+def pool(a, h):
     """Matrix embedding M = A @ H; each row of M is a convex mix of rows of H."""
-    if a.shape[1] != hidden.h.shape[0]:
-        raise T.ShapeError(f"A has {a.shape[1]} columns but H has {hidden.h.shape[0]} rows")
-    return T.matmul(a, hidden.h)
+    if a.shape[1] != h.shape[0]:
+        raise T.ShapeError(f"A has {a.shape[1]} columns but H has {h.shape[0]} rows")
+    return T.matmul(a, h)
 
 
 def penalty(a):

@@ -33,8 +33,6 @@ def _rand(rng, *shape):
 
 def _op_checks(rng):
     """(name, fn, inputs) triples covering every differentiable op."""
-    mask = np.array([True, True, True, False])
-
     def dropout_fixed(x):
         return T.sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(3), train=True), x))
 
@@ -46,7 +44,9 @@ def _op_checks(rng):
         ("batched_dot", lambda m, w: T.frobenius_sq(T.batched_dot(m, w)),
          [_rand(rng, 3, 2), _rand(rng, 3, 2, 4)]),
         ("softmax_rows", lambda x: T.frobenius_sq(T.softmax_rows(x)), [_rand(rng, 3, 4)]),
-        ("softmax_rows_masked", lambda x: T.frobenius_sq(T.softmax_rows(x, mask)), [_rand(rng, 3, 4)]),
+        # a padded sentence's A, as ``Classifier.encode`` builds it
+        ("softmax_rows_padded", lambda x: T.frobenius_sq(
+            T.concat([T.softmax_rows(x), T.zeros((3, 1), x.dtype)], axis=1)), [_rand(rng, 3, 4)]),
         ("tanh_elem", lambda x: T.sum_all(T.tanh_elem(x)), [_rand(rng, 3, 3)]),
         ("sigmoid", lambda x: T.sum_all(T.sigmoid(x)), [_rand(rng, 5)]),
         ("relu", lambda x: T.sum_all(T.mul(T.relu(x), x)),
@@ -119,9 +119,8 @@ def _attend_pool_inputs(rng):
 
 
 def _attend_pool_loss(h, w1, w2):
-    hidden = encoder.HiddenStates(h, np.ones(h.shape[0], dtype=bool))
-    a = attention.attend(hidden, w1, w2)
-    return T.frobenius_sq(attention.pool(a, hidden))
+    a = attention.attend(h, w1, w2)
+    return T.frobenius_sq(attention.pool(a, h))
 
 
 def _mlp_inputs(rng):
@@ -274,7 +273,6 @@ def full_model_check(cfg: RunConfig, seed=0):
     vocab_size = 12
     net = model_mod.build_model(cfg, vocab_size, rng, dtype=np.float64)
     tokens = rng.integers(2, vocab_size, size=5)
-    mask = np.ones(tokens.size, dtype=bool)
     label = int(rng.integers(cfg.classes))
 
     params = net.named_parameters()
@@ -285,7 +283,7 @@ def full_model_check(cfg: RunConfig, seed=0):
         "l2": [name for name in params if name in model_mod.L2_PARAMS],
     }
 
-    logits, attns = net.forward_batch([tokens], [mask], [scenario["tokens2"]], [mask])
+    logits, attns = net.forward_batch([tokens], prem_tokens=[scenario["tokens2"]])
     training.total_loss(logits, [label], attns, coeff=1.0, l2_coeff=1e-4,
                         l2_params=net.l2_parameters()).backward()
     oracle_params = {name: p.data.astype(_LD) for name, p in params.items()}

@@ -21,7 +21,7 @@ from .config import ConfigError, load_run_config
 HISTORY_FIELDS = ("epoch", "train_loss", "dev_acc", "mean_penalty", "mean_overlap")
 
 _ERRORS = (ConfigError, data.DataError, checkpoint.CheckpointError, training.TrainingDiverged,
-           T.ShapeError, T.MaskError, T.LabelError, ValueError, IndexError, OSError)
+           T.ShapeError, T.LabelError, ValueError, IndexError, OSError)
 
 
 def _history_rows(records, prefix=()):

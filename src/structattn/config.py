@@ -84,7 +84,7 @@ class RunConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         for key in ("d", "u", "d_a", "r", "classes", "b", "p", "q", "k", "batch_size", "max_epochs",
-                    "patience", "vocab_size"):
+                    "patience", "min_count", "vocab_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.seed < 0:

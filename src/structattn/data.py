@@ -128,11 +128,11 @@ def load_pretrained(path, vocab, table):
     whitespace text file of vectors.
 
     Vocabulary rows found in the file take the file's values; the rest keep
-    what the table held. Returns the coverage ratio over non-reserved
-    vocabulary tokens.
+    what the table held; a token listed twice takes its last vector. Returns
+    the coverage ratio: the share of non-reserved vocabulary tokens found.
     """
     dim = table.shape[1]
-    covered = 0
+    covered = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
@@ -152,9 +152,9 @@ def load_pretrained(path, vocab, table):
             if not np.isfinite(vector).all():
                 raise DataError(f"{path}:{lineno}: non-finite vector component")
             table[idx] = vector
-            covered += 1
+            covered.add(idx)
     real = max(len(vocab) - 2, 1)
-    return covered / real
+    return len(covered) / real
 
 
 @dataclass

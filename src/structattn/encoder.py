@@ -1,13 +1,10 @@
 """Token embedding and bidirectional LSTM encoding.
 
-A sentence enters as a padded id sequence plus a boolean mask (True = real
-token, padding only at the tail) and leaves as an n-by-2u hidden-state matrix
-whose padded rows are exactly zero.
+A sentence enters as the ids of its real tokens (padding ends in
+``model.Classifier.encode``) and leaves as an n-by-2u hidden-state matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,37 +36,12 @@ def lstm_step(x_t, h_prev, c_prev, w_x, w_h, bias):
     return h, c
 
 
-@dataclass
-class HiddenStates:
-    """n-by-2u hidden-state matrix plus its token mask (True = real token)."""
+def bilstm(s, fwd, bwd):
+    """Run both LSTM directions over an embedded sentence.
 
-    h: T.Tensor
-    mask: np.ndarray
-
-
-def bilstm(s, mask, fwd, bwd):
-    """Run both LSTM directions over the real tokens of an embedded sentence.
-
-    The forward scan runs left to right, the backward scan starts from the
-    last real token; per-position states are concatenated and padded rows of
-    the result are zero, so padding cannot influence any real position.
+    The forward scan runs left to right, the backward scan right to left, and
+    row t of the n-by-2u result concatenates their states at token t.
     ``fwd`` and ``bwd`` are each one direction's ``(w_x, w_h, bias)``, in
     ``lstm_scan``'s argument order.
     """
-    mask = np.asarray(mask, dtype=bool)
-    n = s.shape[0]
-    if n == 0:
-        raise ValueError("empty sequence")
-    if mask.shape != (n,):
-        raise T.ShapeError(f"mask shape {mask.shape} does not match {n} tokens")
-    n_real = int(mask.sum())
-    if n_real == 0:
-        raise ValueError("mask leaves no real tokens")
-    if not mask[:n_real].all():
-        raise ValueError("padding must be contiguous at the end of the sequence")
-
-    x = s if n_real == n else T.slice_rows(s, 0, n_real)
-    h = T.concat([T.lstm_scan(x, *fwd), T.lstm_scan(x, *bwd, reverse=True)], axis=1)
-    if n_real < n:
-        h = T.concat([h, T.zeros((n - n_real, h.shape[1]), h.dtype)])
-    return HiddenStates(h, mask.copy())
+    return T.concat([T.lstm_scan(s, *fwd), T.lstm_scan(s, *bwd, reverse=True)], axis=1)

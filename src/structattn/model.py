@@ -123,6 +123,27 @@ def _init(name, shape, rng, dtype):
     return T.Tensor(vec, requires_grad=True)
 
 
+def _real_ids(tokens, mask):
+    """The ids of a sentence's real tokens, the only place a mask is read.
+
+    A missing mask marks every token real; padding may only follow them.
+    """
+    n = len(tokens)
+    if n == 0:
+        raise ValueError("empty sequence")
+    if mask is None:
+        return tokens
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n,):
+        raise T.ShapeError(f"mask shape {mask.shape} does not match {n} tokens")
+    n_real = int(mask.sum())
+    if n_real == 0:
+        raise ValueError("mask leaves no real tokens")
+    if not mask[:n_real].all():
+        raise ValueError("padding must be contiguous at the end of the sequence")
+    return tokens[:n_real]
+
+
 class Classifier:
     """biLSTM + multi-hop attention under a dense, pruned or gated-pair head.
 
@@ -138,25 +159,35 @@ class Classifier:
         self.cfg = cfg
         self._params = params
 
-    def encode(self, tokens, mask=None):
-        """Hidden states, annotation matrix, and matrix embedding for one sentence."""
+    def _encode(self, tokens, mask):
+        """Hidden states, annotation matrix, and matrix embedding over the
+        real tokens of one (padded) sentence."""
         p = self._params
-        tokens = np.asarray(tokens)
-        if mask is None:
-            mask = np.ones(tokens.shape[0], dtype=bool)
-        s = encoder.embed(tokens, p["embedding.table"])
-        hidden = encoder.bilstm(s, mask, (p["lstm_fwd.w_x"], p["lstm_fwd.w_h"], p["lstm_fwd.bias"]),
-                                (p["lstm_bwd.w_x"], p["lstm_bwd.w_h"], p["lstm_bwd.bias"]))
-        a = attention.attend(hidden, p["attention.w1"], p["attention.w2"])
-        m = attention.pool(a, hidden)
-        return hidden, a, m
+        s = encoder.embed(_real_ids(tokens, mask), p["embedding.table"])
+        h = encoder.bilstm(s, (p["lstm_fwd.w_x"], p["lstm_fwd.w_h"], p["lstm_fwd.bias"]),
+                           (p["lstm_bwd.w_x"], p["lstm_bwd.w_h"], p["lstm_bwd.bias"]))
+        a = attention.attend(h, p["attention.w1"], p["attention.w2"])
+        return h, a, attention.pool(a, h)
+
+    def encode(self, tokens, mask=None):
+        """Hidden states, annotation matrix, and matrix embedding for one sentence.
+
+        H and M come from the real tokens alone; A keeps one column per input
+        position, and each padding column is exactly zero.
+        """
+        h, a, m = self._encode(tokens, mask)
+        n_pad = len(tokens) - a.shape[1]
+        if n_pad:
+            a = T.concat([a, T.zeros((a.shape[0], n_pad), a.dtype)], axis=1)
+        return h, a, m
 
     def forward_batch(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
         """B-by-C class logits and each example's annotation matrix for a batch.
 
         ``tokens`` holds B (padded) id sequences and ``mask`` their masks, e.g.
         the rows of a ``data.Batch``; a missing mask marks every token real.
-        Each sentence is encoded on its own, then the head classifies the B
+        Each sentence is encoded from its own real tokens, so its annotation
+        matrix has one column per real token; then the head classifies the B
         matrix embeddings together. For gated-pair, ``tokens`` are the
         hypotheses and ``prem_tokens`` the premises, and each example's
         annotation is the pair (A_hypothesis, A_premise).
@@ -164,9 +195,9 @@ class Classifier:
         p = self._params
         rows, attns = [], []
         for i in range(len(tokens)):
-            _, a, m = self.encode(tokens[i], None if mask is None else mask[i])
+            _, a, m = self._encode(tokens[i], None if mask is None else mask[i])
             if self.cfg.head == "gated-pair":
-                _, a_p, m_p = self.encode(prem_tokens[i], None if prem_mask is None else prem_mask[i])
+                _, a_p, m_p = self._encode(prem_tokens[i], None if prem_mask is None else prem_mask[i])
                 m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
             rows.append(m)
             attns.append(a)

@@ -20,10 +20,6 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# Masked softmax logits get this instead of -inf so that finite inputs always
-# produce finite outputs; exp() underflows it to exactly 0.
-MASK_SENTINEL = -1e30
-
 # Full-size passes over large weights (init draws, the L2 term) work
 # on row blocks of about this many elements, so their temporaries stay small.
 _BLOCK = 1 << 16
@@ -31,10 +27,6 @@ _BLOCK = 1 << 16
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
-
-
-class MaskError(ValueError):
-    """A position mask excludes every position."""
 
 
 class LabelError(ValueError):
@@ -248,26 +240,12 @@ def batched_dot(m, w):
     return _from_op(data, (m, w), bk)
 
 
-def softmax_rows(x, mask=None):
-    """Row-wise softmax of a 2-D tensor, stabilized by row-max subtraction.
-
-    ``mask`` is a boolean vector over columns; masked columns come out exactly
-    zero and every row still sums to 1 over the surviving columns.
-    """
+def softmax_rows(x):
+    """Row-wise softmax of a 2-D tensor, stabilized by row-max subtraction."""
     if x.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got shape {x.shape}")
-    logits = x.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (x.shape[1],):
-            raise ShapeError(f"mask shape {mask.shape} does not match {x.shape[1]} columns")
-        if not mask.any():
-            raise MaskError("mask excludes every position")
-        logits = np.where(mask, logits, logits.dtype.type(MASK_SENTINEL))
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    if mask is not None:
-        e = np.where(mask, e, e.dtype.type(0.0))
+    m = x.data.max(axis=1, keepdims=True)
+    e = np.exp(x.data - m)
     s = e / e.sum(axis=1, keepdims=True)
 
     def bk(g):

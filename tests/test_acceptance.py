@@ -14,7 +14,6 @@ from structattn import attention, checkpoint, cli, data, heads, training
 from structattn import model as model_mod
 from structattn import tensor as T
 from structattn.config import load_run_config
-from structattn.encoder import HiddenStates
 from structattn.synth import make_keyword_task, write_lines
 
 from support import ACCEPTANCE_LINES, CONFIG_DIR, load_sets
@@ -132,7 +131,7 @@ def test_criterion_5_penalty_lowers_overlap(tmp_path):
 def test_criterion_6_single_hop_reduction_and_r_sweep(tmp_path, rng, capsys):
     # exact r=1 equivalence in 64-bit mode
     n, width, d_a = 6, 8, 5
-    hidden = HiddenStates(T.Tensor(rng.standard_normal((n, width))), np.ones(n, dtype=bool))
+    hidden = T.Tensor(rng.standard_normal((n, width)))
     w1, w2 = attention_params(rng, d_a, 1, width)
     full = attention.attend(hidden, w1, w2)
     single = attention.attend_vector(hidden, w1, T.row(w2, 0))
@@ -160,12 +159,14 @@ def test_criterion_6_single_hop_reduction_and_r_sweep(tmp_path, rng, capsys):
 
 
 def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
-    # row-stochastic attention with masked columns zero
+    # row-stochastic attention with masked columns zero, for a padded sentence
     for n, hops in [(4, 1), (6, 3), (9, 5)]:
         mask = np.ones(n, dtype=bool)
         mask[n - 2:] = False
-        hidden = HiddenStates(T.Tensor(rng.standard_normal((n, 6))), mask)
-        a = attention.attend(hidden, *attention_params(rng, 4, hops, 6)).data
+        cfg64 = load_run_config(CONFIG_DIR / "toy.cfg", [f"r={hops}", "d_a=4", "u=3"])
+        net64 = model_mod.build_model(cfg64, 30, rng, dtype=np.float64)
+        a = net64.encode(rng.integers(2, 30, size=n), mask)[1].data
+        assert a.shape == (hops, n)
         assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-6
         assert (a[:, ~mask] == 0).all()
 
@@ -178,7 +179,7 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
         padded = np.concatenate([tokens, np.zeros(4, dtype=tokens.dtype)])
         mask = np.concatenate([np.ones(5, dtype=bool), np.zeros(4, dtype=bool)])
         batched, _ = net32.forward(padded, mask)
-    assert np.abs(alone.data - batched.data).max() <= 1e-6
+    assert np.array_equal(alone.data, batched.data)
 
     # pruned head equals the zero-masked dense twin exactly in 64-bit
     # (dyadic inputs keep every summation order exact, so this is bitwise)

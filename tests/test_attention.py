@@ -6,12 +6,13 @@ from hypothesis.extra import numpy as hnp
 
 from structattn import attention, checks
 from structattn import tensor as T
-from structattn.encoder import HiddenStates
+from structattn.config import RunConfig
+from structattn.model import build_model
 
 
-def hidden(rng, n=5, width=6, mask=None, dtype=np.float64):
-    m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask)
-    return HiddenStates(T.Tensor(rng.standard_normal((n, width)).astype(dtype)), m)
+def hidden(rng, n=5, width=6, dtype=np.float64):
+    """An n-by-width hidden-state matrix H."""
+    return T.Tensor(rng.standard_normal((n, width)).astype(dtype))
 
 
 def params(rng, d_a=4, hops=3, width=6, dtype=np.float64):
@@ -21,10 +22,9 @@ def params(rng, d_a=4, hops=3, width=6, dtype=np.float64):
 
 class TestAttend:
     def test_zero_output_weights_give_uniform_rows(self, rng):
-        h = hidden(rng, n=4, mask=[True, True, True, False])
+        h = hidden(rng, n=3)
         a = attention.attend(h, T.Tensor(rng.standard_normal((4, 6))), T.zeros((3, 4), np.float64)).data
-        assert np.allclose(a[:, :3], 1 / 3)
-        assert (a[:, 3] == 0).all()
+        assert np.allclose(a, 1 / 3)
 
     def test_single_position_is_all_ones_column(self, rng):
         a = attention.attend(hidden(rng, n=1), *params(rng)).data
@@ -38,12 +38,14 @@ class TestAttend:
         assert np.array_equal(a.data[0], v.data)
 
     def test_row_stochastic_with_masked_columns(self, rng):
+        # a padded sentence's A comes from ``Classifier.encode``
         for n, hops, d_a in [(1, 1, 1), (4, 2, 3), (7, 5, 2)]:
             mask = np.ones(n, dtype=bool)
             if n > 2:
                 mask[-1] = False
-            h = hidden(rng, n=n, mask=mask)
-            a = attention.attend(h, *params(rng, d_a=d_a, hops=hops)).data
+            cfg = RunConfig(d=4, u=3, d_a=d_a, r=hops, head="dense", b=2, classes=2).validate()
+            net = build_model(cfg, 10, rng, dtype=np.float64)
+            a = net.encode(rng.integers(2, 10, size=n), mask)[1].data
             assert a.shape == (hops, n)
             assert np.abs(a.sum(axis=1) - 1).max() < 1e-6
             assert (a >= 0).all() and (a <= 1).all()
@@ -59,8 +61,7 @@ class TestAttendVector:
 
     def test_weighted_sum_gradient(self, rng):
         def loss(h, w1, w2_row):
-            hs = HiddenStates(h, np.ones(h.shape[0], dtype=bool))
-            a = attention.attend_vector(hs, w1, w2_row)
+            a = attention.attend_vector(h, w1, w2_row)
             m = T.matmul(a, h)
             return T.sum_all(T.mul(m, m))
 
@@ -73,13 +74,13 @@ class TestPool:
         h = hidden(rng, n=4)
         a = T.Tensor(np.array([[0.0, 0, 1, 0], [1.0, 0, 0, 0]]))
         m = attention.pool(a, h).data
-        assert np.array_equal(m[0], h.h.data[2])
-        assert np.array_equal(m[1], h.h.data[0])
+        assert np.array_equal(m[0], h.data[2])
+        assert np.array_equal(m[1], h.data[0])
 
     def test_uniform_row_is_mean(self, rng):
         h = hidden(rng, n=4)
         a = T.Tensor(np.full((1, 4), 0.25))
-        assert np.allclose(attention.pool(a, h).data[0], h.h.data.mean(axis=0))
+        assert np.allclose(attention.pool(a, h).data[0], h.data.mean(axis=0))
 
     def test_equals_loop_sum_oracle(self, rng):
         h = hidden(rng, n=5)
@@ -88,7 +89,7 @@ class TestPool:
         oracle = np.zeros_like(m)
         for i in range(3):
             for t in range(5):
-                oracle[i] += a.data[i, t] * h.h.data[t]
+                oracle[i] += a.data[i, t] * h.data[t]
         assert np.abs(m - oracle).max() < 1e-12
 
     def test_shape_mismatch(self, rng):
@@ -99,7 +100,7 @@ class TestPool:
         h = hidden(rng, n=6)
         a = T.Tensor(rng.dirichlet(np.ones(6), size=4))
         m = attention.pool(a, h).data
-        lo, hi = h.h.data.min(axis=0), h.h.data.max(axis=0)
+        lo, hi = h.data.min(axis=0), h.data.max(axis=0)
         assert (m >= lo - 1e-12).all() and (m <= hi + 1e-12).all()
 
 

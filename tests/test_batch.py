@@ -9,7 +9,7 @@ matrix embeddings and adds L2 once; in exact arithmetic both are equal.
 import numpy as np
 import pytest
 
-from structattn import data, training
+from structattn import data, heads, training
 from structattn import tensor as T
 from structattn.config import RunConfig
 from structattn.model import build_model
@@ -130,3 +130,42 @@ def test_fused_l2_matches_per_weight_chain(head):
     _, unregularized = loss_and_grads(net, lambda: batched_loss(net, cfg, b, np.random.default_rng(7)))
     for w_name in ("attention.w1", "head.w1" if head != "pruned" else "head.w_out"):
         assert not np.array_equal(grads[w_name], unregularized[w_name])
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_each_padded_sentence_gets_the_bits_it_gets_alone(head, monkeypatch):
+    """In a mixed-length float32 batch of 8, every example's A and M from
+    ``forward_batch`` equal ``encode`` of that sentence unpadded, bit for bit."""
+    cfg = RunConfig(d=5, u=4, d_a=3, r=2, classes=3, **HEADS[head]).validate()
+    rng = np.random.default_rng(3)
+    net = build_model(cfg, VOCAB, rng)
+    lengths = (3, 11, 1, 7, 16, 5, 2, 9)
+    sentences = [rng.integers(2, VOCAB, size=n) for n in lengths]
+    if head == "gated-pair":
+        examples = [data.PairExample(s, sentences[-1 - i], 0) for i, s in enumerate(sentences)]
+    else:
+        examples = [data.Example(s, 0) for s in sentences]
+    [b] = data.batch(examples, len(examples))
+    assert not b.inputs()[1].all()
+
+    seen = []  # the matrix embeddings each head receives
+    head_fn = {"dense": "mlp_forward", "pruned": "pruned_forward", "gated-pair": "gated_encode"}[head]
+    original = getattr(heads, head_fn)
+
+    def spy(*args, **kwargs):
+        seen.append(args[:2] if head == "gated-pair" else args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(heads, head_fn, spy)
+    with T.no_grad():
+        _, attns = net.forward_batch(*b.inputs())
+        for i, ex in enumerate(examples):
+            if head == "gated-pair":
+                alone = [net.encode(ex.hypothesis), net.encode(ex.premise)]
+                got = zip(attns[i], seen[i])
+            else:
+                alone = [net.encode(ex.tokens)]
+                got = [(attns[i], seen[0][i])]
+            for (_, a, m), (a_batch, m_batch) in zip(alone, got):
+                assert np.array_equal(a.data, a_batch.data)
+                assert np.array_equal(m.data, m_batch.data)

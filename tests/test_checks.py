@@ -25,7 +25,7 @@ def test_report_lists_every_op():
     ops = {name for name, fn in vars(T).items()
            if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")}
     expected = (ops - {"zeros", "uniform", "glorot", "no_grad"}) | {
-        "softmax_rows_masked", "cross_entropy_batch", "lstm_step", "attend_pool", "penalty",
+        "softmax_rows_padded", "cross_entropy_batch", "lstm_step", "attend_pool", "penalty",
         "mlp_head", "pruned_head", "gated_encode"}
     assert expected <= names, expected - names
 

@@ -111,6 +111,15 @@ class TestLoadPretrained:
         assert np.array_equal(table[vocab.token_to_id["x"]], [1, 2, 3])
         assert table.dtype == np.float32
 
+    def test_repeated_token_counts_once_and_last_vector_wins(self, tmp_path):
+        vocab = data.build_vocab([["a", "b", "c"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 1\nb 2 2\na 3 3\nb 4 4\n", encoding="utf-8")
+        table = np.zeros((len(vocab), 2), dtype=np.float32)
+        assert data.load_pretrained(path, vocab, table) == 2 / 3
+        assert np.array_equal(table[vocab.token_to_id["a"]], [3, 3])
+        assert np.array_equal(table[vocab.token_to_id["b"]], [4, 4])
+
     def test_empty_file_random_everything(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
         path = tmp_path / "vec.txt"
@@ -192,4 +201,4 @@ def test_padding_inertness_through_model(rng):
         for i, ex in enumerate(examples):
             alone, _ = net.forward(ex.tokens)
             batched, _ = net.forward(padded.tokens[i], padded.mask[i])
-            assert np.abs(alone.data - batched.data).max() < 1e-6
+            assert np.array_equal(alone.data, batched.data)

@@ -88,16 +88,6 @@ class TestSoftmaxRows:
         assert np.abs(out - oracle).max() < 1e-12
         assert np.abs(out - [0.09003, 0.24473, 0.66524]).max() < 1e-5
 
-    def test_mask_zeroes_columns_exactly(self, rng):
-        mask = np.array([True, False, True, False])
-        out = T.softmax_rows(t64(rng.standard_normal((3, 4))), mask).data
-        assert (out[:, ~mask] == 0.0).all()
-        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
-
-    def test_all_false_mask_rejected(self):
-        with pytest.raises(T.MaskError):
-            T.softmax_rows(t64(np.zeros((1, 3))), np.zeros(3, dtype=bool))
-
     @given(hnp.arrays(np.float64, (3, 4), elements=st.floats(-50, 50)))
     @settings(max_examples=50, deadline=None)
     def test_rows_stochastic(self, x):
