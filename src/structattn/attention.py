@@ -25,7 +25,7 @@ def attend_vector(h, w1, w2_row):
     """Single-hop attention: a weight vector over the n positions."""
     scores = T.matmul(w2_row, T.tanh_elem(T.matmul(w1, T.transpose(h))))
     a = T.softmax_rows(T.reshape(scores, (1, -1)))
-    return T.row(a, 0)
+    return T.gather_rows(a, 0)
 
 
 def pool(a, h):

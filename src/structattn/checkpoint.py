@@ -75,16 +75,21 @@ def _is_manifest_entry(entry):
 
 
 def _check_header(path, header):
-    """Reject a header whose fields are missing or of the wrong type."""
+    """Reject a header whose fields are missing or of the wrong type, or whose
+    manifest repeats a tensor name."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     for key, kind, json_kind in (("manifest", list, "array"), ("config", dict, "object"),
                                  ("vocab", list, "array")):
         if not isinstance(header.get(key), kind):
             raise CheckpointError(f"{path}: header field {key!r} is missing or not a JSON {json_kind}")
+    names = set()
     for entry in header["manifest"]:
         if not _is_manifest_entry(entry):
             raise CheckpointError(f"{path}: manifest entry {entry!r} is not [name, shape list, dtype]")
+        if entry[0] in names:
+            raise CheckpointError(f"{path}: manifest names tensor {entry[0]!r} twice")
+        names.add(entry[0])
     if not all(isinstance(token, str) for token in header["vocab"]):
         raise CheckpointError(f"{path}: vocabulary holds a token that is not a string")
 

@@ -62,14 +62,17 @@ def _op_checks(rng):
         ("sum_all", T.sum_all, [_rand(rng, 2, 5)]),
         ("concat", lambda a, b: T.frobenius_sq(T.reshape(T.concat([a, b]), (1, -1))),
          [_rand(rng, 3), _rand(rng, 2)]),
-        ("concat_rows", lambda a, b: T.frobenius_sq(T.concat_rows([a, b])),
+        # vectors stacked as rows, the way ``forward_batch`` stacks a batch
+        ("concat_stack", lambda a, b: T.frobenius_sq(T.concat([T.reshape(a, (1, 4)), T.reshape(b, (1, 4))])),
          [_rand(rng, 4), _rand(rng, 4)]),
         ("transpose", lambda x: T.frobenius_sq(T.transpose(x)), [_rand(rng, 2, 4)]),
         ("reshape", lambda x: T.frobenius_sq(T.reshape(x, (3, 2))), [_rand(rng, 2, 3)]),
         ("gather_rows", lambda x: T.frobenius_sq(T.gather_rows(x, np.array([0, 2, 2, 1]))),
          [_rand(rng, 3, 2)]),
-        ("row", lambda x: T.sum_all(T.mul(T.row(x, 1), T.row(x, 1))), [_rand(rng, 3, 4)]),
-        ("slice_rows", lambda x: T.frobenius_sq(T.reshape(T.slice_rows(x, 1, 4), (1, -1))),
+        ("gather_rows_one", lambda x: T.sum_all(T.mul(T.gather_rows(x, 1), T.gather_rows(x, 1))),
+         [_rand(rng, 3, 4)]),
+        # a contiguous run of a vector, the way ``lstm_step`` splits its gates
+        ("gather_rows_run", lambda x: T.frobenius_sq(T.gather_rows(T.reshape(x, (6, 1)), np.arange(1, 4))),
          [_rand(rng, 6)]),
         ("dropout", dropout_fixed, [_rand(rng, 8)]),
         ("cross_entropy", lambda x: T.cross_entropy(x, 2), [_rand(rng, 5)]),
@@ -88,6 +91,10 @@ def _op_checks(rng):
         # and the allocating branch of the backward are checked
         ("sum_squares", lambda a, b: T.add(T.sum_squares([a, b], 0.37), T.sum_all(T.tanh_elem(a))),
          [_rand(rng, 3, 4), _rand(rng, 5)]),
+        ("batched_dot_batch", lambda m, w: T.frobenius_sq(T.batched_dot(m, w)),
+         [_rand(rng, 2, 3, 2), _rand(rng, 3, 2, 4)]),
+        ("transpose_batch", lambda x, y: T.sum_all(T.mul(T.transpose(x), y)),
+         [_rand(rng, 2, 3, 4), _rand(rng, 2, 4, 3)]),
     ]
     return checks
 
@@ -128,7 +135,7 @@ def _mlp_inputs(rng):
 
 
 def _mlp_loss(m, w1, b1, w2, b2):
-    return T.cross_entropy(heads.mlp_forward([m], w1, b1, w2, b2), [1])
+    return T.cross_entropy(heads.mlp_forward(T.reshape(m, (1, *m.shape)), w1, b1, w2, b2), [1])
 
 
 def _pruned_inputs(rng):
@@ -138,7 +145,7 @@ def _pruned_inputs(rng):
 
 
 def _pruned_loss(m, w_v, w_h, w_out, b_out):
-    return T.cross_entropy(heads.pruned_forward([m], w_v, w_h, w_out, b_out), [0])
+    return T.cross_entropy(heads.pruned_forward(T.reshape(m, (1, *m.shape)), w_v, w_h, w_out, b_out), [0])
 
 
 def _max_rel_err(loss, arrays, grads, eps):

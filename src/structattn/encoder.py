@@ -25,12 +25,12 @@ def lstm_step(x_t, h_prev, c_prev, w_x, w_h, bias):
     Gates are stacked input/forget/cell/output along the rows of ``w_x``,
     ``w_h`` and ``bias``.
     """
-    u = w_h.shape[1]
     z = T.add(T.add(T.matmul(w_x, x_t), T.matmul(w_h, h_prev)), bias)
-    i = T.sigmoid(T.slice_rows(z, 0, u))
-    f = T.sigmoid(T.slice_rows(z, u, 2 * u))
-    g = T.tanh_elem(T.slice_rows(z, 2 * u, 3 * u))
-    o = T.sigmoid(T.slice_rows(z, 3 * u, 4 * u))
+    gates = T.reshape(z, (4, w_h.shape[1]))
+    i = T.sigmoid(T.gather_rows(gates, 0))
+    f = T.sigmoid(T.gather_rows(gates, 1))
+    g = T.tanh_elem(T.gather_rows(gates, 2))
+    o = T.sigmoid(T.gather_rows(gates, 3))
     c = T.add(T.mul(f, c_prev), T.mul(i, g))
     h = T.mul(o, T.tanh_elem(c))
     return h, c

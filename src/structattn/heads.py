@@ -12,33 +12,31 @@ from __future__ import annotations
 from . import tensor as T
 
 
-def mlp_forward(ms, w1, b1, w2, b2, dropout_rate=0.0, train=False, rng=None):
-    """B-by-C logits relu(flatten(M) @ w1ᵀ + b1) @ w2ᵀ + b2 for a batch of B
-    matrix embeddings, one GEMM per layer.
+def mlp_forward(m, w1, b1, w2, b2, dropout_rate=0.0, train=False, rng=None):
+    """B-by-C logits relu(flatten(M) @ w1ᵀ + b1) @ w2ᵀ + b2 for a B-by-r-by-c
+    batch of matrix embeddings, one GEMM per layer.
 
     Each matrix is flattened into a row of the B-by-(r*c) input; dropout hits
     the hidden layer only while training.
     """
-    x = T.concat_rows([T.reshape(m, (-1,)) for m in ms])
+    x = T.reshape(m, (m.shape[0], -1))
     hidden = T.relu(T.linear(x, w1, b1))
     hidden = T.dropout(hidden, dropout_rate, rng, train)
     return T.linear(hidden, w2, b2)
 
 
-def pruned_forward(ms, w_v, w_h, w_out, b_out):
-    """B-by-C logits of the structured head for a batch of B matrix embeddings.
+def pruned_forward(m, w_v, w_h, w_out, b_out):
+    """B-by-C logits of the structured head for a B-by-r-by-2u batch of matrix embeddings.
 
     Row groups: w_v is r-by-2u-by-p, group i sees only row i of M and yields
     the r-by-p block M^v. Column groups: w_h is 2u-by-r-by-q over columns of M,
     yielding the 2u-by-q block M^h. Both blocks pass a ReLU, and one
-    output-layer GEMM runs over the stacked, flattened features.
+    output-layer GEMM runs over the flattened features of the whole batch.
     """
-    feats = []
-    for m in ms:
-        mv = T.relu(T.batched_dot(m, w_v))
-        mh = T.relu(T.batched_dot(T.transpose(m), w_h))
-        feats.append(T.concat([T.reshape(mv, (-1,)), T.reshape(mh, (-1,))]))
-    return T.linear(T.concat_rows(feats), w_out, b_out)
+    mv = T.relu(T.batched_dot(m, w_v))
+    mh = T.relu(T.batched_dot(T.transpose(m), w_h))
+    feats = T.concat([T.reshape(mv, (m.shape[0], -1)), T.reshape(mh, (m.shape[0], -1))], axis=1)
+    return T.linear(feats, w_out, b_out)
 
 
 def gated_encode(m_h, m_p, w_fh, w_fp):

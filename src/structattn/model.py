@@ -188,23 +188,25 @@ class Classifier:
         the rows of a ``data.Batch``; a missing mask marks every token real.
         Each sentence is encoded from its own real tokens, so its annotation
         matrix has one column per real token; then the head classifies the B
-        matrix embeddings together. For gated-pair, ``tokens`` are the
-        hypotheses and ``prem_tokens`` the premises, and each example's
-        annotation is the pair (A_hypothesis, A_premise).
+        matrix embeddings together, stacked into one B-by-r-by-2u tensor. For
+        gated-pair, ``tokens`` are the hypotheses and ``prem_tokens`` the
+        premises, each example's annotation is the pair (A_hypothesis,
+        A_premise), and the head takes the B gated r-by-k factors.
         """
         p = self._params
-        rows, attns = [], []
+        ms, attns = [], []
         for i in range(len(tokens)):
             _, a, m = self._encode(tokens[i], None if mask is None else mask[i])
             if self.cfg.head == "gated-pair":
                 _, a_p, m_p = self._encode(prem_tokens[i], None if prem_mask is None else prem_mask[i])
                 m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
-            rows.append(m)
+            ms.append(T.reshape(m, (1, *m.shape)))
             attns.append(a)
+        m = T.concat(ms)
         if self.cfg.head == "pruned":
-            return heads.pruned_forward(rows, p["head.w_v"], p["head.w_h"],
+            return heads.pruned_forward(m, p["head.w_v"], p["head.w_h"],
                                         p["head.w_out"], p["head.b_out"]), attns
-        return heads.mlp_forward(rows, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
+        return heads.mlp_forward(m, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
                                  self.cfg.dropout, train, rng), attns
 
     def forward(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):

@@ -189,10 +189,11 @@ def glorot(rng, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
 
 
 def matmul(a, b):
-    """Matrix product with numpy 1-D/2-D semantics; inner dimensions must agree."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != (b.shape[0] if b.ndim >= 1 else None):
+    """Matrix product of a 2-D operand with a 1-D or 2-D one (numpy semantics);
+    inner dimensions must agree."""
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2) or a.ndim + b.ndim < 3:
+        raise ShapeError(f"matmul needs a 2-D operand and a 1-D/2-D one, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     data = a.data @ b.data
 
@@ -202,21 +203,16 @@ def matmul(a, b):
                 a._acc(g @ b.data.T, fresh=True)
             if b.requires_grad:
                 b._acc(a.data.T @ g, fresh=True)
-        elif a.ndim == 1 and b.ndim == 2:
+        elif a.ndim == 1:
             if a.requires_grad:
                 a._acc(b.data @ g, fresh=True)
             if b.requires_grad:
                 b._acc(np.outer(a.data, g), fresh=True)
-        elif a.ndim == 2 and b.ndim == 1:
+        else:
             if a.requires_grad:
                 a._acc(np.outer(g, b.data), fresh=True)
             if b.requires_grad:
                 b._acc(a.data.T @ g, fresh=True)
-        else:  # 1-D dot
-            if a.requires_grad:
-                a._acc(g * b.data, fresh=True)
-            if b.requires_grad:
-                b._acc(g * a.data, fresh=True)
 
     return _from_op(data, (a, b), bk)
 
@@ -224,18 +220,26 @@ def matmul(a, b):
 def batched_dot(m, w):
     """Row-batched product: output row i is (row i of m) @ (slice i of w).
 
-    m is r-by-c, w is r-by-c-by-k, result is r-by-k.
+    m is r-by-c, or B-by-r-by-c for a batch; w is r-by-c-by-k; the result is
+    r-by-k, or B-by-r-by-k.
     """
-    if m.ndim != 2 or w.ndim != 3 or w.shape[:2] != m.shape:
-        raise ShapeError(f"batched_dot needs m r*c and w r*c*k, got {m.shape} and {w.shape}")
-    # row-by-row matmul rather than einsum: bit-identical to the per-slice product
-    data = np.stack([m.data[i] @ w.data[i] for i in range(m.shape[0])])
+    if m.ndim not in (2, 3) or w.ndim != 3 or w.shape[:2] != m.shape[-2:]:
+        raise ShapeError(f"batched_dot needs m r*c or B*r*c and w r*c*k, got {m.shape} and {w.shape}")
+    # one vector-matrix product per row, broadcast over rows and examples:
+    # every example gets the bits of its own r-by-c product
+    data = np.matmul(m.data[..., None, :], w.data)[..., 0, :]
 
     def bk(g):
         if m.requires_grad:
-            m._acc(np.einsum("rk,rck->rc", g, w.data), fresh=True)
+            m._acc(np.einsum("...rk,rck->...rc", g, w.data), fresh=True)
         if w.requires_grad:
-            w._acc(np.einsum("rc,rk->rck", m.data, g), fresh=True)
+            if m.ndim == 2:
+                w._acc(np.einsum("rc,rk->rck", m.data, g), fresh=True)
+            else:
+                # summed over the batch from the last example to the first, the
+                # order in which per-example products would reach w.grad in a
+                # backward pass; ascending order moves the low bits
+                w._acc(np.einsum("brc,brk->rck", m.data[::-1], g[::-1]), fresh=True)
 
     return _from_op(data, (m, w), bk)
 
@@ -416,36 +420,23 @@ def concat(parts, axis=0):
     return _from_op(data, tuple(parts), bk)
 
 
-def concat_rows(parts):
-    """Stack 1-D tensors as the rows of a matrix, or vstack 2-D tensors."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat_rows of zero tensors")
-    if parts[0].ndim == 1:
-        data = np.stack([p.data for p in parts], axis=0)
-
-        def bk(g):
-            for i, p in enumerate(parts):
-                if p.requires_grad:
-                    p._acc(g[i])
-
-        return _from_op(data, tuple(parts), bk)
-    return concat(parts, axis=0)
-
-
 def transpose(x):
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {x.shape}")
+    """Swap the last two axes: the transpose of a matrix, or of each matrix of a batch."""
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got shape {x.shape}")
 
     def bk(g):
         if x.requires_grad:
-            x._acc(g.T)
+            x._acc(np.swapaxes(g, -1, -2))
 
-    return _from_op(x.data.T, (x,), bk)
+    return _from_op(np.swapaxes(x.data, -1, -2), (x,), bk)
 
 
 def reshape(x, shape):
-    data = x.data.reshape(shape)
+    try:
+        data = x.data.reshape(shape)
+    except ValueError as err:
+        raise ShapeError(f"cannot reshape {x.shape} to {shape}") from err
 
     def bk(g):
         if x.requires_grad:
@@ -455,7 +446,10 @@ def reshape(x, shape):
 
 
 def gather_rows(x, ids):
-    """Select rows of a 2-D tensor; gradients accumulate across repeated ids."""
+    """Select rows of a 2-D tensor; gradients accumulate across repeated ids.
+
+    A scalar id selects one row, as a 1-D tensor.
+    """
     ids = np.asarray(ids)
     if x.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D tensor, got shape {x.shape}")
@@ -470,38 +464,6 @@ def gather_rows(x, ids):
             np.add.at(x.grad, ids, g)
 
     return _from_op(data, (x,), bk)
-
-
-def row(x, i):
-    """Row i of a 2-D tensor, as a 1-D tensor."""
-    if x.ndim != 2:
-        raise ShapeError(f"row expects a 2-D tensor, got shape {x.shape}")
-    if not 0 <= i < x.shape[0]:
-        raise IndexError(f"row {i} out of range [0, {x.shape[0]})")
-
-    def bk(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[i] += g
-
-    return _from_op(x.data[i], (x,), bk)
-
-
-def slice_rows(x, start, stop):
-    """Contiguous range of rows (2-D) or elements (1-D)."""
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"slice_rows expects a 1-D/2-D tensor, got shape {x.shape}")
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"slice [{start}:{stop}] out of range for {x.shape[0]} rows")
-
-    def bk(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[start:stop] += g
-
-    return _from_op(x.data[start:stop], (x,), bk)
 
 
 def dropout(x, rate, rng, train):

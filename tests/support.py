@@ -1,8 +1,11 @@
 """Shared test helpers: config paths, a toy config, and dataset loading."""
 
+import json
 from pathlib import Path
 
-from structattn import data
+import numpy as np
+
+from structattn import checkpoint, data
 from structattn.config import load_run_config
 from structattn.synth import make_keyword_task, write_lines
 
@@ -42,3 +45,17 @@ def load_sets(cfg):
     return (vocab,
             data.load_dataset(cfg.train_path, vocab, pairs),
             data.load_dataset(cfg.dev_path, vocab, pairs))
+
+
+def append_repeated_tensor(path, name):
+    """Give a saved checkpoint a second manifest entry and payload for ``name``,
+    with other values than the first."""
+    raw = Path(path).read_bytes()
+    start = len(checkpoint.MAGIC) + 12
+    end = start + int.from_bytes(raw[start - 8:start], "little")
+    header = json.loads(raw[start:end])
+    entry = next(e for e in header["manifest"] if e[0] == name)
+    header["manifest"].append(entry)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    second = np.full(entry[1], 0.5, dtype="<f4").tobytes()
+    Path(path).write_bytes(raw[:start - 8] + len(blob).to_bytes(8, "little") + blob + raw[end:] + second)

@@ -134,7 +134,7 @@ def test_criterion_6_single_hop_reduction_and_r_sweep(tmp_path, rng, capsys):
     hidden = T.Tensor(rng.standard_normal((n, width)))
     w1, w2 = attention_params(rng, d_a, 1, width)
     full = attention.attend(hidden, w1, w2)
-    single = attention.attend_vector(hidden, w1, T.row(w2, 0))
+    single = attention.attend_vector(hidden, w1, T.gather_rows(w2, 0))
     assert np.array_equal(full.data[0], single.data)
 
     cfg = toy_run_config(tmp_path, max_epochs=2, patience=2)
@@ -186,7 +186,7 @@ def test_criterion_7_structural_invariants(tmp_path, rng, capsys):
     from test_heads import dense_twin_logits, dyadic, dyadic_pruned_head
     head = dyadic_pruned_head(rng, 3, 4, 2, 2, 3)
     m = dyadic(rng, (3, 4))
-    assert np.array_equal(heads.pruned_forward([T.Tensor(m, dtype=np.float64)], *head).data[0],
+    assert np.array_equal(heads.pruned_forward(T.Tensor(m[None], dtype=np.float64), *head).data[0],
                           dense_twin_logits(m, head))
 
     # gated encoder annihilates a zero embedding

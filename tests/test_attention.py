@@ -34,7 +34,7 @@ class TestAttend:
         h = hidden(rng)
         w1, w2 = params(rng, hops=1)
         a = attention.attend(h, w1, w2)
-        v = attention.attend_vector(h, w1, T.row(w2, 0))
+        v = attention.attend_vector(h, w1, T.gather_rows(w2, 0))
         assert np.array_equal(a.data[0], v.data)
 
     def test_row_stochastic_with_masked_columns(self, rng):

@@ -9,7 +9,7 @@ from structattn.config import ConfigError, load_run_config
 from structattn.data import DataError, Vocab
 from structattn.model import build_model
 
-from support import load_sets, tiny_config
+from support import append_repeated_tensor, load_sets, tiny_config
 
 MIB = 2**20
 
@@ -91,6 +91,18 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(checkpoint.CheckpointError, match="trailing"):
         checkpoint.load_checkpoint(path)
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    """A manifest that names a tensor twice never loads, even with both payloads present."""
+    net, vocab, _, _ = trained_model(tmp_path)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_model(path, net, vocab)
+    append_repeated_tensor(path, "embedding.table")
+    with pytest.raises(checkpoint.CheckpointError, match="'embedding.table' twice"):
+        checkpoint.load_checkpoint(path)
+    with pytest.raises(checkpoint.CheckpointError, match="'embedding.table' twice"):
+        checkpoint.restore_model(path)
 
 
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):

@@ -30,6 +30,27 @@ def test_report_lists_every_op():
     assert expected <= names, expected - names
 
 
+def test_op_checks_reach_every_tensor_function(monkeypatch):
+    """Every public function of ``tensor`` but the two init draws runs inside
+    ``run_op_checks``, so no op goes without a finite-difference check."""
+    public = [name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")]
+    reached = set()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in public:
+        monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
+    checks.run_op_checks(seed=0)
+    assert {"uniform", "glorot"} <= set(public)
+    missing = set(public) - {"uniform", "glorot"} - reached
+    assert not missing, sorted(missing)
+
+
 def wrong_double(backward_factor, nan_at=None):
     """A loss through an op that doubles its input but whose backward claims
     ``backward_factor``, and NaN at coordinate ``nan_at`` if one is given."""

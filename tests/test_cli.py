@@ -9,7 +9,7 @@ from structattn import attention, checkpoint, cli, data, training
 from structattn import model as model_mod
 from structattn import tensor as T
 
-from support import CONFIG_DIR, tiny_config
+from support import CONFIG_DIR, append_repeated_tensor, tiny_config
 
 
 def run_cli(*args):
@@ -145,6 +145,14 @@ class TestEvalCommand:
         assert run_cli(command, "--checkpoint", cfg.checkpoint_path, *args) == 1
         captured = capsys.readouterr()
         assert f"{ck.vocab[2]!r} is repeated at ids 2 and 3" in captured.err and captured.out == ""
+
+    def test_repeated_tensor_is_an_error(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        append_repeated_tensor(cfg.checkpoint_path, "embedding.table")
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", cfg.checkpoint_path, "--data", cfg.dev_path) == 1
+        captured = capsys.readouterr()
+        assert "names tensor 'embedding.table' twice" in captured.err and captured.out == ""
 
     def test_out_of_range_label_is_an_error(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)

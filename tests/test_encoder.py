@@ -204,10 +204,10 @@ def per_token_bilstm(s, p_fwd, p_bwd):
         h, c = T.zeros(u, s.dtype), T.zeros(u, s.dtype)
         states = [None] * n
         for t in order:
-            h, c = encoder.lstm_step(T.row(s, t), h, c, *p)
+            h, c = encoder.lstm_step(T.gather_rows(s, t), h, c, *p)
             states[t] = h
         halves.append(states)
-    return T.concat_rows([T.concat([f, b]) for f, b in zip(*halves)])
+    return T.concat([T.reshape(T.concat([f, b]), (1, -1)) for f, b in zip(*halves)])
 
 
 class TestFusedScanMatchesPerTokenGraph:

@@ -34,23 +34,23 @@ def gated_params(rng, r, width, k, dtype=np.float64):
 class TestMlpHead:
     def test_zero_weights_give_output_bias(self, rng):
         bias = rng.standard_normal(3)
-        logits = heads.mlp_forward([t64(rng.standard_normal((2, 3)))], T.zeros((4, 6), np.float64),
+        logits = heads.mlp_forward(t64(rng.standard_normal((1, 2, 3))), T.zeros((4, 6), np.float64),
                                    T.zeros(4, np.float64), T.zeros((3, 4), np.float64), t64(bias))
         assert np.array_equal(logits.data, bias[None])
 
     def test_eval_deterministic_under_dropout_rate(self, rng):
         head = mlp_head(rng, 6, 5, 3)
-        m = t64(rng.standard_normal((2, 3)))
-        a = heads.mlp_forward([m], *head, dropout_rate=0.5, train=False).data
-        b = heads.mlp_forward([m], *head, dropout_rate=0.5, train=False).data
+        m = t64(rng.standard_normal((4, 2, 3)))
+        a = heads.mlp_forward(m, *head, dropout_rate=0.5, train=False).data
+        b = heads.mlp_forward(m, *head, dropout_rate=0.5, train=False).data
         assert np.array_equal(a, b)
 
     def test_gradient_through_head(self, rng):
         def loss(m, *weights):
-            return T.cross_entropy(heads.mlp_forward([m], *weights), [0])
+            return T.cross_entropy(heads.mlp_forward(m, *weights), [0, 2])
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
-                  [(2, 3), (5, 6), (5,), (3, 5), (3,)]]
+                  [(2, 2, 3), (5, 6), (5,), (3, 5), (3,)]]
         assert checks.grad_check(loss, inputs) < 1e-4
 
 
@@ -86,19 +86,19 @@ class TestPrunedHead:
         # dyadic inputs make every summation order exact, so equality is pure structure
         head = dyadic_pruned_head(rng, 3, 4, 2, 2, 3)
         m = dyadic(rng, (3, 4))
-        logits = heads.pruned_forward([t64(m)], *head)
+        logits = heads.pruned_forward(t64(m[None]), *head)
         assert np.array_equal(logits.data[0], dense_twin_logits(m, head))
 
     def test_matches_dense_twin_to_rounding_on_gaussians(self, rng):
         head = pruned_head(rng, 3, 4, 2, 2, 3)
         m = rng.standard_normal((3, 4))
-        logits = heads.pruned_forward([t64(m)], *head)
+        logits = heads.pruned_forward(t64(m[None]), *head)
         np.testing.assert_allclose(logits.data[0], dense_twin_logits(m, head), rtol=1e-12, atol=1e-14)
 
     def test_single_group_reduces_to_dense_layer(self, rng):
         w_v, w_h, w_out, b_out = pruned_head(rng, 1, 4, 3, 2, 2)
         m = rng.standard_normal((1, 4))
-        logits = heads.pruned_forward([t64(m)], w_v, w_h, w_out, b_out)
+        logits = heads.pruned_forward(t64(m[None]), w_v, w_h, w_out, b_out)
         mv = np.maximum(m[0] @ w_v.data[0], 0)           # plain dense layer on the row
         mh = np.maximum(m[0][:, None] * w_h.data[:, 0, :], 0)
         feats = np.concatenate([mv.reshape(-1), mh.reshape(-1)])
@@ -118,11 +118,11 @@ class TestPrunedHead:
 
     def test_gradient(self, rng):
         def loss(m, *weights):
-            return T.cross_entropy(heads.pruned_forward([m], *weights), [1])
+            return T.cross_entropy(heads.pruned_forward(m, *weights), [1, 0])
 
         r, width, p, q, classes = 2, 4, 3, 2, 3
         inputs = [T.Tensor(rng.standard_normal(s)) for s in
-                  [(r, width), (r, width, p), (width, r, q), (classes, r * p + width * q), (classes,)]]
+                  [(2, r, width), (r, width, p), (width, r, q), (classes, r * p + width * q), (classes,)]]
         assert checks.grad_check(loss, inputs) < 1e-4
 
 
@@ -149,7 +149,7 @@ class TestGatedEncoder:
     def test_gradient_into_mlp(self, rng):
         def loss(m_h, m_p, w_fh, w_fp, w1, b1, w2, b2):
             f_r = heads.gated_encode(m_h, m_p, w_fh, w_fp)
-            logits = heads.mlp_forward([f_r], w1, b1, w2, b2)
+            logits = heads.mlp_forward(T.reshape(f_r, (1, *f_r.shape)), w1, b1, w2, b2)
             return T.cross_entropy(logits, [0])
 
         r, width, k, b, classes = 2, 3, 4, 5, 2

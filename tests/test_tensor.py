@@ -42,6 +42,10 @@ class TestMatmul:
         assert np.allclose(T.matmul(t64(v), t64(m)).data, v @ m)
         assert np.allclose(T.matmul(t64(m.T), t64(v)).data, m.T @ v)
 
+    def test_vector_dot_vector_rejected(self, rng):
+        with pytest.raises(T.ShapeError):
+            T.matmul(t64(rng.standard_normal(4)), t64(rng.standard_normal(4)))
+
 
 class TestBatchedDot:
     def test_identity_slices(self, rng):
@@ -66,6 +70,39 @@ class TestBatchedDot:
     def test_shape_mismatch(self, rng):
         with pytest.raises(T.ShapeError):
             T.batched_dot(t64(np.zeros((3, 2))), t64(np.zeros((2, 3, 4))))
+        with pytest.raises(T.ShapeError):
+            T.batched_dot(t64(np.zeros((2, 2, 3))), t64(np.zeros((3, 2, 4))))
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("r, c, k, transposed", [(30, 600, 150, False), (600, 30, 10, True)])
+    def test_batch_gets_each_examples_bits_float32(self, rng, batch, r, c, k, transposed):
+        """At the pruned head's paper-shape groups (row groups 30x600x150 on M,
+        column groups 600x30x10 on its transpose), a B-by-r-by-c product and
+        its gradients equal the per-example graphs stacked, bit for bit."""
+        def draw(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        w_data, g = draw(r, c, k), draw(batch, r, k)
+        stored = (c, r) if transposed else (r, c)  # the pruned head transposes M for its column groups
+        m_data = draw(batch, *stored)
+
+        def run(batched):
+            m = T.Tensor(m_data.copy(), requires_grad=True)
+            w = T.Tensor(w_data.copy(), requires_grad=True)
+            if batched:
+                out = T.batched_dot(T.transpose(m) if transposed else m, w)
+            else:
+                rows = []
+                for i in range(batch):
+                    m_i = T.reshape(T.gather_rows(T.reshape(m, (batch, -1)), i), stored)
+                    out_i = T.batched_dot(T.transpose(m_i) if transposed else m_i, w)
+                    rows.append(T.reshape(out_i, (1, r, k)))
+                out = T.concat(rows)
+            T.sum_all(T.mul(out, T.Tensor(g))).backward()
+            return out.data, m.grad, w.grad
+
+        for got, want in zip(run(True), run(False)):
+            assert got.dtype == np.float32 and np.array_equal(got, want)
 
 
 class TestSoftmaxRows:
@@ -149,14 +186,14 @@ class TestFrobenius:
 
 
 class TestStructuralOps:
-    def test_concat_rows_stacks_vectors(self, rng):
+    def test_concat_stacks_reshaped_vectors(self, rng):
         a, b = rng.standard_normal(3), rng.standard_normal(3)
-        out = T.concat_rows([t64(a), t64(b)])
+        out = T.concat([T.reshape(t64(a), (1, 3)), T.reshape(t64(b), (1, 3))])
         assert np.array_equal(out.data, np.stack([a, b]))
 
-    def test_concat_rows_vstacks_matrices(self, rng):
+    def test_concat_vstacks_matrices(self, rng):
         a, b = rng.standard_normal((2, 3)), rng.standard_normal((1, 3))
-        assert T.concat_rows([t64(a), t64(b)]).shape == (3, 3)
+        assert T.concat([t64(a), t64(b)]).shape == (3, 3)
 
     def test_concat_1d(self, rng):
         a, b = rng.standard_normal(2), rng.standard_normal(3)
@@ -166,9 +203,23 @@ class TestStructuralOps:
         x = rng.standard_normal((2, 4))
         assert np.array_equal(T.transpose(T.transpose(t64(x))).data, x)
 
+    def test_transpose_of_a_batch_swaps_the_last_two_axes(self, rng):
+        x = T.Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+        c = rng.standard_normal((3, 4, 2))
+        out = T.transpose(x)
+        assert np.array_equal(out.data, x.data.transpose(0, 2, 1))
+        T.sum_all(T.mul(out, t64(c))).backward()
+        assert np.array_equal(x.grad, c.transpose(0, 2, 1))
+        with pytest.raises(T.ShapeError):
+            T.transpose(t64(np.zeros(3)))
+
     def test_reshape_row_major(self):
         x = t64([[1, 2, 3], [4, 5, 6]])
         assert np.array_equal(T.reshape(x, (-1,)).data, [1, 2, 3, 4, 5, 6])
+
+    def test_reshape_size_mismatch_is_a_shape_error(self):
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+            T.reshape(t64(np.zeros((2, 3))), (4, 2))
 
     def test_gather_rows_and_repeats(self, rng):
         table = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -184,12 +235,15 @@ class TestStructuralOps:
         with pytest.raises(IndexError):
             T.gather_rows(t64(np.zeros((2, 2))), np.array([2]))
 
-    def test_row_and_slice(self, rng):
-        x = rng.standard_normal((3, 4))
-        assert np.array_equal(T.row(t64(x), 1).data, x[1])
-        assert np.array_equal(T.slice_rows(t64(x), 1, 3).data, x[1:3])
-        v = rng.standard_normal(6)
-        assert np.array_equal(T.slice_rows(t64(v), 2, 5).data, v[2:5])
+    def test_gather_one_row_and_a_run(self, rng):
+        x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        one = T.gather_rows(x, 1)
+        assert one.shape == (4,) and np.array_equal(one.data, x.data[1])
+        assert np.array_equal(T.gather_rows(x, np.arange(1, 3)).data, x.data[1:3])
+        T.sum_all(one).backward()
+        assert np.array_equal(x.grad, np.eye(3)[1][:, None] * np.ones(4))
+        with pytest.raises(IndexError):
+            T.gather_rows(x, 3)
 
 
 class TestDropout:
@@ -424,8 +478,8 @@ class TestBackward:
 
     def test_every_leaf_gets_matching_shape(self, rng):
         xs = [T.Tensor(rng.standard_normal(s), requires_grad=True) for s in [(2, 3), (3,), (3, 4)]]
-        loss = T.frobenius_sq(T.matmul(T.add(xs[0], xs[0]), T.matmul(T.reshape(xs[1], (3, 1)),
-                                                                     T.reshape(T.row(xs[2], 0), (1, 4)))))
+        outer = T.matmul(T.reshape(xs[1], (3, 1)), T.reshape(T.gather_rows(xs[2], 0), (1, 4)))
+        loss = T.frobenius_sq(T.matmul(T.add(xs[0], xs[0]), outer))
         loss.backward()
         for x in xs:
             assert x.grad is not None and x.grad.shape == x.data.shape
