@@ -5,8 +5,10 @@ the attention penalty averaged per example and added with its coefficient,
 and L2 over attention and head weight matrices only, added once per batch as
 one fused node. A step passes over each full-size weight about once: its
 gradient is adopted from the op that made it, L2 adds into it in place, and
-clipping and the SGD update run in place. Training keeps the parameters of the
-best dev epoch and stops early after ``patience`` epochs without improvement.
+clipping and the update (SGD or AdaGrad) share one pass, a row block at a
+time. Training keeps the parameters of the best dev epoch and stops early after
+``patience`` epochs without improvement. The best epoch's parameters are
+copied only when a later epoch is about to overwrite them.
 """
 
 from __future__ import annotations
@@ -50,27 +52,48 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     return loss
 
 
+def _clip(g, clip):
+    """Clamp every component of ``g`` to [-clip, +clip] in place; ``None`` leaves it."""
+    if clip is not None:
+        np.clip(g, -clip, clip, out=g)
+
+
 def clip_grads(params, clip):
     """Clamp every component of each ``p.grad`` to [-clip, +clip] in place."""
     for p in params.values():
         if p.grad is not None:
-            np.clip(p.grad, -clip, clip, out=p.grad)
+            for rows in T._row_blocks(p.grad):
+                _clip(p.grad[rows], clip)
 
 
-def sgd_step(params, lr):
-    """In-place SGD update from each ``p.grad``, which is scaled by ``lr`` in place and spent."""
+def sgd_step(params, lr, clip=None):
+    """In-place SGD update from each ``p.grad``, which is spent.
+
+    One pass per gradient: a row block at a time, the gradient is clipped to
+    [-clip, +clip], scaled by ``lr`` and subtracted, with the elementwise
+    expressions of whole-array clipping and ``p -= lr * g``, so the bits are
+    theirs.
+    """
     for p in params.values():
         g = p.grad
         if g is None:
             continue
-        np.multiply(g, lr, out=g)
-        p.data -= g
+        for rows in T._row_blocks(g):
+            gb, w = g[rows], p.data[rows]
+            _clip(gb, clip)
+            np.multiply(gb, lr, out=gb)
+            w -= gb
         p.grad = None
 
 
-def adagrad_step(params, state, lr, eps=1e-8):
+def adagrad_step(params, state, lr, eps=1e-8, clip=None):
     """AdaGrad from each ``p.grad``, which is spent: accumulate squared
-    gradients, scale steps by 1/sqrt(acc)."""
+    gradients, scale steps by 1/sqrt(acc).
+
+    Like ``sgd_step``, one blocked pass per gradient that clips, then updates
+    with the whole-array expressions ``acc += g * g`` and
+    ``p -= lr * g / (sqrt(acc) + eps)``; its temporaries are one block in size.
+    """
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -78,8 +101,15 @@ def adagrad_step(params, state, lr, eps=1e-8):
         acc = state.get(name)
         if acc is None:
             acc = state[name] = np.zeros_like(p.data)
-        acc += g * g
-        p.data -= lr * g / (np.sqrt(acc) + eps)
+        for rows in T._row_blocks(g):
+            gb, a, w = g[rows], acc[rows], p.data[rows]
+            _clip(gb, clip)
+            a += gb * gb
+            denom = np.sqrt(a)
+            denom += eps
+            np.multiply(gb, lr, out=gb)
+            gb /= denom
+            w -= gb
         p.grad = None
 
 
@@ -120,11 +150,21 @@ class TrainResult:
     history: list
     best_epoch: int
     best_dev_acc: float
-    best_params: dict  # name -> array snapshot at the best dev epoch
+    # name -> array snapshot at the best dev epoch; {} when the best epoch is
+    # the last one trained, whose parameters the model still holds
+    best_params: dict
 
 
 def train(model, train_set, dev_set, cfg: RunConfig, log=None):
-    """Seeded epoch loop; returns history and the best-dev parameter snapshot."""
+    """Seeded epoch loop; returns the history and the best dev epoch.
+
+    An improving epoch records its number and accuracy only. Its parameters
+    are copied into ``best_params`` at the start of the next epoch, before
+    that epoch's first step changes them. So when the best epoch is the last
+    one trained, nothing is copied, ``best_params`` is ``{}``, and the model
+    already holds the best parameters; ``restore_params(model, {})`` leaves it
+    as it is.
+    """
     if not train_set or not dev_set:
         raise ValueError("training and dev sets must be nonempty")
     rng = np.random.default_rng(cfg.seed)
@@ -136,6 +176,9 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
     stale = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
+        if epoch > 1 and best.best_epoch == epoch - 1:
+            # The parameters are still the best epoch's; this epoch's first step would overwrite them.
+            best.best_params = {name: p.data.copy() for name, p in params.items()}
         loss_sum = 0.0
         penalty_sum = 0.0
         n_seen = 0
@@ -147,12 +190,10 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
             if not np.isfinite(batch_loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}")
             batch_loss.backward()
-            if cfg.clip is not None:
-                clip_grads(params, cfg.clip)
             if cfg.optimizer == "sgd":
-                sgd_step(params, cfg.learning_rate)
+                sgd_step(params, cfg.learning_rate, clip=cfg.clip)
             else:
-                adagrad_step(params, adagrad_state, cfg.learning_rate)
+                adagrad_step(params, adagrad_state, cfg.learning_rate, clip=cfg.clip)
             loss_sum += batch_loss.item() * len(b)
             n_seen += len(b)
 
@@ -164,7 +205,7 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
         if dev_acc > best.best_dev_acc:
             best.best_dev_acc = dev_acc
             best.best_epoch = epoch
-            best.best_params = {name: p.data.copy() for name, p in params.items()}
+            best.best_params = {}
             stale = 0
         else:
             stale += 1

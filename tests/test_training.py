@@ -64,8 +64,7 @@ def set_grads(params, grads):
 
 
 def clipped_sgd(params, grads, lr, clip=0.5):
-    training.clip_grads(set_grads(params, grads), clip)
-    training.sgd_step(params, lr=lr)
+    training.sgd_step(set_grads(params, grads), lr=lr, clip=clip)
     assert all(p.grad is None for p in params.values())
 
 
@@ -151,6 +150,81 @@ def test_in_place_sgd_gives_the_bits_of_the_whole_array_formula(dtype):
             assert np.array_equal(params[k].data, ref[k]), k
 
 
+def clipped_params(rng):
+    """A float32 weight of three row blocks, a 1-D bias of three blocks, and a
+    parameter that gets no gradient."""
+    shapes = {"w": (3, 70_000), "b": (150_000,), "frozen": (4, 5)}
+    return {k: T.Tensor(rng.standard_normal(s).astype(np.float32)) for k, s in shapes.items()}
+
+
+def clipped_grads(rng, params):
+    """Gradients of ``w`` and ``b`` that reach well beyond +/-0.5."""
+    grads = {k: (3 * rng.standard_normal(params[k].data.shape)).astype(np.float32) for k in ("w", "b")}
+    assert all(len(T._row_blocks(g)) == 3 and (np.abs(g) > 0.5).mean() > 0.8 for g in grads.values())
+    return grads
+
+
+@pytest.mark.parametrize("separate_clip", [False, True])
+def test_clipped_sgd_step_gives_the_bits_of_the_whole_array_formula(separate_clip):
+    rng = np.random.default_rng(21)
+    params = clipped_params(rng)
+    grads = clipped_grads(rng, params)
+    ref = {k: p.data.copy() for k, p in params.items()}
+    for k, g in grads.items():  # clip_grads, then sgd_step, as whole arrays
+        g = g.copy()
+        np.clip(g, -0.5, 0.5, out=g)
+        np.multiply(g, 0.06, out=g)
+        ref[k] -= g
+    set_grads(params, grads)
+    if separate_clip:
+        training.clip_grads(params, 0.5)
+        training.sgd_step(params, lr=0.06)
+    else:
+        training.sgd_step(params, lr=0.06, clip=0.5)
+    for k, p in params.items():
+        assert p.grad is None and p.data.dtype == np.float32
+        assert np.array_equal(p.data, ref[k]), k
+
+
+def test_clipped_adagrad_steps_give_the_bits_of_the_whole_array_formula():
+    rng = np.random.default_rng(22)
+    params = clipped_params(rng)
+    ref = {k: p.data.copy() for k, p in params.items()}
+    ref_acc = {}
+    state = {}
+    lr, eps = 0.05, 1e-8
+    for _ in range(2):
+        grads = clipped_grads(rng, params)
+        for k, g in grads.items():  # clip_grads, then adagrad_step, as whole arrays
+            g = g.copy()
+            np.clip(g, -0.5, 0.5, out=g)
+            acc = ref_acc.setdefault(k, np.zeros_like(ref[k]))
+            acc += g * g
+            ref[k] -= lr * g / (np.sqrt(acc) + eps)
+        training.adagrad_step(set_grads(params, grads), state, lr=lr, eps=eps, clip=0.5)
+        for k, p in params.items():
+            assert p.grad is None and p.data.dtype == np.float32
+            assert np.array_equal(p.data, ref[k]), k
+    assert state.keys() == ref_acc.keys()
+    for k in state:
+        assert np.array_equal(state[k], ref_acc[k]), k
+
+
+def test_adagrad_step_allocates_no_full_size_temporary():
+    rng = np.random.default_rng(23)
+    w = T.Tensor(rng.standard_normal((2000, 1000)).astype(np.float32))
+    state = {}
+    adagrad({"w": w}, {"w": rng.standard_normal(w.data.shape).astype(np.float32)}, state, lr=0.1)
+    g = rng.standard_normal(w.data.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        adagrad({"w": w}, {"w": g}, state, lr=0.1, clip=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * w.data.nbytes, peak / w.data.nbytes
+
+
 class StubModel:
     """Fixed-logit model for evaluate() tests; predicts in chunks of four."""
 
@@ -205,12 +279,15 @@ class TestTrainLoop:
         def run():
             vocab, train_set, dev_set = load_sets(cfg)
             net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
-            return training.train(net, train_set, dev_set, cfg)
+            result = training.train(net, train_set, dev_set, cfg)
+            training.restore_params(net, result.best_params)
+            return net, result
 
-        a, b = run(), run()
+        (net_a, a), (net_b, b) = run(), run()
         assert [r.__dict__ for r in a.history] == [r.__dict__ for r in b.history]
-        for k in a.best_params:
-            assert np.array_equal(a.best_params[k], b.best_params[k])
+        pa, pb = net_a.named_parameters(), net_b.named_parameters()
+        for k in pa:
+            assert np.array_equal(pa[k].data, pb[k].data), k
 
     def test_best_params_reproduce_best_dev_accuracy(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=4, patience=4)
@@ -220,6 +297,41 @@ class TestTrainLoop:
         training.restore_params(net, result.best_params)
         assert training.evaluate(net, dev_set) == result.best_dev_acc
         assert result.best_dev_acc == max(r.dev_acc for r in result.history)
+
+    @pytest.mark.parametrize("accs, max_epochs, best_epoch", [
+        ((0.5, 0.9, 0.6, 0.4), 10, 2),   # early stop two epochs after the best
+        ((0.5, 0.9, 0.6, 0.95), 4, 4),   # a later best drops the epoch-2 snapshot
+    ])
+    def test_restore_gives_the_best_epochs_parameters(self, tmp_path, monkeypatch, accs, max_epochs,
+                                                     best_epoch):
+        scripted = iter(accs)
+        monkeypatch.setattr(training, "_dev_stats", lambda model, examples: (next(scripted), 0.0))
+        cfg = tiny_config(tmp_path, max_epochs=max_epochs, patience=2)
+        vocab, train_set, dev_set = load_sets(cfg)
+        net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+        params = net.named_parameters()
+        at_best = {}
+
+        def log(record):
+            if record.epoch == best_epoch:
+                at_best.update({k: p.data.copy() for k, p in params.items()})
+
+        result = training.train(net, train_set, dev_set, cfg, log=log)
+        assert len(result.history) == 4
+        assert (result.best_epoch, result.best_dev_acc) == (best_epoch, max(accs))
+        assert (result.best_params == {}) == (best_epoch == 4)
+        if best_epoch < 4:
+            assert any(not np.array_equal(p.data, at_best[k]) for k, p in params.items())
+        training.restore_params(net, result.best_params)
+        for k, p in params.items():
+            assert np.array_equal(p.data, at_best[k]), k
+
+    def test_one_epoch_copies_nothing(self, tmp_path):
+        cfg = tiny_config(tmp_path, max_epochs=1, patience=1)
+        vocab, train_set, dev_set = load_sets(cfg)
+        net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+        result = training.train(net, train_set, dev_set, cfg)
+        assert result.best_epoch == 1 and result.best_params == {}
 
     def test_early_stopping_respects_patience(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=50, patience=2, learning_rate=1e-9)
@@ -247,8 +359,9 @@ class TestTrainLoop:
     def test_step_gradients_do_not_outlive_the_step(self, tmp_path):
         """Tracemalloc peak of one ``train`` call on a model whose ``head.w1``
         is almost all of it: the step's gradients are spent in place and
-        dropped before the dev pass, so only one W1-sized array (the gradient,
-        later the best-epoch snapshot) is ever alive beside the model."""
+        dropped before the dev pass, and a single epoch takes no best-epoch
+        snapshot, so only one W1-sized array (the gradient) is ever alive
+        beside the model."""
         cfg = tiny_config(tmp_path, r=8, b=8192, max_epochs=1, patience=1)
         vocab, train_set, dev_set = load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
