@@ -5,8 +5,7 @@ embedding, trained with a Frobenius-norm redundancy penalty, with dense,
 pruned-structured, and gated pairwise classifier heads.
 """
 
-from .attention import (attend, attend_vector, mean_pairwise_overlap, overall_attention, overlap,
-                        penalty, pool)
+from .attention import attend, attend_vector, mean_pairwise_overlap, overall_attention, penalty, pool
 from .checks import grad_check
 from .config import RunConfig, load_run_config
 from .data import Vocab, build_vocab, load_dataset, load_pretrained

@@ -48,15 +48,9 @@ def penalty_value(a):
     return float((d * d).sum())
 
 
-def overlap(a_i, a_j):
-    """Shared probability mass of two hops: sum_k a_k^i a_k^j, in [0, 1]."""
-    a_i = np.asarray(getattr(a_i, "data", a_i))
-    a_j = np.asarray(getattr(a_j, "data", a_j))
-    return float((a_i * a_j).sum())
-
-
 def mean_pairwise_overlap(a):
-    """Average overlap over distinct hop pairs; zero for a single hop."""
+    """Average overlap sum_k a_k^i a_k^j (shared probability mass, in [0, 1])
+    over distinct hop pairs i != j; zero for a single hop."""
     a = np.asarray(getattr(a, "data", a))
     r = a.shape[0]
     if r < 2:

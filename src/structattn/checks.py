@@ -95,6 +95,12 @@ def _op_checks(rng):
          [_rand(rng, 2, 3, 2), _rand(rng, 3, 2, 4)]),
         ("transpose_batch", lambda x, y: T.sum_all(T.mul(T.transpose(x), y)),
          [_rand(rng, 2, 3, 4), _rand(rng, 2, 4, 3)]),
+        # two reads of one leaf, ids repeated within and across them, and rows
+        # 2 and 4 never read: the leaf's gradient is a two-part ``RowGrad``
+        ("gather_rows_leaf_twice", lambda x: T.add(
+            T.frobenius_sq(T.gather_rows(x, np.array([3, 1, 3]))),
+            T.sum_all(T.tanh_elem(T.gather_rows(x, np.array([1, 0, 1, 3]))))),
+         [_rand(rng, 5, 2)]),
     ]
     return checks
 
@@ -152,15 +158,15 @@ def _max_rel_err(loss, arrays, grads, eps):
     """Worst relative error of ``grads`` against central differences of ``loss``.
 
     Each element of each array is moved by +/-``eps`` in place and restored;
-    ``loss()`` recomputes the scalar from the arrays as they stand, and a
-    gradient of None stands for zeros. The error
+    ``loss()`` recomputes the scalar from the arrays as they stand, a
+    gradient is read densely through ``np.asarray``, and None stands for zeros. The error
     per coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8),
     and one NaN error makes the result NaN, so it never passes.
     """
     worst = 0.0
     for arr, grad in zip(arrays, grads):
         flat = arr.reshape(-1)
-        a_flat = np.zeros(flat.size) if grad is None else grad.reshape(-1)
+        a_flat = np.zeros(flat.size) if grad is None else np.asarray(grad).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps

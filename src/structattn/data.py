@@ -30,7 +30,7 @@ class Vocab:
         if id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError("vocab must reserve ids 0/1 for the pad/unk tokens")
         self.id_to_token = list(id_to_token)
-        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        self.token_to_id = dict(zip(self.id_to_token, range(len(self.id_to_token))))
         if len(self.token_to_id) != len(self.id_to_token):
             # a repeated token would map to its last id and strand the earlier row
             seen = {}
@@ -61,8 +61,9 @@ def build_vocab(corpus, min_count=1):
         counts.update(tokens)
     if not counts:
         raise DataError("empty corpus")
-    kept = sorted((tok for tok, c in counts.items() if c >= min_count),
-                  key=lambda tok: (-counts[tok], tok))
+    # lexicographic, then a stable sort by count: ties keep lexicographic order
+    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)
     return Vocab([PAD_TOKEN, UNK_TOKEN] + kept)
 
 

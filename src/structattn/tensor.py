@@ -8,6 +8,11 @@ in reverse topological order. Graphs are rebuilt on every forward pass
 Two precisions are in play: float32 is the training default, float64 is used
 wherever gradients are compared against finite differences (float32 has too
 little headroom for central differences at eps=1e-5).
+
+A leaf's gradient lives in its ``grad``. It is an ndarray, except for a leaf
+that only ``gather_rows`` has read (an embedding table): that one gets a
+``RowGrad``, which holds the rows a backward touched and nothing else.
+``np.asarray(p.grad)`` is the dense gradient either way.
 """
 
 from __future__ import annotations
@@ -94,18 +99,29 @@ class Tensor:
         passed through, views of it, numpy scalars) is copied, so no two
         gradients ever share memory.
         """
-        if self.grad is None:
-            if fresh and type(g) is np.ndarray and g.shape == self.data.shape and g.dtype == self.data.dtype:
-                self.grad = g
-                return
-            self.grad = np.zeros_like(self.data)
+        if self.grad is None and fresh and type(g) is np.ndarray \
+                and g.shape == self.data.shape and g.dtype == self.data.dtype:
+            self.grad = g
+            return
+        self._dense_grad()
         self.grad += g
+
+    def _dense_grad(self):
+        """This tensor's gradient as an ndarray: zeros if there is none yet, and
+        a ``RowGrad`` turned into the dense array it stands for."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        elif type(self.grad) is RowGrad:
+            self.grad = np.asarray(self.grad)
+        return self.grad
 
     def backward(self):
         """Backpropagate from a scalar, filling in ``grad``.
 
         Every reachable leaf with ``requires_grad`` receives a gradient of the
-        same shape as its data. Deterministic for identical graphs.
+        same shape as its data: an ndarray, or a ``RowGrad`` for a leaf read
+        only through ``gather_rows``; ``np.asarray(p.grad)`` is the dense
+        gradient. Deterministic for identical graphs.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
@@ -114,6 +130,58 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+
+
+class RowGrad:
+    """The gradient of a 2-D leaf as the rows that backward touched.
+
+    ``gather_rows`` adds each contribution ``(ids, g)``, the ids it read and
+    the gradient of those rows, in the order the backward pass makes them.
+    ``compact()`` sums them into sorted unique ids and their rows, with one
+    ``np.add.at`` per contribution in that order: the adds that ``np.add.at``
+    into a zero table makes, so each touched row has the bits of the dense
+    gradient and every other row is zero. ``np.asarray`` gives the dense
+    gradient. Contributions are held as given and never written to; the
+    sums go into new arrays.
+    """
+
+    __slots__ = ("shape", "dtype", "_parts", "_compact")
+
+    def __init__(self, shape, dtype):
+        self.shape = tuple(shape)
+        self.dtype = np.dtype(dtype)
+        self._parts = []
+        self._compact = False
+
+    @property
+    def nbytes(self):
+        """Bytes of the ids and rows held, which is all the memory it takes."""
+        return sum(ids.nbytes + g.nbytes for ids, g in self._parts)
+
+    def add(self, ids, g):
+        self._parts.append((ids, g))
+        self._compact = False
+
+    def compact(self):
+        """``(ids, rows)``: the sorted unique touched ids and their summed rows.
+
+        They replace the contributions, so a change to ``rows`` in place (a
+        clip) is a change to this gradient.
+        """
+        if not self._compact:
+            ids = np.unique(np.concatenate([i.reshape(-1) for i, _ in self._parts]))
+            rows = np.zeros((ids.size, *self.shape[1:]), self.dtype)
+            for i, g in self._parts:
+                np.add.at(rows, np.searchsorted(ids, i), g)
+            self._parts = [(ids, rows)]
+            self._compact = True
+        return self._parts[0]
+
+    def __array__(self, dtype=None, copy=None):
+        ids, rows = self.compact()
+        dense = np.zeros(self.shape, self.dtype)
+        dense[ids] = rows
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def _toposort(root):
@@ -382,10 +450,9 @@ def sum_squares(ws, coeff):
         for w in ws:
             if not w.requires_grad:
                 continue
-            if w.grad is None:
-                w.grad = np.zeros_like(w.data)
+            grad = w._dense_grad()
             for rows in _row_blocks(w.data):
-                w.grad[rows] += np.multiply(w.data[rows], c)
+                grad[rows] += np.multiply(w.data[rows], c)
 
     return _from_op(data, tuple(ws), bk)
 
@@ -448,7 +515,8 @@ def reshape(x, shape):
 def gather_rows(x, ids):
     """Select rows of a 2-D tensor; gradients accumulate across repeated ids.
 
-    A scalar id selects one row, as a 1-D tensor.
+    A scalar id selects one row, as a 1-D tensor. A leaf's gradient is a
+    ``RowGrad`` of the rows read, unless another op has made it dense first.
     """
     ids = np.asarray(ids)
     if x.ndim != 2:
@@ -458,10 +526,15 @@ def gather_rows(x, ids):
     data = x.data[ids]
 
     def bk(g):
-        if x.requires_grad:
+        if not x.requires_grad:
+            return
+        if x._backward is None and (x.grad is None or type(x.grad) is RowGrad):
+            # a leaf read by row (an embedding table) keeps only the rows read
             if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, ids, g)
+                x.grad = RowGrad(x.data.shape, x.data.dtype)
+            x.grad.add(ids, g)
+        else:
+            np.add.at(x._dense_grad(), ids, g)
 
     return _from_op(data, (x,), bk)
 

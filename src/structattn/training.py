@@ -6,9 +6,11 @@ and L2 over attention and head weight matrices only, added once per batch as
 one fused node. A step passes over each full-size weight about once: its
 gradient is adopted from the op that made it, L2 adds into it in place, and
 clipping and the update (SGD or AdaGrad) share one pass, a row block at a
-time. Training keeps the parameters of the best dev epoch and stops early after
-``patience`` epochs without improvement. The best epoch's parameters are
-copied only when a later epoch is about to overwrite them.
+time. The embedding table's gradient holds only the rows the batch read, and
+only those rows are clipped and updated. Training keeps the parameters of the
+best dev epoch and stops early after ``patience`` epochs without improvement.
+The best epoch's parameters are copied only when a later epoch is about to
+overwrite them.
 """
 
 from __future__ import annotations
@@ -58,12 +60,22 @@ def _clip(g, clip):
         np.clip(g, -clip, clip, out=g)
 
 
+def _touched(p):
+    """``(ids, g)``: a dense ``p.grad`` with ids ``None``, or a ``RowGrad``'s
+    sorted touched ids and their rows, the only rows a step changes."""
+    g = p.grad
+    if type(g) is T.RowGrad:
+        return g.compact()
+    return None, g
+
+
 def clip_grads(params, clip):
     """Clamp every component of each ``p.grad`` to [-clip, +clip] in place."""
     for p in params.values():
         if p.grad is not None:
-            for rows in T._row_blocks(p.grad):
-                _clip(p.grad[rows], clip)
+            g = _touched(p)[1]
+            for rows in T._row_blocks(g):
+                _clip(g[rows], clip)
 
 
 def sgd_step(params, lr, clip=None):
@@ -72,17 +84,21 @@ def sgd_step(params, lr, clip=None):
     One pass per gradient: a row block at a time, the gradient is clipped to
     [-clip, +clip], scaled by ``lr`` and subtracted, with the elementwise
     expressions of whole-array clipping and ``p -= lr * g``, so the bits are
-    theirs.
+    theirs. A ``RowGrad`` updates its touched rows only; every other row's
+    update would be p - lr * 0 = p.
     """
     for p in params.values():
-        g = p.grad
-        if g is None:
+        if p.grad is None:
             continue
+        ids, g = _touched(p)
+        w = p.data if ids is None else p.data[ids]
         for rows in T._row_blocks(g):
-            gb, w = g[rows], p.data[rows]
+            gb, wb = g[rows], w[rows]
             _clip(gb, clip)
             np.multiply(gb, lr, out=gb)
-            w -= gb
+            wb -= gb
+        if ids is not None:
+            p.data[ids] = w
         p.grad = None
 
 
@@ -93,23 +109,28 @@ def adagrad_step(params, state, lr, eps=1e-8, clip=None):
     Like ``sgd_step``, one blocked pass per gradient that clips, then updates
     with the whole-array expressions ``acc += g * g`` and
     ``p -= lr * g / (sqrt(acc) + eps)``; its temporaries are one block in size.
+    A ``RowGrad`` updates only its touched rows of ``p`` and ``acc``; every
+    other row would add 0 to ``acc`` and subtract 0 / (sqrt(acc) + eps) = 0.
     """
     for name, p in params.items():
-        g = p.grad
-        if g is None:
+        if p.grad is None:
             continue
         acc = state.get(name)
         if acc is None:
             acc = state[name] = np.zeros_like(p.data)
+        ids, g = _touched(p)
+        w, a = (p.data, acc) if ids is None else (p.data[ids], acc[ids])
         for rows in T._row_blocks(g):
-            gb, a, w = g[rows], acc[rows], p.data[rows]
+            gb, ab, wb = g[rows], a[rows], w[rows]
             _clip(gb, clip)
-            a += gb * gb
-            denom = np.sqrt(a)
+            ab += gb * gb
+            denom = np.sqrt(ab)
             denom += eps
             np.multiply(gb, lr, out=gb)
             gb /= denom
-            w -= gb
+            wb -= gb
+        if ids is not None:
+            p.data[ids], acc[ids] = w, a
         p.grad = None
 
 

@@ -64,9 +64,9 @@ def test_criterion_2_penalty_semantics():
     uniform = T.Tensor(np.full((2, 4), 0.25))
     assert abs(attention.penalty(uniform).item() - 1.25) <= 1e-6
 
-    assert attention.overlap(np.array([1.0, 0, 0]), np.array([0.0, 1, 0])) == 0.0
+    assert attention.mean_pairwise_overlap(np.array([[1.0, 0, 0], [0.0, 1, 0]])) == 0.0
     one_hot = np.array([0.0, 0, 1.0])
-    assert attention.overlap(one_hot, one_hot) == 1.0
+    assert attention.mean_pairwise_overlap(np.stack([one_hot, one_hot])) == 1.0
     report(2, "penalty 0 for disjoint one-hot, 1.25 for uniform r=2 n=4, overlap endpoints 0 and 1")
 
 

@@ -141,28 +141,29 @@ class TestPenalty:
 
 
 class TestOverlap:
+    """The overlap of hops i and j is their shared mass, sum_k a_k^i a_k^j."""
+
     def test_disjoint_supports(self):
-        assert attention.overlap(np.array([1.0, 0, 0]), np.array([0.0, 1, 0])) == 0.0
+        assert attention.mean_pairwise_overlap(np.array([[1.0, 0, 0], [0.0, 1, 0]])) == 0.0
 
     def test_identical_one_hot_is_max(self):
-        assert attention.overlap(np.array([0.0, 1, 0]), np.array([0.0, 1, 0])) == 1.0
+        assert attention.mean_pairwise_overlap(np.array([[0.0, 1, 0], [0.0, 1, 0]])) == 1.0
 
     def test_two_uniform_rows(self):
-        u = np.full(4, 0.25)
-        assert attention.overlap(u, u) == pytest.approx(0.25)
+        assert attention.mean_pairwise_overlap(np.full((2, 4), 0.25)) == pytest.approx(0.25)
 
     def test_gram_diagonal_matches_self_overlap(self, rng):
         a = rng.dirichlet(np.ones(6), size=3)
         gram = a @ a.T
         for i in range(3):
-            assert gram[i, i] == pytest.approx(attention.overlap(a[i], a[i]))
+            assert gram[i, i] == pytest.approx((a[i] * a[i]).sum())
             assert 0 < gram[i, i] <= 1
             for j in range(3):
-                assert gram[i, j] == pytest.approx(attention.overlap(a[i], a[j]))
+                assert gram[i, j] == pytest.approx((a[i] * a[j]).sum())
 
     def test_mean_pairwise(self, rng):
         a = rng.dirichlet(np.ones(4), size=3)
-        pairs = [attention.overlap(a[i], a[j]) for i in range(3) for j in range(3) if i != j]
+        pairs = [(a[i] * a[j]).sum() for i in range(3) for j in range(3) if i != j]
         assert attention.mean_pairwise_overlap(a) == pytest.approx(np.mean(pairs))
         assert attention.mean_pairwise_overlap(a[:1]) == 0.0
 

@@ -52,7 +52,7 @@ def loss_and_grads(net, build):
         p.grad = None
     loss = build()
     loss.backward()
-    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+    grads = {name: (np.array(p.grad) if p.grad is not None else np.zeros_like(p.data))
              for name, p in params.items()}
     return loss.item(), grads
 

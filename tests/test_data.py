@@ -27,6 +27,24 @@ class TestVocab:
         v = data.build_vocab([["b", "b", "c", "a", "a", "d"]])
         assert v.id_to_token[2:] == ["a", "b", "c", "d"]
 
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_order_with_many_ties_is_count_desc_then_lexicographic(self, rng, min_count):
+        words = [f"{c}{i}" for c in "zyxab" for i in range(40)]
+        zipf = 1.0 / np.arange(1, len(words) + 1)
+        corpus = [[str(w) for w in rng.choice(words, size=rng.integers(1, 12), p=zipf / zipf.sum())]
+                  for _ in range(150)]
+        counts = {}
+        for tokens in corpus:
+            for tok in tokens:
+                counts[tok] = counts.get(tok, 0) + 1
+        assert len(set(counts.values())) < len(counts) / 4  # mostly ties
+        assert 1 in counts.values()  # min_count 2 drops some
+        kept = sorted((tok for tok, c in counts.items() if c >= min_count),
+                      key=lambda tok: (-counts[tok], tok))
+        v = data.build_vocab(corpus, min_count=min_count)
+        assert v.id_to_token[2:] == kept
+        assert v.token_to_id == {tok: i for i, tok in enumerate(v.id_to_token)}
+
     def test_reserved_ids(self):
         v = data.build_vocab([["w"]])
         assert v.token_to_id[data.PAD_TOKEN] == 0

@@ -226,10 +226,11 @@ class TestStructuralOps:
         out = T.gather_rows(table, np.array([1, 1, 3]))
         assert np.array_equal(out.data[0], out.data[1])
         T.sum_all(out).backward()
+        grad = np.array(table.grad)
         # repeated row accumulates twice
-        assert np.allclose(table.grad[1], 2.0)
-        assert np.allclose(table.grad[3], 1.0)
-        assert np.allclose(table.grad[0], 0.0)
+        assert np.allclose(grad[1], 2.0)
+        assert np.allclose(grad[3], 1.0)
+        assert np.allclose(grad[0], 0.0)
 
     def test_gather_out_of_range(self, rng):
         with pytest.raises(IndexError):
@@ -244,6 +245,66 @@ class TestStructuralOps:
         assert np.array_equal(x.grad, np.eye(3)[1][:, None] * np.ones(4))
         with pytest.raises(IndexError):
             T.gather_rows(x, 3)
+
+
+
+class TestRowGrad:
+    """A leaf read by ``gather_rows`` gets the rows it gave, as a ``RowGrad``
+    with the bits of the dense ``np.add.at`` gradient. The reference runs the
+    same graph through a ``reshape``, so its gather reads a non-leaf and
+    takes the dense path."""
+
+    # ids repeat within each read and across both, so row 3 gets four adds
+    READS = (np.array([3, 0, 3, 7, 3]), np.array([7, 3, 0]))
+
+    def loss(self, x, weights, via_reshape, extra=None):
+        src = T.reshape(x, x.shape) if via_reshape else x
+        terms = [T.sum_all(T.mul(T.gather_rows(src, ids), T.Tensor(w)))
+                 for ids, w in zip(self.READS, weights)]
+        if extra is not None:
+            # the first operand's backward runs last, after both gathers'
+            terms.insert(0, extra(src))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = T.add(loss, term)
+        return loss
+
+    def grads(self, rng, extra=None):
+        table = rng.standard_normal((9, 4)).astype(np.float32)
+        weights = [rng.standard_normal((ids.size, 4)).astype(np.float32) for ids in self.READS]
+        out = []
+        for via_reshape in (False, True):
+            x = T.Tensor(table.copy(), requires_grad=True)
+            self.loss(x, weights, via_reshape, extra).backward()
+            out.append(x.grad)
+        return out
+
+    def test_leaf_gradient_is_the_touched_rows_with_the_dense_bits(self, rng):
+        got, want = self.grads(rng)
+        assert type(got) is T.RowGrad and type(want) is np.ndarray
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float32
+        assert np.array_equal(np.asarray(got), want)
+        ids, rows = got.compact()
+        assert np.array_equal(ids, [0, 3, 7])
+        assert np.array_equal(rows, want[ids])
+        assert not want[[1, 2, 4, 5, 6, 8]].any()
+        assert got.nbytes == ids.nbytes + rows.nbytes < want.nbytes
+        assert np.array_equal(np.asarray(got), want)  # compacting keeps the bits
+
+    def test_a_dense_contribution_makes_the_gradient_dense_with_the_same_bits(self, rng):
+        got, want = self.grads(rng, extra=lambda src: T.frobenius_sq(src))
+        assert type(got) is np.ndarray and np.array_equal(got, want)
+
+    def test_sum_squares_adds_into_a_row_gradient_with_the_same_bits(self, rng):
+        got, want = self.grads(rng, extra=lambda src: T.sum_squares([src], 0.3))
+        assert type(got) is np.ndarray and np.array_equal(got, want)
+
+    def test_a_gathered_non_leaf_keeps_a_dense_gradient(self, rng):
+        x = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        y = T.scale(x, 2.0)
+        T.sum_all(T.gather_rows(y, np.array([1, 1]))).backward()
+        assert type(y.grad) is np.ndarray
+        assert np.array_equal(x.grad, [[0.0] * 4, [4.0] * 4, [0.0] * 4])
 
 
 class TestDropout:

@@ -225,6 +225,91 @@ def test_adagrad_step_allocates_no_full_size_temporary():
     assert peak < 0.25 * w.data.nbytes, peak / w.data.nbytes
 
 
+
+def row_grad(rng, table):
+    """A ``RowGrad`` of ``table`` from two reads, and its dense reference.
+
+    Ids repeat within each read and across both, the PAD id 0 among them, and
+    most components reach beyond +/-0.5. The reference is what the backward of
+    ``gather_rows`` made before: ``np.add.at`` of each read into a zero table.
+    """
+    reads = [np.array([0, 17, 5, 17, 0, 17]), np.array([5, 17, 0, 63, 5])]
+    grad = T.RowGrad(table.shape, table.dtype)
+    dense = np.zeros_like(table)
+    for ids in reads:
+        g = (3 * rng.standard_normal((ids.size, table.shape[1]))).astype(np.float32)
+        grad.add(ids, g)
+        np.add.at(dense, ids, g)
+    assert (np.abs(dense[[0, 5, 17, 63]]) > 0.5).mean() > 0.8
+    return grad, dense
+
+
+@pytest.mark.parametrize("separate_clip", [False, True])
+def test_row_grad_sgd_step_gives_the_bits_of_the_dense_formula(separate_clip):
+    rng = np.random.default_rng(24)
+    table = T.Tensor(rng.standard_normal((64, 9)).astype(np.float32))
+    table.grad, dense = row_grad(rng, table.data)
+    ref = table.data.copy()
+    np.clip(dense, -0.5, 0.5, out=dense)  # clip_grads, then sgd_step, as whole arrays
+    np.multiply(dense, 0.06, out=dense)
+    ref -= dense
+    if separate_clip:
+        training.clip_grads({"table": table}, 0.5)
+        training.sgd_step({"table": table}, lr=0.06)
+    else:
+        training.sgd_step({"table": table}, lr=0.06, clip=0.5)
+    assert table.grad is None and table.data.dtype == np.float32
+    assert np.array_equal(table.data, ref)
+
+
+def test_clip_grads_clips_a_row_grad_in_place():
+    rng = np.random.default_rng(25)
+    grad, dense = row_grad(rng, np.zeros((64, 9), np.float32))
+    table = T.Tensor(np.zeros((64, 9), np.float32))
+    table.grad = grad
+    training.clip_grads({"table": table}, 0.5)
+    assert table.grad is grad
+    assert np.array_equal(np.asarray(grad), np.clip(dense, -0.5, 0.5))
+
+
+def test_row_grad_adagrad_steps_give_the_bits_of_the_dense_formula():
+    rng = np.random.default_rng(26)
+    table = T.Tensor(rng.standard_normal((64, 9)).astype(np.float32))
+    ref = table.data.copy()
+    ref_acc = np.zeros_like(ref)
+    state = {}
+    lr, eps = 0.05, 1e-8
+    for _ in range(2):
+        table.grad, g = row_grad(rng, table.data)
+        np.clip(g, -0.5, 0.5, out=g)  # clip_grads, then adagrad_step, as whole arrays
+        ref_acc += g * g
+        ref -= lr * g / (np.sqrt(ref_acc) + eps)
+        training.adagrad_step({"table": table}, state, lr=lr, eps=eps, clip=0.5)
+        assert table.grad is None and table.data.dtype == np.float32
+        assert np.array_equal(table.data, ref)
+        assert np.array_equal(state["table"], ref_acc)
+
+
+def test_embedding_backward_and_step_allocate_nothing_table_sized():
+    """Backward and an SGD step over a 40 MB table of which about 100 rows
+    are read allocate under 1 MB; a dense gradient alone would be 40 MB."""
+    rng = np.random.default_rng(27)
+    table = T.Tensor(rng.standard_normal((200_000, 50)).astype(np.float32), requires_grad=True)
+    ids = rng.integers(0, 200_000, size=100)
+    before = table.data.copy()
+    tracemalloc.start()
+    try:
+        T.sum_all(T.gather_rows(table, ids)).backward()
+        assert type(table.grad) is T.RowGrad
+        training.sgd_step({"table": table}, lr=0.1, clip=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    changed = np.flatnonzero((table.data != before).any(axis=1))
+    assert np.array_equal(changed, np.unique(ids))
+
+
 class StubModel:
     """Fixed-logit model for evaluate() tests; predicts in chunks of four."""
 
