@@ -21,13 +21,6 @@ def attend(h, w1, w2):
     return T.softmax_rows(scores)
 
 
-def attend_vector(h, w1, w2_row):
-    """Single-hop attention: a weight vector over the n positions."""
-    scores = T.matmul(w2_row, T.tanh_elem(T.matmul(w1, T.transpose(h))))
-    a = T.softmax_rows(T.reshape(scores, (1, -1)))
-    return T.gather_rows(a, 0)
-
-
 def pool(a, h):
     """Matrix embedding M = A @ H; each row of M is a convex mix of rows of H."""
     if a.shape[1] != h.shape[0]:

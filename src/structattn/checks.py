@@ -3,6 +3,11 @@
 Each check compares backprop gradients against central differences in 64-bit
 mode and reports the max relative error; thresholds follow the one used
 throughout: 1e-4 at eps=1e-5.
+
+The references live here too, on no model path: the single-step LSTM cell
+``lstm_step`` and the single-hop ``attend_vector``, which the op checks and
+the tests hold the fused scan and ``attention.attend`` against, and the
+extended-precision forward of the full-model check.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, encoder, heads, model as model_mod, training
+from . import attention, heads, model as model_mod, training
 from . import tensor as T
 from .config import RunConfig
 
@@ -101,6 +106,8 @@ def _op_checks(rng):
             T.frobenius_sq(T.gather_rows(x, np.array([3, 1, 3]))),
             T.sum_all(T.tanh_elem(T.gather_rows(x, np.array([1, 0, 1, 3]))))),
          [_rand(rng, 5, 2)]),
+        # a packed batch of three sentences, one of them a single row
+        ("lstm_scan_packed", _lstm_scan_packed_loss, _lstm_scan_packed_inputs(rng)),
     ]
     return checks
 
@@ -112,7 +119,7 @@ def _lstm_step_inputs(rng):
 
 
 def _lstm_step_loss(x, h0, c0, w_x, w_h, b):
-    h, c = encoder.lstm_step(x, h0, c0, w_x, w_h, b)
+    h, c = lstm_step(x, h0, c0, w_x, w_h, b)
     return T.sum_all(T.mul(h, c))
 
 
@@ -121,9 +128,22 @@ def _lstm_scan_inputs(rng):
     return [_rand(rng, n, d), _rand(rng, 4 * u, d), _rand(rng, 4 * u, u), _rand(rng, 4 * u)]
 
 
-def _lstm_scan_loss(x, w_x, w_h, b):
+def _lstm_scan_loss(x, w_x, w_h, b, lengths=(3,)):
     """Couples both scan directions so each one's gradient depends on the other."""
-    return T.sum_all(T.mul(T.lstm_scan(x, w_x, w_h, b), T.lstm_scan(x, w_x, w_h, b, reverse=True)))
+    return T.sum_all(T.mul(T.lstm_scan(x, lengths, w_x, w_h, b),
+                           T.lstm_scan(x, lengths, w_x, w_h, b, reverse=True)))
+
+
+_PACKED_LENGTHS = (2, 1, 3)
+
+
+def _lstm_scan_packed_inputs(rng):
+    d, u = 3, 4
+    return [_rand(rng, sum(_PACKED_LENGTHS), d), _rand(rng, 4 * u, d), _rand(rng, 4 * u, u), _rand(rng, 4 * u)]
+
+
+def _lstm_scan_packed_loss(x, w_x, w_h, b):
+    return _lstm_scan_loss(x, w_x, w_h, b, _PACKED_LENGTHS)
 
 
 def _attend_pool_inputs(rng):
@@ -202,6 +222,32 @@ def run_op_checks(seed=0):
         err = grad_check(fn, inputs)
         results.append(CheckResult(name, err, err < TOLERANCE))
     return results
+
+
+def lstm_step(x_t, h_prev, c_prev, w_x, w_h, bias):
+    """One LSTM recurrence as a graph of elementary ops: the reference for
+    ``tensor.lstm_scan``. Sigmoid input/forget/output gates, tanh candidate.
+
+    Gates are stacked input/forget/cell/output along the rows of ``w_x``,
+    ``w_h`` and ``bias``.
+    """
+    z = T.add(T.add(T.matmul(w_x, x_t), T.matmul(w_h, h_prev)), bias)
+    gates = T.reshape(z, (4, w_h.shape[1]))
+    i = T.sigmoid(T.gather_rows(gates, 0))
+    f = T.sigmoid(T.gather_rows(gates, 1))
+    g = T.tanh_elem(T.gather_rows(gates, 2))
+    o = T.sigmoid(T.gather_rows(gates, 3))
+    c = T.add(T.mul(f, c_prev), T.mul(i, g))
+    h = T.mul(o, T.tanh_elem(c))
+    return h, c
+
+
+def attend_vector(h, w1, w2_row):
+    """Single-hop attention, a weight vector over the n rows of H: the
+    reference ``attention.attend`` must equal at r = 1."""
+    scores = T.matmul(w2_row, T.tanh_elem(T.matmul(w1, T.transpose(h))))
+    a = T.softmax_rows(T.reshape(scores, (1, -1)))
+    return T.gather_rows(a, 0)
 
 
 # Extended precision for the finite-difference side of the full-model check.

@@ -2,6 +2,8 @@
 
 Every command is a thin shell over the library; results go to stdout (or the
 requested output files), errors go to stderr with a nonzero exit code.
+``embed`` encodes packed batches of the checkpoint's ``batch_size``;
+``visualize`` predicts one sentence at a time.
 """
 
 from __future__ import annotations
@@ -112,11 +114,14 @@ def _read_sentences(path, lowercase):
 
 def cmd_embed(args):
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
+    sentences = [vocab.encode(tokens) for tokens in _read_sentences(args.sentences, cfg.lowercase)]
     blocks = []
     with T.no_grad():
-        for idx, tokens in enumerate(_read_sentences(args.sentences, cfg.lowercase)):
-            _, _, m = net.encode(vocab.encode(tokens))
-            blocks.append((idx, m.data))
+        # packed batches of the checkpoint's batch size: M has the bits of
+        # each sentence encoded alone
+        for start in range(0, len(sentences), cfg.batch_size):
+            for _, _, m in net.encode_batch(sentences[start:start + cfg.batch_size]):
+                blocks.append((len(blocks), m.data))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(viz.render_embedding_csv(blocks))
     print(f"wrote {len(blocks)} embedding blocks to {args.out}")
@@ -127,6 +132,8 @@ def cmd_visualize(args):
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     single = cfg.head in ("dense", "pruned")
     docs = []
+    # one sentence at a time: a dense head over B > 1 rows can move the
+    # logits' low bits
     with T.no_grad():
         for idx, tokens in enumerate(_read_sentences(args.sentences, cfg.lowercase)):
             ids = vocab.encode(tokens)

@@ -1,7 +1,9 @@
 """Token embedding and bidirectional LSTM encoding.
 
 A sentence enters as the ids of its real tokens (padding ends in
-``model.Classifier.encode``) and leaves as an n-by-2u hidden-state matrix.
+``model.Classifier``). A batch is encoded packed: its sentences' embedded
+rows one after another, and their lengths. It leaves as the packed rows of
+their n-by-2u hidden-state matrices.
 """
 
 from __future__ import annotations
@@ -19,29 +21,15 @@ def embed(tokens, table):
     return T.gather_rows(table, np.asarray(tokens))
 
 
-def lstm_step(x_t, h_prev, c_prev, w_x, w_h, bias):
-    """One LSTM recurrence: sigmoid input/forget/output gates, tanh candidate.
+def bilstm(s, lengths, fwd, bwd):
+    """Run both LSTM directions over a packed batch of embedded sentences.
 
-    Gates are stacked input/forget/cell/output along the rows of ``w_x``,
-    ``w_h`` and ``bias``.
-    """
-    z = T.add(T.add(T.matmul(w_x, x_t), T.matmul(w_h, h_prev)), bias)
-    gates = T.reshape(z, (4, w_h.shape[1]))
-    i = T.sigmoid(T.gather_rows(gates, 0))
-    f = T.sigmoid(T.gather_rows(gates, 1))
-    g = T.tanh_elem(T.gather_rows(gates, 2))
-    o = T.sigmoid(T.gather_rows(gates, 3))
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h = T.mul(o, T.tanh_elem(c))
-    return h, c
-
-
-def bilstm(s, fwd, bwd):
-    """Run both LSTM directions over an embedded sentence.
-
-    The forward scan runs left to right, the backward scan right to left, and
-    row t of the n-by-2u result concatenates their states at token t.
-    ``fwd`` and ``bwd`` are each one direction's ``(w_x, w_h, bias)``, in
+    ``s`` holds the rows of sentences of the given ``lengths``, one sentence
+    after another. Each direction is one ``lstm_scan`` over the whole batch:
+    the forward scan runs each sentence left to right, the backward scan right
+    to left, and row r of the result concatenates their states at row r, so
+    the rows of each sentence form its n-by-2u hidden-state matrix. ``fwd``
+    and ``bwd`` are each one direction's ``(w_x, w_h, bias)``, in
     ``lstm_scan``'s argument order.
     """
-    return T.concat([T.lstm_scan(s, *fwd), T.lstm_scan(s, *bwd, reverse=True)], axis=1)
+    return T.concat([T.lstm_scan(s, lengths, *fwd), T.lstm_scan(s, lengths, *bwd, reverse=True)], axis=1)

@@ -5,7 +5,9 @@ and draw order. A model is one ordered name -> Tensor map: ``build_model``
 fills it from ``_init``, checkpoint restore from the file's arrays, and the
 parameter audit counts its shapes, so a checkpoint written by one build
 always lines up with another. ``Classifier`` is the one place that hands
-each named tensor to the layer that uses it.
+each named tensor to the layer that uses it. It cuts each sentence of a
+batch to its real tokens and encodes the batch packed, one biLSTM pass for
+all of its sentences; a sentence gets the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -159,15 +161,26 @@ class Classifier:
         self.cfg = cfg
         self._params = params
 
-    def _encode(self, tokens, mask):
-        """Hidden states, annotation matrix, and matrix embedding over the
-        real tokens of one (padded) sentence."""
+    def encode_batch(self, sentences):
+        """Hidden states, annotation matrix and matrix embedding of each of
+        ``sentences``, each given as the ids of its real tokens.
+
+        The sentences are embedded one by one and packed, and ``bilstm`` runs
+        once over the packed batch; attention and pooling then run on each
+        sentence's own n-by-2u rows. Each sentence gets the bits it gets
+        encoded alone.
+        """
         p = self._params
-        s = encoder.embed(_real_ids(tokens, mask), p["embedding.table"])
-        h = encoder.bilstm(s, (p["lstm_fwd.w_x"], p["lstm_fwd.w_h"], p["lstm_fwd.bias"]),
+        lengths = [len(ids) for ids in sentences]
+        s = T.concat([encoder.embed(ids, p["embedding.table"]) for ids in sentences])
+        h = encoder.bilstm(s, lengths, (p["lstm_fwd.w_x"], p["lstm_fwd.w_h"], p["lstm_fwd.bias"]),
                            (p["lstm_bwd.w_x"], p["lstm_bwd.w_h"], p["lstm_bwd.bias"]))
-        a = attention.attend(h, p["attention.w1"], p["attention.w2"])
-        return h, a, attention.pool(a, h)
+        out = []
+        for start, n in zip(np.cumsum(lengths) - lengths, lengths):
+            h_i = T.gather_rows(h, np.arange(start, start + n))
+            a = attention.attend(h_i, p["attention.w1"], p["attention.w2"])
+            out.append((h_i, a, attention.pool(a, h_i)))
+        return out
 
     def encode(self, tokens, mask=None):
         """Hidden states, annotation matrix, and matrix embedding for one sentence.
@@ -175,7 +188,7 @@ class Classifier:
         H and M come from the real tokens alone; A keeps one column per input
         position, and each padding column is exactly zero.
         """
-        h, a, m = self._encode(tokens, mask)
+        [(h, a, m)] = self.encode_batch([_real_ids(tokens, mask)])
         n_pad = len(tokens) - a.shape[1]
         if n_pad:
             a = T.concat([a, T.zeros((a.shape[0], n_pad), a.dtype)], axis=1)
@@ -186,23 +199,31 @@ class Classifier:
 
         ``tokens`` holds B (padded) id sequences and ``mask`` their masks, e.g.
         the rows of a ``data.Batch``; a missing mask marks every token real.
-        Each sentence is encoded from its own real tokens, so its annotation
-        matrix has one column per real token; then the head classifies the B
-        matrix embeddings together, stacked into one B-by-r-by-2u tensor. For
-        gated-pair, ``tokens`` are the hypotheses and ``prem_tokens`` the
-        premises, each example's annotation is the pair (A_hypothesis,
-        A_premise), and the head takes the B gated r-by-k factors.
+        Each sentence is cut to its own real tokens, so its annotation matrix
+        has one column per real token, and the batch is encoded as one packed
+        batch; then the head classifies the B matrix embeddings together,
+        stacked into one B-by-r-by-2u tensor. For gated-pair, ``tokens`` are
+        the hypotheses and ``prem_tokens`` the premises, packed pair by pair
+        (hypothesis, then premise); each example's annotation is the pair
+        (A_hypothesis, A_premise), and the head takes the B gated r-by-k
+        factors.
         """
         p = self._params
-        ms, attns = [], []
+        pair = self.cfg.head == "gated-pair"
+        sentences = []
         for i in range(len(tokens)):
-            _, a, m = self._encode(tokens[i], None if mask is None else mask[i])
-            if self.cfg.head == "gated-pair":
-                _, a_p, m_p = self._encode(prem_tokens[i], None if prem_mask is None else prem_mask[i])
-                m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
-            ms.append(T.reshape(m, (1, *m.shape)))
-            attns.append(a)
-        m = T.concat(ms)
+            sentences.append(_real_ids(tokens[i], None if mask is None else mask[i]))
+            if pair:
+                sentences.append(_real_ids(prem_tokens[i], None if prem_mask is None else prem_mask[i]))
+        encoded = self.encode_batch(sentences)
+        if pair:
+            ms = [heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"])
+                  for (_, _, m), (_, _, m_p) in zip(encoded[::2], encoded[1::2])]
+            attns = [(a, a_p) for (_, a, _), (_, a_p, _) in zip(encoded[::2], encoded[1::2])]
+        else:
+            ms = [m for _, _, m in encoded]
+            attns = [a for _, a, _ in encoded]
+        m = T.concat([T.reshape(m, (1, *m.shape)) for m in ms])
         if self.cfg.head == "pruned":
             return heads.pruned_forward(m, p["head.w_v"], p["head.w_h"],
                                         p["head.w_out"], p["head.b_out"]), attns

@@ -337,11 +337,14 @@ def tanh_elem(x):
     return _from_op(y, (x,), bk)
 
 
-def _sigmoid(d):
-    """Overflow-free logistic function of an array, in the array's dtype."""
+def _sigmoid(d, out=None):
+    """Overflow-free logistic function of a float array, in the array's dtype.
+
+    With e = exp(-|d|), it is 1/(1+e) where d >= 0 and e/(1+e) elsewhere:
+    max(e, 1) is 1 and max(e, 0) is e, since 0 <= e <= 1.
+    """
     e = np.exp(-np.abs(d))
-    denom = 1.0 + e
-    return np.where(d >= 0, 1.0 / denom, e / denom).astype(d.dtype, copy=False)
+    return np.divide(np.maximum(e, d >= 0), e + 1.0, out=out)
 
 
 def sigmoid(x):
@@ -607,86 +610,149 @@ def linear(x, w, b):
     return _from_op(data, (x, w, b), bk)
 
 
-def lstm_scan(x, w_x, w_h, bias, reverse=False):
-    """Hidden states of one LSTM direction over the rows of ``x``, as one op.
+def _scan_schedule(lengths, reverse):
+    """The step-by-step order of a packed batch, for ``lstm_scan``.
 
-    ``x`` is n-by-d, ``w_x`` 4u-by-d, ``w_h`` 4u-by-u and ``bias`` 4u, gates
-    stacked input/forget/cell/output. Row t of the n-by-u result is the state
-    after consuming row t, starting from zero state; ``reverse`` scans from
-    the last row to the first. Every row's input projection is one GEMM ahead
-    of the recurrence, and the backward pass is hand-written backpropagation
-    through time (Appleyard et al. 2016, arXiv:1604.01946).
+    Sentences run longest first (a stable sort), so the b_t sentences still
+    running at step t are a prefix of that order. Returns the lengths and
+    each sentence's first packed row, as arrays; b_t for each step t, and
+    offsets that give step t the positions ``offsets[t]:offsets[t + 1]`` of
+    a time-major array, as lists; and ``rows``, the packed row that each
+    time-major position reads.
     """
-    if x.ndim != 2 or x.shape[0] == 0 or w_h.ndim != 2:
-        raise ShapeError(f"lstm_scan needs non-empty 2-D x and w_h, got {x.shape} and {w_h.shape}")
-    n = x.shape[0]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths[order[0]])[:, None]
+    running = lengths[order] > steps
+    # the row within its sentence that step t reads
+    offset = lengths[order] - 1 - steps if reverse else steps
+    rows = (starts[order] + offset)[running]
+    active = running.sum(axis=1).tolist()
+    return lengths, starts, active, [0, *np.cumsum(active).tolist()], rows
+
+
+def lstm_scan(x, lengths, w_x, w_h, bias, reverse=False):
+    """Hidden states of one LSTM direction over a packed batch, as one op.
+
+    ``x`` is N-by-d: the rows of B sentences one after another, sentence i
+    ``lengths[i]`` rows long. ``w_x`` is 4u-by-d, ``w_h`` 4u-by-u and ``bias``
+    4u, gates stacked input/forget/cell/output. Row r of the N-by-u result is
+    the state of row r's sentence after consuming row r, starting from zero
+    state; ``reverse`` scans each sentence from its last row to its first.
+
+    The batch runs batch-major (Appleyard et al. 2016, arXiv:1604.01946),
+    sentences sorted by length (Khomenko et al. 2017, arXiv:1708.05604):
+    every row's input projection is one GEMM ahead of the recurrence, and
+    step t advances only the b_t sentences still running, with one broadcast
+    ``np.matmul`` of ``w_h`` by their states: b_t GEMVs in one call. The
+    backward pass is hand-written backpropagation through time, b_t wide in
+    the same way. Every sentence gets the bits of a scan over it alone: a
+    GEMV and the elementwise gate math do not depend on the batch, and the
+    weight and input gradients, whose bits depend on a sentence's length,
+    are each sentence's own GEMM or sum, added into the gradients from the
+    last sentence to the first, the order in which separate scans' backward
+    passes would add them.
+    """
+    if x.ndim != 2 or w_h.ndim != 2 or np.ndim(lengths) != 1 or len(lengths) == 0 \
+            or min(lengths) < 1 or sum(lengths) != x.shape[0]:
+        raise ShapeError(f"lstm_scan needs 2-D x and w_h and positive lengths summing to the rows of x, "
+                         f"got {x.shape}, {w_h.shape} and {list(lengths)}")
     four_u, u = w_h.shape
     if four_u != 4 * u or w_x.shape != (four_u, x.shape[1]) or bias.shape != (four_u,):
         raise ShapeError(f"inconsistent lstm_scan shapes: x {x.shape}, w_x {w_x.shape}, "
                          f"w_h {w_h.shape}, bias {bias.shape}")
     parents = (x, w_x, w_h, bias)
     record = _builds_graph(parents)
-    xw = x.data @ w_x.data.T
+    lengths, starts, active, offsets, rows = _scan_schedule(lengths, reverse)
+    n_seq = len(lengths)
+    xs = x.data[rows]
+    xw = xs @ w_x.data.T
+    # numpy computes a one-row product as a GEMV, whose bits differ from a
+    # GEMM row's; a one-row sentence (last in the order, at step 0) gets it
+    n_multi = int(np.count_nonzero(lengths > 1))
+    if n_multi < n_seq:
+        xw[n_multi:n_seq] = np.matmul(xs[n_multi:n_seq, None, :], w_x.data.T)[:, 0]
     wh, b = w_h.data, bias.data
     dtype = np.result_type(xw, wh, b)
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    n = x.shape[0]
+    # time-major: step t's rows are offsets[t]:offsets[t + 1], longest sentence
+    # first; the gates and cells of every step are kept only for a backward pass
     hs = np.empty((n, u), dtype)
-    if record:
-        gates = np.empty((n, four_u), dtype)
-        cells = np.empty((n, u), dtype)
-        tanh_cells = np.empty((n, u), dtype)
-    h = np.zeros(u, x.dtype)
-    c = np.zeros(u, x.dtype)
-    for t in order:
-        z = (xw[t] + wh @ h) + b
-        a = _sigmoid(z)
-        a[2 * u:3 * u] = np.tanh(z[2 * u:3 * u])
-        c = a[u:2 * u] * c + a[:u] * a[2 * u:3 * u]
-        tc = np.tanh(c)
-        h = a[3 * u:] * tc
-        hs[t] = h
-        if record:
-            gates[t], cells[t], tanh_cells[t] = a, c, tc
+    kept = n if record else n_seq
+    gates = np.empty((kept, four_u), dtype)
+    cells = np.empty((kept, u), dtype)
+    tanh_cells = np.empty((kept, u), dtype)
+    h = c = np.zeros((n_seq, u), dtype)  # the zero start state, only read
+    z = np.empty((n_seq, four_u), dtype)
+    cand = slice(2 * u, 3 * u)
+    for t, k in enumerate(active):
+        at = slice(offsets[t], offsets[t + 1])
+        keep = at if record else slice(k)
+        zt = z[:k]
+        np.matmul(wh, h[:k, :, None], out=zt[:, :, None])
+        np.add(xw[at], zt, out=zt)
+        zt += b
+        a = _sigmoid(zt, out=gates[keep])
+        np.tanh(zt[:, cand], out=a[:, cand])
+        c = np.multiply(a[:, u:2 * u], c[:k], out=cells[keep])
+        c += a[:, :u] * a[:, cand]
+        tc = np.tanh(c, out=tanh_cells[keep])
+        h = np.multiply(a[:, 3 * u:], tc, out=hs[at])
+    out = np.empty((n, u), dtype)
+    out[rows] = hs
 
     def previous(states):
-        """Row t holds the state the scan carried into step t (zero at its start)."""
-        out = np.zeros_like(states)
+        """Row t of one sentence's states holds the state the scan carried into
+        step t (zero at its start)."""
+        carried = np.zeros_like(states)
         if reverse:
-            out[:-1] = states[1:]
+            carried[:-1] = states[1:]
         else:
-            out[1:] = states[:-1]
-        return out
+            carried[1:] = states[:-1]
+        return carried
 
     def bk(g):
-        # derivative of each gate's activation with respect to its logit
-        act = gates * (1.0 - gates)
-        act[:, 2 * u:3 * u] = 1.0 - gates[:, 2 * u:3 * u] * gates[:, 2 * u:3 * u]
-        dtanh_c = 1.0 - tanh_cells * tanh_cells
-        c_prev = previous(cells)
-        dz = np.empty((n, four_u), dtype)
-        dh = np.zeros(u, dtype)
-        dc = np.zeros(u, dtype)
-        for k, t in enumerate(reversed(order)):
-            i, f = gates[t, :u], gates[t, u:2 * u]
-            cand, o = gates[t, 2 * u:3 * u], gates[t, 3 * u:]
-            dh = g[t] + dh
-            dc = dh * o * dtanh_c[t] + dc
-            dz[t, :u] = dc * cand
-            dz[t, u:2 * u] = dc * c_prev[t]
-            dz[t, 2 * u:3 * u] = dc * i
-            dz[t, 3 * u:] = dh * tanh_cells[t]
-            dz[t] *= act[t]
-            dc = dc * f
-            if k < n - 1:
-                dh = wh.T @ dz[t]
-        if w_h.requires_grad:
-            w_h._acc(dz.T @ previous(hs), fresh=True)
-        if w_x.requires_grad:
-            w_x._acc(dz.T @ x.data, fresh=True)
-        if bias.requires_grad:
-            bias._acc(dz.sum(axis=0), fresh=True)
-        if x.requires_grad:
-            x._acc(dz @ w_x.data, fresh=True)
+        # dz starts as each gate activation's derivative with respect to its
+        # logit; step t multiplies its rows into the gradient of the logits
+        dz = 1.0 - gates
+        dz *= gates
+        dz[:, cand] = 1.0 - gates[:, cand] * gates[:, cand]
+        d_act = np.empty((n_seq, four_u), dtype)
+        dh = np.zeros((n_seq, u), dtype)
+        dc = np.zeros((n_seq, u), dtype)
+        for t in range(len(active) - 1, -1, -1):
+            k = active[t]
+            at = slice(offsets[t], offsets[t + 1])
+            a, tc, dht, dct, da = gates[at], tanh_cells[at], dh[:k], dc[:k], d_act[:k]
+            c_prev = cells[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
+            dht += g[rows[at]]
+            dct += dht * a[:, 3 * u:] * (1.0 - tc * tc)
+            np.multiply(dct, a[:, cand], out=da[:, :u])
+            np.multiply(dct, c_prev, out=da[:, u:2 * u])
+            np.multiply(dct, a[:, :u], out=da[:, cand])
+            np.multiply(dht, tc, out=da[:, 3 * u:])
+            dzt = dz[at]
+            dzt *= da
+            dct *= a[:, u:2 * u]
+            if t:
+                np.matmul(wh.T, dzt[:, :, None], out=dht[:, :, None])
+        # the time-major position of each packed row
+        pos = np.empty_like(rows)
+        pos[rows] = np.arange(n)
+        dx = np.empty(x.shape, dtype) if x.requires_grad else None
+        for i in range(n_seq - 1, -1, -1):
+            r = slice(starts[i], starts[i] + lengths[i])
+            dz_i = dz[pos[r]]
+            if w_h.requires_grad:
+                w_h._acc(dz_i.T @ previous(out[r]), fresh=True)
+            if w_x.requires_grad:
+                w_x._acc(dz_i.T @ x.data[r], fresh=True)
+            if bias.requires_grad:
+                bias._acc(dz_i.sum(axis=0), fresh=True)
+            if dx is not None:
+                dx[r] = dz_i @ w_x.data
+        if dx is not None:
+            x._acc(dx, fresh=True)
 
-    return _from_op(hs, parents, bk)
-
+    return _from_op(out, parents, bk)

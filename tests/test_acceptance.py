@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from structattn import attention, checkpoint, cli, data, heads, training
+from structattn import attention, checkpoint, checks, cli, data, heads, training
 from structattn import model as model_mod
 from structattn import tensor as T
 from structattn.config import load_run_config
@@ -134,7 +134,7 @@ def test_criterion_6_single_hop_reduction_and_r_sweep(tmp_path, rng, capsys):
     hidden = T.Tensor(rng.standard_normal((n, width)))
     w1, w2 = attention_params(rng, d_a, 1, width)
     full = attention.attend(hidden, w1, w2)
-    single = attention.attend_vector(hidden, w1, T.gather_rows(w2, 0))
+    single = checks.attend_vector(hidden, w1, T.gather_rows(w2, 0))
     assert np.array_equal(full.data[0], single.data)
 
     cfg = toy_run_config(tmp_path, max_epochs=2, patience=2)

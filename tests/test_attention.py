@@ -34,7 +34,7 @@ class TestAttend:
         h = hidden(rng)
         w1, w2 = params(rng, hops=1)
         a = attention.attend(h, w1, w2)
-        v = attention.attend_vector(h, w1, T.gather_rows(w2, 0))
+        v = checks.attend_vector(h, w1, T.gather_rows(w2, 0))
         assert np.array_equal(a.data[0], v.data)
 
     def test_row_stochastic_with_masked_columns(self, rng):
@@ -56,12 +56,12 @@ class TestAttendVector:
     def test_zero_weights_uniform(self, rng):
         h = hidden(rng, n=4)
         w1 = T.Tensor(rng.standard_normal((3, 6)))
-        out = attention.attend_vector(h, w1, T.zeros(3, np.float64))
+        out = checks.attend_vector(h, w1, T.zeros(3, np.float64))
         assert np.allclose(out.data, 0.25)
 
     def test_weighted_sum_gradient(self, rng):
         def loss(h, w1, w2_row):
-            a = attention.attend_vector(h, w1, w2_row)
+            a = checks.attend_vector(h, w1, w2_row)
             m = T.matmul(a, h)
             return T.sum_all(T.mul(m, m))
 

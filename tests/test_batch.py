@@ -25,11 +25,11 @@ HEADS = {
 }
 
 
-def setup(head, seed=0):
+def setup(head, seed=0, dtype=np.float64):
     cfg = RunConfig(d=5, u=4, d_a=3, r=2, classes=3, penalty_coeff=0.7, l2=1e-3,
                     **HEADS[head]).validate()
     rng = np.random.default_rng(seed)
-    net = build_model(cfg, VOCAB, rng, dtype=np.float64)
+    net = build_model(cfg, VOCAB, rng, dtype=dtype)
 
     def sentence(n):
         return rng.integers(2, VOCAB, size=n)
@@ -169,3 +169,40 @@ def test_each_padded_sentence_gets_the_bits_it_gets_alone(head, monkeypatch):
             for (_, a, m), (a_batch, m_batch) in zip(alone, got):
                 assert np.array_equal(a.data, a_batch.data)
                 assert np.array_equal(m.data, m_batch)
+
+
+def separately_encoded_loss(net, cfg, b, rng):
+    """The batch loss with each sentence encoded on its own, one scan per
+    direction per sentence, then the head once over the stacked matrix
+    embeddings: the per-sentence reference of ``forward_batch``."""
+    p = net.named_parameters()
+    tokens, mask, *premises = b.inputs()
+    ms, attns = [], []
+    for i in range(len(b)):
+        [(_, a, m)] = net.encode_batch([tokens[i][mask[i]]])
+        if premises:
+            [(_, a_p, m_p)] = net.encode_batch([premises[0][i][premises[1][i]]])
+            m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
+        ms.append(T.reshape(m, (1, *m.shape)))
+        attns.append(a)
+    m = T.concat(ms)
+    if cfg.head == "pruned":
+        logits = heads.pruned_forward(m, p["head.w_v"], p["head.w_h"], p["head.w_out"], p["head.b_out"])
+    else:
+        logits = heads.mlp_forward(m, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
+                                   cfg.dropout, True, rng)
+    return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_packed_batch_gives_the_bits_of_separately_encoded_sentences(head):
+    """In float32, the loss and every gradient of a packed batch (the
+    embedding table's included) equal those of the graph that encodes each
+    sentence on its own, bit for bit."""
+    cfg, net, b = setup(head, dtype=np.float32)
+    loss, grads = loss_and_grads(net, lambda: batched_loss(net, cfg, b, np.random.default_rng(7)))
+    ref_loss, ref_grads = loss_and_grads(
+        net, lambda: separately_encoded_loss(net, cfg, b, np.random.default_rng(7)))
+    assert np.float32(loss).tobytes() == np.float32(ref_loss).tobytes()
+    for name, g in ref_grads.items():
+        assert grads[name].dtype == np.float32 and grads[name].tobytes() == g.tobytes(), name

@@ -26,7 +26,7 @@ def test_report_lists_every_op():
            if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")}
     expected = (ops - {"zeros", "uniform", "glorot", "no_grad"}) | {
         "softmax_rows_padded", "cross_entropy_batch", "lstm_step", "attend_pool", "penalty",
-        "mlp_head", "pruned_head", "gated_encode"}
+        "mlp_head", "pruned_head", "gated_encode", "lstm_scan_packed"}
     assert expected <= names, expected - names
 
 

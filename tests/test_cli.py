@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structattn import attention, checkpoint, cli, data, training
+from structattn import attention, checkpoint, cli, data, training, viz
 from structattn import model as model_mod
 from structattn import tensor as T
 
@@ -214,6 +214,24 @@ class TestEmbedCommand:
             _, _, m = net.encode(vocab.encode("kw0_0 f00 f01".split()))
         csv_block = np.array([[float(v) for v in row] for row in vals(block["0"])])
         assert np.array_equal(csv_block, m.data.astype(float))
+
+    def test_packed_chunks_write_the_file_of_per_sentence_encoding(self, tmp_path, capsys):
+        """``embed`` encodes packed batches of the checkpoint's batch size (8),
+        and its file is byte-identical to one rendered from ``encode`` of each
+        sentence alone."""
+        cfg, _ = train_once(tmp_path)
+        rng = np.random.default_rng(4)
+        words = ["kw0_0", "kw1_1", "f00", "f01", "f02", "f03", "unseen"]
+        lines = [" ".join(rng.choice(words, size=n)) for n in (1, 5, 3, 1, 9, 2, 7, 4, 1, 6, 3)]
+        sents, out = tmp_path / "s.txt", tmp_path / "emb.csv"
+        sents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("embed", "--checkpoint", cfg.checkpoint_path,
+                       "--sentences", str(sents), "--out", str(out)) == 0
+        net, vocab, saved = checkpoint.restore_model(cfg.checkpoint_path)
+        assert saved.batch_size == 8 < len(lines)
+        with T.no_grad():
+            blocks = [(i, net.encode(vocab.encode(line.split()))[2].data) for i, line in enumerate(lines)]
+        assert out.read_bytes() == viz.render_embedding_csv(blocks).encode("utf-8")
 
 
 class TestVisualizeCommand:

@@ -168,6 +168,45 @@ class TestElementwiseAndScalars:
             T.add(t64(np.zeros(3)), t64(np.zeros(4)))
 
 
+def three_branch_sigmoid(d):
+    """The logistic function as it was first written: both branches, then a pick."""
+    e = np.exp(-np.abs(d))
+    denom = 1.0 + e
+    return np.where(d >= 0, 1.0 / denom, e / denom).astype(d.dtype, copy=False)
+
+
+class TestSigmoidBits:
+    """``_sigmoid`` (the one of ``sigmoid`` and ``lstm_scan``) has the bits of
+    the three-branch formula, NaN and signed zeros included."""
+
+    @staticmethod
+    def mismatches(d, view):
+        with np.errstate(all="ignore"):
+            return np.count_nonzero(T._sigmoid(d).view(view) != three_branch_sigmoid(d).view(view))
+
+    def test_every_97th_float32_bit_pattern(self):
+        step, chunk = 97, 1 << 20
+        bad = total = 0
+        for lo in range(0, 1 << 32, step * chunk):
+            bits = np.arange(lo, min(lo + step * chunk, 1 << 32), step, dtype=np.uint64).astype(np.uint32)
+            bad += self.mismatches(bits.view(np.float32), np.uint32)
+            total += bits.size
+        assert total == -(-(1 << 32) // step)
+        assert bad == 0
+
+    def test_special_values(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], np.float32)
+        subnormal = np.array([1, 2, 0x80000001, 0x80000002, 0x007FFFFF], np.uint32).view(np.float32)
+        for d in (special, subnormal, special.astype(np.float64),
+                  np.array([1, 2, 1 << 63 | 1], np.uint64).view(np.float64)):
+            assert self.mismatches(d, np.uint32 if d.dtype == np.float32 else np.uint64) == 0
+        assert T._sigmoid(special)[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+
+    def test_float64_sample(self):
+        d = np.random.default_rng(0).standard_normal(5_000_000) * 40.0
+        assert self.mismatches(d, np.uint64) == 0
+
+
 class TestFrobenius:
     def test_zero_matrix(self):
         assert T.frobenius_sq(t64(np.zeros((3, 3)))).item() == 0.0
