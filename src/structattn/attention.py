@@ -35,10 +35,8 @@ def penalty(a):
 
 
 def penalty_value(a):
-    """Plain-number penalty of an attention matrix given as an array."""
-    a = np.asarray(getattr(a, "data", a))
-    d = a @ a.T - np.eye(a.shape[0], dtype=a.dtype)
-    return float((d * d).sum())
+    """Plain-number ``penalty`` of an attention matrix given as an array or a tensor."""
+    return penalty(T.Tensor(getattr(a, "data", a))).item()
 
 
 def mean_pairwise_overlap(a):

@@ -67,7 +67,8 @@ def _op_checks(rng):
         ("sum_all", T.sum_all, [_rand(rng, 2, 5)]),
         ("concat", lambda a, b: T.frobenius_sq(T.reshape(T.concat([a, b]), (1, -1))),
          [_rand(rng, 3), _rand(rng, 2)]),
-        # vectors stacked as rows, the way ``forward_batch`` stacks a batch
+        # pieces stacked along a new leading axis, the way ``forward_batch`` stacks
+        # each example's 1×r×2u matrix embedding into the B×r×2u batch
         ("concat_stack", lambda a, b: T.frobenius_sq(T.concat([T.reshape(a, (1, 4)), T.reshape(b, (1, 4))])),
          [_rand(rng, 4), _rand(rng, 4)]),
         ("transpose", lambda x: T.frobenius_sq(T.transpose(x)), [_rand(rng, 2, 4)]),
@@ -76,7 +77,8 @@ def _op_checks(rng):
          [_rand(rng, 3, 2)]),
         ("gather_rows_one", lambda x: T.sum_all(T.mul(T.gather_rows(x, 1), T.gather_rows(x, 1))),
          [_rand(rng, 3, 4)]),
-        # a contiguous run of a vector, the way ``lstm_step`` splits its gates
+        # a contiguous run of rows, the way ``encode_batch`` splits the packed H
+        # into its sentences
         ("gather_rows_run", lambda x: T.frobenius_sq(T.gather_rows(T.reshape(x, (6, 1)), np.arange(1, 4))),
          [_rand(rng, 6)]),
         ("dropout", dropout_fixed, [_rand(rng, 8)]),
@@ -344,7 +346,7 @@ def full_model_check(cfg: RunConfig, seed=0):
 
     logits, attns = net.forward_batch([tokens], prem_tokens=[scenario["tokens2"]])
     training.total_loss(logits, [label], attns, coeff=1.0, l2_coeff=1e-4,
-                        l2_params=net.l2_parameters()).backward()
+                        l2_params=net.l2_parameters())[0].backward()
     oracle_params = {name: p.data.astype(_LD) for name, p in params.items()}
     worst = _max_rel_err(lambda: _oracle_loss(oracle_params, cfg, scenario),
                          list(oracle_params.values()), [p.grad for p in params.values()], _LD(EPS))

@@ -12,7 +12,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import attention, checkpoint, checks, data, model as model_mod, training,
 from . import tensor as T
 from .config import ConfigError, load_run_config
 
-HISTORY_FIELDS = ("epoch", "train_loss", "dev_acc", "mean_penalty", "mean_overlap")
+HISTORY_FIELDS = tuple(f.name for f in fields(training.EpochRecord))
 
 _ERRORS = (ConfigError, data.DataError, checkpoint.CheckpointError, training.TrainingDiverged,
            T.ShapeError, T.LabelError, ValueError, IndexError, OSError)
@@ -28,8 +28,7 @@ _ERRORS = (ConfigError, data.DataError, checkpoint.CheckpointError, training.Tra
 
 def _history_rows(records, prefix=()):
     for r in records:
-        yield list(prefix) + [r.epoch, repr(r.train_loss), repr(r.dev_acc),
-                              repr(r.mean_penalty), repr(r.mean_overlap)]
+        yield list(prefix) + [repr(v) if isinstance(v, float) else v for v in astuple(r)]
 
 
 def _write_history(path, records):
@@ -40,11 +39,13 @@ def _write_history(path, records):
 
 
 def _load_sets(cfg):
+    """The vocabulary and the train and dev sets; the training file is parsed once."""
     pairs = cfg.head == "gated-pair"
     if not cfg.train_path or not cfg.dev_path:
         raise ConfigError("train_path and dev_path must be set")
-    vocab = data.build_vocab(data.corpus_tokens(cfg.train_path, pairs, cfg.lowercase), cfg.min_count)
-    train_set = data.load_dataset(cfg.train_path, vocab, pairs, cfg.lowercase)
+    records = data.read_dataset(cfg.train_path, pairs, cfg.lowercase)
+    vocab = data.build_vocab(data.sentences(records), cfg.min_count)
+    train_set = data.encode_dataset(records, vocab)
     dev_set = data.load_dataset(cfg.dev_path, vocab, pairs, cfg.lowercase)
     _check_labels("train set", train_set, cfg.classes)
     _check_labels("dev set", dev_set, cfg.classes)
@@ -66,8 +67,8 @@ def _build_model(cfg, vocab, rng):
     return net
 
 
-def _run_training(cfg):
-    vocab, train_set, dev_set = _load_sets(cfg)
+def _run_training(cfg, sets):
+    vocab, train_set, dev_set = sets
     rng = np.random.default_rng(cfg.seed)
     net = _build_model(cfg, vocab, rng)
     result = training.train(net, train_set, dev_set, cfg,
@@ -80,7 +81,7 @@ def _run_training(cfg):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, args.set)
-    net, vocab, result = _run_training(cfg)
+    net, vocab, result = _run_training(cfg, _load_sets(cfg))
     _write_history(cfg.history_path, result.history)
     checkpoint.save_model(cfg.checkpoint_path, net, vocab)
     print(f"best dev accuracy {result.best_dev_acc:.4f} at epoch {result.best_epoch}")
@@ -102,7 +103,7 @@ def _read_sentences(path, lowercase):
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            tokens = (line.lower() if lowercase else line).split()
+            tokens = data._tokenize(line, lowercase)
             if not tokens:
                 print(f"warning: {path}:{lineno}: empty sentence line skipped", file=sys.stderr)
                 continue
@@ -188,12 +189,14 @@ def cmd_sweep(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("param", "value", "seed") + HISTORY_FIELDS)
     # Early stopping is disabled so every value contributes a full curve. Every
-    # run's config is validated before the first one trains.
+    # run's config is validated before the first one trains. The swept keys do
+    # not touch the data, so the files are loaded once for every run.
     run_cfgs = [replace(cfg, patience=cfg.max_epochs, seed=cfg.seed + 1000 * idx,
                         **{args.param: value}).validate() for idx, value in enumerate(values)]
+    sets = _load_sets(cfg)
     for value, run_cfg in zip(values, run_cfgs):
         print(f"sweep {args.param}={value} (seed {run_cfg.seed})")
-        _, _, result = _run_training(run_cfg)
+        _, _, result = _run_training(run_cfg, sets)
         writer.writerows(_history_rows(result.history, prefix=[args.param, value, run_cfg.seed]))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())

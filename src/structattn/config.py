@@ -107,7 +107,7 @@ def _coerce(key, raw):
     kind = {f.name: f.type for f in fields(RunConfig)}[key]
     try:
         if key == "clip":
-            return None if raw.lower() in ("none", "") else float(raw)
+            return None if raw.lower() == "none" else float(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":

@@ -84,9 +84,11 @@ def _tokenize(text, lowercase):
     return (text.lower() if lowercase else text).split()
 
 
-def _records(path, pairs):
-    """(line number, tab-separated fields) per non-blank line of a dataset file."""
+def read_dataset(path, pairs=False, lowercase=False):
+    """Validated ``(label, token lists)`` records, one per non-blank line of a
+    dataset file: one token list per sentence, or a pair's hypothesis and premise."""
     want = 3 if pairs else 2
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -94,34 +96,41 @@ def _records(path, pairs):
             cells = line.rstrip("\n").split("\t")
             if len(cells) != want:
                 raise DataError(f"{path}:{lineno}: expected {want} tab-separated fields, got {len(cells)}")
-            yield lineno, cells
+            try:
+                label = int(cells[0])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: label is not an integer: {cells[0]!r}") from None
+            if label < 0:
+                raise DataError(f"{path}:{lineno}: label must be >= 0")
+            token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
+            if any(not toks for toks in token_lists):
+                raise DataError(f"{path}:{lineno}: empty sentence")
+            records.append((label, token_lists))
+    if not records:
+        raise DataError(f"{path}: no examples")
+    return records
+
+
+def sentences(records):
+    """Every token list of ``read_dataset`` records, in file order, for vocabulary building."""
+    return [toks for _, token_lists in records for toks in token_lists]
+
+
+def encode_dataset(records, vocab):
+    """Examples of ``read_dataset`` records; unknown words map to UNK."""
+    return [Example(vocab.encode(toks[0]), label) if len(toks) == 1
+            else PairExample(vocab.encode(toks[0]), vocab.encode(toks[1]), label)
+            for label, toks in records]
 
 
 def load_dataset(path, vocab, pairs=False, lowercase=False):
     """Parse a labeled dataset file into examples; unknown words map to UNK."""
-    examples = []
-    for lineno, cells in _records(path, pairs):
-        try:
-            label = int(cells[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: label is not an integer: {cells[0]!r}") from None
-        if label < 0:
-            raise DataError(f"{path}:{lineno}: label must be >= 0")
-        token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
-        if any(not toks for toks in token_lists):
-            raise DataError(f"{path}:{lineno}: empty sentence")
-        if pairs:
-            examples.append(PairExample(vocab.encode(token_lists[0]), vocab.encode(token_lists[1]), label))
-        else:
-            examples.append(Example(vocab.encode(token_lists[0]), label))
-    if not examples:
-        raise DataError(f"{path}: no examples")
-    return examples
+    return encode_dataset(read_dataset(path, pairs, lowercase), vocab)
 
 
 def corpus_tokens(path, pairs=False, lowercase=False):
     """Token lists of a dataset file, for vocabulary building."""
-    return [_tokenize(cell, lowercase) for _, cells in _records(path, pairs) for cell in cells[1:]]
+    return sentences(read_dataset(path, pairs, lowercase))
 
 
 def load_pretrained(path, vocab, table):

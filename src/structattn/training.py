@@ -10,7 +10,8 @@ time. The embedding table's gradient holds only the rows the batch read, and
 only those rows are clipped and updated. Training keeps the parameters of the
 best dev epoch and stops early after ``patience`` epochs without improvement.
 The best epoch's parameters are copied only when a later epoch is about to
-overwrite them.
+overwrite them. The penalties an epoch reports are read from the loss's own
+penalty nodes, so each is computed once.
 """
 
 from __future__ import annotations
@@ -35,23 +36,28 @@ def _matrices(attn):
 
 def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     """Batch loss: mean cross-entropy, plus coeff times the mean penalty, plus
-    l2 times the sum of squared weights, once.
+    l2 times the sum of squared weights, once; returned with each example's
+    penalty as ``(loss, penalties)``.
 
     ``logits`` is B-by-C with B ``labels``; ``attns`` holds each example's
-    annotation matrix, or a tuple of them for pair models. With a zero
-    coefficient the penalty path is not built at all. The L2 node is the
-    first operand of the last add, so its backward runs after every other
-    gradient of the weights exists and adds into them in place.
+    annotation matrix, or a tuple of them for pair models. Each matrix gets
+    one penalty node, added into the loss only with a nonzero coefficient;
+    ``penalties`` holds each example's mean over its matrices, read from
+    those nodes as a float. The L2 node is the first operand of the last
+    add, so its backward runs after every other gradient of the weights
+    exists and adds into them in place.
     """
     loss = T.cross_entropy(logits, labels)
-    if coeff:
-        for attn in attns:
-            mats = _matrices(attn)
-            for a in mats:
-                loss = T.add(loss, T.scale(attention.penalty(a), coeff / (len(mats) * len(attns))))
+    penalties = []
+    for attn in attns:
+        terms = [attention.penalty(a) for a in _matrices(attn)]
+        penalties.append(float(np.mean([t.item() for t in terms])))
+        if coeff:
+            for t in terms:
+                loss = T.add(loss, T.scale(t, coeff / (len(terms) * len(attns))))
     if l2_coeff:
         loss = T.add(T.sum_squares(l2_params, l2_coeff), loss)
-    return loss
+    return loss, penalties
 
 
 def _clip(g, clip):
@@ -205,9 +211,9 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
         n_seen = 0
         for bi, b in enumerate(data.batch(train_set, cfg.batch_size, rng)):
             logits, attns = model.forward_batch(*b.inputs(), train=True, rng=rng)
-            batch_loss = total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, l2_params)
-            for attn in attns:
-                penalty_sum += float(np.mean([attention.penalty_value(a) for a in _matrices(attn)]))
+            batch_loss, penalties = total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, l2_params)
+            for p in penalties:  # one at a time: a batch subtotal would round differently
+                penalty_sum += p
             if not np.isfinite(batch_loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {bi}")
             batch_loss.backward()

@@ -60,7 +60,7 @@ def loss_and_grads(net, build):
 def batched_loss(net, cfg, b, rng):
     logits, attns = net.forward_batch(*b.inputs(), train=True, rng=rng)
     assert logits.shape == (len(b), cfg.classes) and len(attns) == len(b)
-    return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())
+    return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())[0]
 
 
 def reference_loss(net, cfg, b, rng):
@@ -68,7 +68,7 @@ def reference_loss(net, cfg, b, rng):
     for i in range(len(b)):
         logits, attn = net.forward(*example_inputs(b, i), train=True, rng=rng)
         loss = training.total_loss(logits, b.labels[i], [attn], cfg.penalty_coeff, cfg.l2,
-                                   net.l2_parameters())
+                                   net.l2_parameters())[0]
         total = loss if total is None else T.add(total, loss)
     return T.scale(total, 1.0 / len(b))
 
@@ -108,10 +108,27 @@ def test_single_sentence_forward_is_row_of_batch_forward(head):
                 assert np.array_equal(a.data, a_batch.data)
 
 
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_zero_coeff_loss_has_the_bits_of_a_graph_without_penalties(head):
+    cfg, net, b = setup(head, dtype=np.float32)
+
+    def build(through_total_loss):
+        logits, attns = net.forward_batch(*b.inputs(), train=True, rng=np.random.default_rng(7))
+        if through_total_loss:
+            return training.total_loss(logits, b.labels, attns, 0.0, cfg.l2, net.l2_parameters())[0]
+        return T.add(T.sum_squares(net.l2_parameters(), cfg.l2), T.cross_entropy(logits, b.labels))
+
+    loss, grads = loss_and_grads(net, lambda: build(True))
+    ref_loss, ref_grads = loss_and_grads(net, lambda: build(False))
+    assert loss == ref_loss
+    for name, g in ref_grads.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
 def per_weight_l2_loss(net, cfg, b, rng):
     """The batch loss with L2 as one ``scale(frobenius_sq(w), l2)`` node per weight."""
     logits, attns = net.forward_batch(*b.inputs(), train=True, rng=rng)
-    loss = training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, 0.0, [])
+    loss = training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, 0.0, [])[0]
     for w in net.l2_parameters():
         loss = T.add(loss, T.scale(T.frobenius_sq(w), cfg.l2))
     return loss
@@ -191,7 +208,7 @@ def separately_encoded_loss(net, cfg, b, rng):
     else:
         logits = heads.mlp_forward(m, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
                                    cfg.dropout, True, rng)
-    return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())
+    return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())[0]
 
 
 @pytest.mark.parametrize("head", sorted(HEADS))

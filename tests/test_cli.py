@@ -58,6 +58,14 @@ class TestTrainCommand:
         assert captured.err.startswith(f"error: {setting.split('=')[0]} must be") and captured.out == ""
         assert not Path(cfg.checkpoint_path).exists()
 
+    @pytest.mark.parametrize("key", ["clip", "l2", "batch_size", "dropout"])
+    def test_empty_value_is_an_error(self, tmp_path, capsys, key):
+        cfg, cfg_path = write_config(tmp_path)
+        assert run_cli("train", "--config", str(cfg_path), "--set", f"{key}=") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad value for {key}: ''\n" and captured.out == ""
+        assert not Path(cfg.checkpoint_path).exists()
+
     def test_non_finite_pretrained_vector_is_an_error(self, tmp_path, capsys):
         vectors = tmp_path / "vec.txt"
         vectors.write_text("f01 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\nf10 inf 0.1 0.2 0.3 0.4 0.5 0.6 0.7\n",
@@ -73,6 +81,34 @@ class TestTrainCommand:
         first = open(cfg.history_path, "rb").read()
         assert run_cli("train", "--config", str(cfg_path)) == 0
         assert open(cfg.history_path, "rb").read() == first
+
+
+def count_parses(monkeypatch):
+    """The paths ``data.read_dataset`` is called with, from now on."""
+    paths = []
+    parse = data.read_dataset
+
+    def counted(path, *args):
+        paths.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(data, "read_dataset", counted)
+    return paths
+
+
+class TestParsing:
+    def test_train_parses_each_file_once(self, tmp_path, monkeypatch):
+        cfg, cfg_path = write_config(tmp_path)
+        paths = count_parses(monkeypatch)
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        assert sorted(paths) == sorted([cfg.train_path, cfg.dev_path])
+
+    def test_sweep_parses_each_file_once_for_all_runs(self, tmp_path, monkeypatch):
+        cfg, cfg_path = write_config(tmp_path)
+        paths = count_parses(monkeypatch)
+        assert run_cli("sweep", "--config", str(cfg_path), "--param", "r",
+                       "--values", "1,2,3", "--out", str(tmp_path / "sweep.csv")) == 0
+        assert sorted(paths) == sorted([cfg.train_path, cfg.dev_path])
 
 
 class TestEvalCommand:

@@ -75,7 +75,7 @@ def test_validation_bounds(tmp_path):
     for bad in ["learning_rate=0", "penalty_coeff=-1", "clip=0", "dropout=1.0", "batch_size=0",
                 "l2=-1", "vocab_size=-5", "vocab_size=0", "learning_rate=nan", "learning_rate=inf",
                 "clip=nan", "clip=inf", "penalty_coeff=inf", "l2=nan", "dropout=nan", "patience=0",
-                "patience=-3", "seed=-1", "min_count=0"]:
+                "patience=-3", "seed=-1", "min_count=0", "clip="]:
         with pytest.raises(ConfigError):
             load_run_config(write(tmp_path, MINIMAL), [bad])
 

@@ -557,7 +557,7 @@ class TestGradientBuffers:
         examples = [data.Example(rng.integers(2, 10, size=n), n % 2) for n in (3, 5, 4, 2)]
         b = data.batch(examples, 4)[0]
         logits, attns = net.forward_batch(*b.inputs())
-        loss = training.total_loss(logits, b.labels, attns, 1.0, cfg.l2, net.l2_parameters())
+        loss = training.total_loss(logits, b.labels, attns, 1.0, cfg.l2, net.l2_parameters())[0]
         tracemalloc.start()
         try:
             loss.backward()

@@ -20,37 +20,56 @@ class TestTotalLoss:
         logits = t64(rng.standard_normal((1, 3)))
         a = t64(rng.dirichlet(np.ones(4), size=2))
         w = t64(rng.standard_normal((2, 2)))
-        loss = training.total_loss(logits, [1], [a], coeff=0.0, l2_coeff=0.01, l2_params=[w])
+        loss = training.total_loss(logits, [1], [a], coeff=0.0, l2_coeff=0.01, l2_params=[w])[0]
         expected = T.cross_entropy(logits, [1]).item() + 0.01 * (w.data ** 2).sum()
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_one_hot_attention_adds_nothing(self, rng):
         logits = t64(rng.standard_normal((1, 3)))
         disjoint = t64(np.eye(3))
-        with_pen = training.total_loss(logits, [0], [disjoint], 1.0, 0.0, [])
-        without = training.total_loss(logits, [0], [disjoint], 0.0, 0.0, [])
+        with_pen = training.total_loss(logits, [0], [disjoint], 1.0, 0.0, [])[0]
+        without = training.total_loss(logits, [0], [disjoint], 0.0, 0.0, [])[0]
         assert with_pen.item() == without.item()
 
     def test_zero_coeff_ignores_attention_path(self, rng):
         logits = t64(rng.standard_normal((1, 3)))
         a1 = t64(rng.dirichlet(np.ones(5), size=2))
         a2 = t64(rng.dirichlet(np.ones(5), size=2))
-        assert training.total_loss(logits, [0], [a1], 0.0, 0.0, []).item() == \
-               training.total_loss(logits, [0], [a2], 0.0, 0.0, []).item()
+        assert training.total_loss(logits, [0], [a1], 0.0, 0.0, [])[0].item() == \
+               training.total_loss(logits, [0], [a2], 0.0, 0.0, [])[0].item()
 
     def test_pair_attention_averages_penalties(self, rng):
         logits = t64(rng.standard_normal((1, 2)))
         a1 = t64(rng.dirichlet(np.ones(4), size=2))
         a2 = t64(rng.dirichlet(np.ones(4), size=2))
-        loss = training.total_loss(logits, [0], [(a1, a2)], 2.0, 0.0, [])
+        loss = training.total_loss(logits, [0], [(a1, a2)], 2.0, 0.0, [])[0]
         base = T.cross_entropy(logits, [0]).item()
         expected = base + attention.penalty_value(a1.data) + attention.penalty_value(a2.data)
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("coeff", [0.0, 0.7])
+    @pytest.mark.parametrize("r, n", [(1, 1), (1, 6), (5, 1), (5, 9), (30, 1), (30, 40)])
+    def test_penalties_are_the_bits_of_the_formula(self, rng, r, n, coeff):
+        def attention_matrix():
+            scores = rng.standard_normal((r, n)).astype(np.float32)
+            return T.softmax_rows(T.Tensor(scores, requires_grad=True))
+
+        def formula(a):
+            a = a.data
+            return float(((a @ a.T - np.eye(r, dtype=np.float32)) ** 2).sum())
+
+        logits = T.Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+        single = [attention_matrix(), attention_matrix()]
+        _, penalties = training.total_loss(logits, [0, 2], single, coeff, 0.0, [])
+        assert penalties == [formula(a) for a in single]
+        pairs = [(attention_matrix(), attention_matrix()), (attention_matrix(), attention_matrix())]
+        _, penalties = training.total_loss(logits, [1, 0], pairs, coeff, 0.0, [])
+        assert penalties == [(formula(a1) + formula(a2)) / 2 for a1, a2 in pairs]
+
     def test_gradient(self, rng):
         def loss(logits, scores, w):
             a = T.softmax_rows(scores)
-            return training.total_loss(logits, [1], [a], 0.7, 1e-3, [w])
+            return training.total_loss(logits, [1], [a], 0.7, 1e-3, [w])[0]
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in [(1, 3), (2, 5), (3, 3)]]
         assert checks.grad_check(loss, inputs) < 1e-4
