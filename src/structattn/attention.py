@@ -22,16 +22,20 @@ def attend(h, w1, w2):
 
 
 def pool(a, h):
-    """Matrix embedding M = A @ H; each row of M is a convex mix of rows of H."""
-    if a.shape[1] != h.shape[0]:
-        raise T.ShapeError(f"A has {a.shape[1]} columns but H has {h.shape[0]} rows")
+    """Matrix embedding M = A @ H; each row of M is a convex mix of rows of H.
+
+    A of n columns needs H of n rows; ``matmul`` raises ``ShapeError`` otherwise.
+    """
     return T.matmul(a, h)
 
 
 def penalty(a):
-    """Redundancy measure ||A A^T - I||_F^2 with the r-by-r identity."""
-    eye = T.Tensor(np.eye(a.shape[0], dtype=a.dtype))
-    return T.frobenius_sq(T.sub(T.matmul(a, T.transpose(a)), eye))
+    """Redundancy measure ||A A^T - I||_F^2 with the r-by-r identity.
+
+    A A^T - I is computed as A A^T + (-I), which has the same bits.
+    """
+    neg_eye = T.Tensor(-np.eye(a.shape[0], dtype=a.dtype))
+    return T.frobenius_sq(T.add(T.matmul(a, T.transpose(a)), neg_eye))
 
 
 def penalty_value(a):

@@ -58,7 +58,8 @@ def _op_checks(rng):
          [T.Tensor(rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.5, 6), dtype=np.float64)]),
         ("add", lambda a, b: T.frobenius_sq(T.add(a, b)),
          [_rand(rng, 2, 3), _rand(rng, 2, 3)]),
-        ("sub", lambda a, b: T.frobenius_sq(T.sub(a, b)),
+        # a graph tensor plus a constant, the way ``attention.penalty`` adds -I
+        ("add_const", lambda a, b: T.frobenius_sq(T.mul(T.add(a, T.Tensor(-np.eye(2, 3))), b)),
          [_rand(rng, 2, 3), _rand(rng, 2, 3)]),
         ("mul", lambda a, b: T.frobenius_sq(T.mul(a, b)),
          [_rand(rng, 2, 3), _rand(rng, 2, 3)]),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import attention, checkpoint, checks, data, model as model_mod, training, viz
 from . import tensor as T
-from .config import ConfigError, load_run_config
+from .config import ConfigError, _coerce, load_run_config
 
 HISTORY_FIELDS = tuple(f.name for f in fields(training.EpochRecord))
 
@@ -39,7 +39,8 @@ def _write_history(path, records):
 
 
 def _load_sets(cfg):
-    """The vocabulary and the train and dev sets; the training file is parsed once."""
+    """The vocabulary, the train and dev sets and the pretrained vectors (or
+    ``None``); each file is parsed once."""
     pairs = cfg.head == "gated-pair"
     if not cfg.train_path or not cfg.dev_path:
         raise ConfigError("train_path and dev_path must be set")
@@ -49,7 +50,9 @@ def _load_sets(cfg):
     dev_set = data.load_dataset(cfg.dev_path, vocab, pairs, cfg.lowercase)
     _check_labels("train set", train_set, cfg.classes)
     _check_labels("dev set", dev_set, cfg.classes)
-    return vocab, train_set, dev_set
+    vectors = data.read_pretrained(cfg.embeddings_path, vocab, cfg.d, T.DEFAULT_DTYPE) \
+        if cfg.embeddings_path else None
+    return vocab, train_set, dev_set, vectors
 
 
 def _check_labels(name, dataset, classes):
@@ -58,19 +61,13 @@ def _check_labels(name, dataset, classes):
         raise data.DataError(f"{name} has label {top} but config declares {classes} classes")
 
 
-def _build_model(cfg, vocab, rng):
-    net = model_mod.build_model(cfg, len(vocab), rng)
-    if cfg.embeddings_path:
-        table = net.named_parameters()["embedding.table"].data
-        coverage = data.load_pretrained(cfg.embeddings_path, vocab, table)
-        print(f"pretrained embedding coverage: {coverage:.3f}")
-    return net
-
-
 def _run_training(cfg, sets):
-    vocab, train_set, dev_set = sets
+    vocab, train_set, dev_set, vectors = sets
     rng = np.random.default_rng(cfg.seed)
-    net = _build_model(cfg, vocab, rng)
+    net = model_mod.build_model(cfg, len(vocab), rng)
+    if vectors is not None:
+        coverage = data.write_pretrained(net.named_parameters()["embedding.table"].data, vectors)
+        print(f"pretrained embedding coverage: {coverage:.3f}")
     result = training.train(net, train_set, dev_set, cfg,
                             log=lambda r: print(f"epoch {r.epoch}: train_loss={r.train_loss:.4f} "
                                                 f"dev_acc={r.dev_acc:.4f} penalty={r.mean_penalty:.4f} "
@@ -99,7 +96,7 @@ def cmd_eval(args):
 
 
 def _read_sentences(path, lowercase):
-    """(index, tokens) per non-empty line; empty lines are skipped with a warning."""
+    """The token list of each non-empty line; empty lines are skipped with a warning."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -181,10 +178,7 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = load_run_config(args.config, args.set)
-    if args.param == "r":
-        values = [int(v) for v in args.values.split(",")]
-    else:
-        values = [float(v) for v in args.values.split(",")]
+    values = [_coerce(args.param, v) for v in args.values.split(",")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("param", "value", "seed") + HISTORY_FIELDS)

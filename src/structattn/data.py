@@ -52,7 +52,9 @@ class Vocab:
 def build_vocab(corpus, min_count=1):
     """Vocabulary over token lists: frequency desc, ties lexicographic.
 
-    Tokens below ``min_count`` fall back to the unknown id.
+    Tokens below ``min_count`` fall back to the unknown id. The reserved
+    tokens are not counted: a corpus ``<unk>`` (a pre-marked rare word) is
+    the unknown id.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -61,6 +63,8 @@ def build_vocab(corpus, min_count=1):
         counts.update(tokens)
     if not counts:
         raise DataError("empty corpus")
+    for tok in (PAD_TOKEN, UNK_TOKEN):
+        counts.pop(tok, None)
     # lexicographic, then a stable sort by count: ties keep lexicographic order
     kept = sorted(tok for tok, c in counts.items() if c >= min_count)
     kept.sort(key=counts.__getitem__, reverse=True)
@@ -86,7 +90,10 @@ def _tokenize(text, lowercase):
 
 def read_dataset(path, pairs=False, lowercase=False):
     """Validated ``(label, token lists)`` records, one per non-blank line of a
-    dataset file: one token list per sentence, or a pair's hypothesis and premise."""
+    dataset file: one token list per sentence, or a pair's hypothesis and premise.
+
+    A literal ``<pad>`` is an error: it would read the padding row.
+    """
     want = 3 if pairs else 2
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -105,6 +112,8 @@ def read_dataset(path, pairs=False, lowercase=False):
             token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
             if any(not toks for toks in token_lists):
                 raise DataError(f"{path}:{lineno}: empty sentence")
+            if any(PAD_TOKEN in toks for toks in token_lists):
+                raise DataError(f"{path}:{lineno}: the padding token {PAD_TOKEN} is reserved")
             records.append((label, token_lists))
     if not records:
         raise DataError(f"{path}: no examples")
@@ -133,16 +142,11 @@ def corpus_tokens(path, pairs=False, lowercase=False):
     return sentences(read_dataset(path, pairs, lowercase))
 
 
-def load_pretrained(path, vocab, table):
-    """Overwrite rows of an embedding table (a vocab-by-dim array) from a
-    whitespace text file of vectors.
-
-    Vocabulary rows found in the file take the file's values; the rest keep
-    what the table held; a token listed twice takes its last vector. Returns
-    the coverage ratio: the share of non-reserved vocabulary tokens found.
-    """
-    dim = table.shape[1]
-    covered = set()
+def read_pretrained(path, vocab, dim, dtype):
+    """The vectors of a whitespace text file for the non-reserved tokens of
+    ``vocab``, as ``{id: vector}`` in ``dtype``; a token listed twice keeps
+    its last vector. Every line must hold ``dim`` finite values."""
+    vectors = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
@@ -155,16 +159,28 @@ def load_pretrained(path, vocab, table):
             if idx is None or idx in (PAD_ID, UNK_ID):
                 continue
             try:
-                with np.errstate(over="ignore"):  # out of the table's range gives inf, rejected below
-                    vector = np.array([float(v) for v in values], dtype=table.dtype)
+                with np.errstate(over="ignore"):  # out of the dtype's range gives inf, rejected below
+                    vector = np.array([float(v) for v in values], dtype=dtype)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
             if not np.isfinite(vector).all():
                 raise DataError(f"{path}:{lineno}: non-finite vector component")
-            table[idx] = vector
-            covered.add(idx)
-    real = max(len(vocab) - 2, 1)
-    return len(covered) / real
+            vectors[idx] = vector
+    return vectors
+
+
+def write_pretrained(table, vectors):
+    """Overwrite the rows of an embedding table (a vocab-by-dim array) that
+    ``read_pretrained`` vectors cover; the rest keep what the table held.
+    Returns the coverage ratio: the share of non-reserved vocabulary tokens covered."""
+    for idx, vector in vectors.items():
+        table[idx] = vector
+    return len(vectors) / max(table.shape[0] - 2, 1)
+
+
+def load_pretrained(path, vocab, table):
+    """``write_pretrained`` of the ``read_pretrained`` vectors of a file; returns the coverage."""
+    return write_pretrained(table, read_pretrained(path, vocab, table.shape[1], table.dtype))
 
 
 @dataclass

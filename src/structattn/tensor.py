@@ -208,6 +208,8 @@ def _builds_graph(parents):
 
 
 def _from_op(data, parents, backward_fn):
+    # the backward is attached only when a parent requires a gradient, so a
+    # one-parent op's backward never needs to ask
     out = Tensor(data)
     if _builds_graph(parents):
         out.requires_grad = True
@@ -301,13 +303,11 @@ def batched_dot(m, w):
         if m.requires_grad:
             m._acc(np.einsum("...rk,rck->...rc", g, w.data), fresh=True)
         if w.requires_grad:
-            if m.ndim == 2:
-                w._acc(np.einsum("rc,rk->rck", m.data, g), fresh=True)
-            else:
-                # summed over the batch from the last example to the first, the
-                # order in which per-example products would reach w.grad in a
-                # backward pass; ascending order moves the low bits
-                w._acc(np.einsum("brc,brk->rck", m.data[::-1], g[::-1]), fresh=True)
+            # an r-by-c m is a batch of one; summed over the batch from the last
+            # example to the first, the order in which per-example products
+            # would reach w.grad in a backward pass (ascending moves the low bits)
+            mb, gb = m.data.reshape(-1, *w.shape[:2]), g.reshape(-1, *g.shape[-2:])
+            w._acc(np.einsum("brc,brk->rck", mb[::-1], gb[::-1]), fresh=True)
 
     return _from_op(data, (m, w), bk)
 
@@ -321,8 +321,7 @@ def softmax_rows(x):
     s = e / e.sum(axis=1, keepdims=True)
 
     def bk(g):
-        if x.requires_grad:
-            x._acc((g - (g * s).sum(axis=1, keepdims=True)) * s, fresh=True)
+        x._acc((g - (g * s).sum(axis=1, keepdims=True)) * s, fresh=True)
 
     return _from_op(s, (x,), bk)
 
@@ -331,8 +330,7 @@ def tanh_elem(x):
     y = np.tanh(x.data)
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g * (1.0 - y * y), fresh=True)
+        x._acc(g * (1.0 - y * y), fresh=True)
 
     return _from_op(y, (x,), bk)
 
@@ -351,8 +349,7 @@ def sigmoid(x):
     y = _sigmoid(x.data)
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g * y * (1.0 - y), fresh=True)
+        x._acc(g * y * (1.0 - y), fresh=True)
 
     return _from_op(y, (x,), bk)
 
@@ -361,8 +358,7 @@ def relu(x):
     y = np.maximum(x.data, 0)
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g * (x.data > 0), fresh=True)
+        x._acc(g * (x.data > 0), fresh=True)
 
     return _from_op(y, (x,), bk)
 
@@ -384,18 +380,6 @@ def add(a, b):
     return _from_op(a.data + b.data, (a, b), bk)
 
 
-def sub(a, b):
-    _same_shape(a, b, "sub")
-
-    def bk(g):
-        if a.requires_grad:
-            a._acc(g)
-        if b.requires_grad:
-            b._acc(-g, fresh=True)
-
-    return _from_op(a.data - b.data, (a, b), bk)
-
-
 def mul(a, b):
     _same_shape(a, b, "mul")
 
@@ -412,8 +396,7 @@ def scale(x, c):
     c = float(c)
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g * c, fresh=True)
+        x._acc(g * c, fresh=True)
 
     return _from_op(x.data * c, (x,), bk)
 
@@ -423,8 +406,7 @@ def frobenius_sq(x):
     data = (x.data * x.data).sum()
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g * 2.0 * x.data, fresh=True)
+        x._acc(g * 2.0 * x.data, fresh=True)
 
     return _from_op(data, (x,), bk)
 
@@ -464,8 +446,7 @@ def sum_all(x):
     data = x.data.sum()
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(np.full_like(x.data, g), fresh=True)
+        x._acc(np.full_like(x.data, g), fresh=True)
 
     return _from_op(data, (x,), bk)
 
@@ -496,8 +477,7 @@ def transpose(x):
         raise ShapeError(f"transpose expects a 2-D or 3-D tensor, got shape {x.shape}")
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(np.swapaxes(g, -1, -2))
+        x._acc(np.swapaxes(g, -1, -2))
 
     return _from_op(np.swapaxes(x.data, -1, -2), (x,), bk)
 
@@ -509,8 +489,7 @@ def reshape(x, shape):
         raise ShapeError(f"cannot reshape {x.shape} to {shape}") from err
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g.reshape(x.data.shape))
+        x._acc(g.reshape(x.data.shape))
 
     return _from_op(data, (x,), bk)
 
@@ -529,8 +508,6 @@ def gather_rows(x, ids):
     data = x.data[ids]
 
     def bk(g):
-        if not x.requires_grad:
-            return
         if x._backward is None and (x.grad is None or type(x.grad) is RowGrad):
             # a leaf read by row (an embedding table) keeps only the rows read
             if x.grad is None:
@@ -552,8 +529,7 @@ def dropout(x, rate, rng, train):
     data = x.data * keep
 
     def bk(g):
-        if x.requires_grad:
-            x._acc(g * keep, fresh=True)
+        x._acc(g * keep, fresh=True)
 
     return _from_op(data, (x,), bk)
 
@@ -579,10 +555,9 @@ def cross_entropy(logits, labels):
     data = (lse - z[rows, labels]).mean()
 
     def bk(g):
-        if logits.requires_grad:
-            p = np.exp(z - lse[:, None])
-            p[rows, labels] -= 1.0
-            logits._acc(((g / len(rows)) * p).reshape(logits.shape), fresh=True)
+        p = np.exp(z - lse[:, None])
+        p[rows, labels] -= 1.0
+        logits._acc(((g / len(rows)) * p).reshape(logits.shape), fresh=True)
 
     return _from_op(data, (logits,), bk)
 

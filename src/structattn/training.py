@@ -79,9 +79,7 @@ def clip_grads(params, clip):
     """Clamp every component of each ``p.grad`` to [-clip, +clip] in place."""
     for p in params.values():
         if p.grad is not None:
-            g = _touched(p)[1]
-            for rows in T._row_blocks(g):
-                _clip(g[rows], clip)
+            _clip(_touched(p)[1], clip)
 
 
 def sgd_step(params, lr, clip=None):

@@ -76,6 +76,15 @@ class TestTrainCommand:
         assert captured.err == f"error: {vectors}:2: non-finite vector component\n"
         assert captured.out == "" and not Path(cfg.checkpoint_path).exists()
 
+    def test_corpus_with_unk_trains(self, tmp_path, capsys):
+        cfg, cfg_path = write_config(tmp_path)
+        train = Path(cfg.train_path)
+        lines = train.read_text(encoding="utf-8").splitlines()
+        train.write_text("".join(line + " <unk>\n" for line in lines), encoding="utf-8")
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        _, vocab, _ = checkpoint.restore_model(cfg.checkpoint_path)
+        assert vocab.id_to_token.count("<unk>") == 1 and capsys.readouterr().err == ""
+
     def test_rerun_same_seed_identical_history(self, tmp_path):
         cfg, cfg_path = train_once(tmp_path)
         first = open(cfg.history_path, "rb").read()
@@ -109,6 +118,18 @@ class TestParsing:
         assert run_cli("sweep", "--config", str(cfg_path), "--param", "r",
                        "--values", "1,2,3", "--out", str(tmp_path / "sweep.csv")) == 0
         assert sorted(paths) == sorted([cfg.train_path, cfg.dev_path])
+
+    def test_sweep_parses_pretrained_vectors_once_for_all_runs(self, tmp_path, monkeypatch, capsys):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text("f01 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8\nzz 1 1 1 1 1 1 1 1\n", encoding="utf-8")
+        _, cfg_path = write_config(tmp_path, embeddings_path=vectors)
+        calls = []
+        parse = data.read_pretrained
+        monkeypatch.setattr(data, "read_pretrained", lambda *args: calls.append(args) or parse(*args))
+        assert run_cli("sweep", "--config", str(cfg_path), "--param", "r",
+                       "--values", "1,2,3", "--out", str(tmp_path / "sweep.csv")) == 0
+        coverage = [line for line in capsys.readouterr().out.splitlines() if "coverage" in line]
+        assert len(calls) == 1 and len(coverage) == 3 and len(set(coverage)) == 1
 
 
 class TestEvalCommand:
@@ -353,24 +374,31 @@ class TestSweepCommand:
         assert len(rows) == 2 * 3
         assert {r["value"] for r in rows} == {"1", "2", "3"}
 
-    @pytest.mark.parametrize("param, values", [("r", "2,0"), ("penalty_coeff", "1.0,-1"),
-                                               ("penalty_coeff", "inf")])
+    INVALID = {("r", "2,0"): "r must be >= 1", ("penalty_coeff", "1.0,-1"): "penalty_coeff must be >= 0",
+               ("penalty_coeff", "inf"): "penalty_coeff must be finite, got inf",
+               ("r", "1.5,2"): "bad value for r: '1.5'", ("penalty_coeff", "1,abc"): "bad value for penalty_coeff: 'abc'"}
+
+    @pytest.mark.parametrize("param, values", list(INVALID))
     def test_invalid_value_is_an_error_before_any_run(self, tmp_path, capsys, param, values):
         _, cfg_path = write_config(tmp_path)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--config", str(cfg_path), "--param", param,
                        "--values", values, "--out", str(out)) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.out == ""
+        assert captured.err == f"error: {self.INVALID[param, values]}\n" and captured.out == ""
         assert not out.exists()
 
 
 def test_entry_point_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
+    # the child does not inherit pytest's ``pythonpath``; give it this checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run([sys.executable, "-m", "structattn.cli", "params",
                         "--config", str(CONFIG_DIR / "params_age_dense.cfg")],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "72000000" in r.stdout
     assert r.stderr == ""

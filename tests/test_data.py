@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,10 @@ class TestVocab:
         assert v.token_to_id[data.UNK_TOKEN] == 1
         assert v.id("unseen-token") == 1
 
+    def test_reserved_tokens_are_not_counted(self):
+        v = data.build_vocab([["<unk>", "a", "<unk>", "<pad>"], ["<unk>", "b", "a"]])
+        assert v.id_to_token == ["<pad>", "<unk>", "a", "b"]
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(data.DataError):
             data.build_vocab([])
@@ -93,6 +99,21 @@ class TestLoadDataset:
         vocab = data.build_vocab([["ok"]])
         with pytest.raises(data.DataError, match=":2:"):
             data.load_dataset(path, vocab)
+
+    def test_corpus_unk_is_the_unknown_id(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("0\ta <unk> b\n1\t<unk> <unk>\n", encoding="utf-8")
+        vocab = data.build_vocab(data.corpus_tokens(path))
+        first, second = data.load_dataset(path, vocab)
+        assert first.tokens.tolist() == [vocab.id("a"), data.UNK_ID, vocab.id("b")]
+        assert second.tokens.tolist() == [data.UNK_ID, data.UNK_ID]
+
+    @pytest.mark.parametrize("pairs, line", [(False, "1\tx <pad> y"), (True, "1\tx y\t<pad>")])
+    def test_literal_pad_rejected_with_line(self, tmp_path, pairs, line):
+        path = tmp_path / "d.txt"
+        path.write_text(("0\tok\tok\n" if pairs else "0\tok\n") + line + "\n", encoding="utf-8")
+        with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}:2: the padding token <pad> is reserved$"):
+            data.read_dataset(path, pairs)
 
     def test_pairs(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -163,6 +184,19 @@ class TestLoadPretrained:
         table = np.zeros((len(vocab), 2), dtype=np.float32)
         with pytest.raises(data.DataError, match=r":2: non-finite vector component"):
             data.load_pretrained(path, vocab, table)
+
+    def test_one_parse_writes_the_bits_of_a_load_into_each_table(self, tmp_path, rng):
+        vocab = data.build_vocab([["x", "y", "z"]])
+        path = tmp_path / "vec.txt"
+        path.write_text("x 0.1 -2.5\nzz 1 1\ny 1e-3 7\nx 0.3 0.7\n", encoding="utf-8")
+        start = rng.uniform(-0.1, 0.1, (len(vocab), 2)).astype(np.float32)
+        loaded = start.copy()
+        want = data.load_pretrained(path, vocab, loaded)
+        vectors = data.read_pretrained(path, vocab, 2, np.float32)
+        for _ in range(2):
+            table = start.copy()
+            assert data.write_pretrained(table, vectors) == want == 2 / 3
+            assert table.tobytes() == loaded.tobytes()
 
     def test_vocab_untouched(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
