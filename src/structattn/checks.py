@@ -39,7 +39,7 @@ def _rand(rng, *shape):
 def _op_checks(rng):
     """(name, fn, inputs) triples covering every differentiable op."""
     def dropout_fixed(x):
-        return T.sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(3), train=True), x))
+        return T.sum_all(T.mul(T.dropout(x, 0.4, np.random.default_rng(3)), x))
 
     checks = [
         ("matmul", lambda a, b: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))),
@@ -345,7 +345,7 @@ def full_model_check(cfg: RunConfig, seed=0):
         "l2": [name for name in params if name in model_mod.L2_PARAMS],
     }
 
-    logits, attns = net.forward_batch([tokens], prem_tokens=[scenario["tokens2"]])
+    logits, attns = net.forward_batch([tokens], [scenario["tokens2"]])
     training.total_loss(logits, [label], attns, coeff=1.0, l2_coeff=1e-4,
                         l2_params=net.l2_parameters())[0].backward()
     oracle_params = {name: p.data.astype(_LD) for name, p in params.items()}

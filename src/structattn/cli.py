@@ -95,24 +95,9 @@ def cmd_eval(args):
     return 0
 
 
-def _read_sentences(path, lowercase):
-    """The token list of each non-empty line; empty lines are skipped with a warning."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = data._tokenize(line, lowercase)
-            if not tokens:
-                print(f"warning: {path}:{lineno}: empty sentence line skipped", file=sys.stderr)
-                continue
-            out.append(tokens)
-    if not out:
-        raise data.DataError(f"{path}: no sentences")
-    return out
-
-
 def cmd_embed(args):
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
-    sentences = [vocab.encode(tokens) for tokens in _read_sentences(args.sentences, cfg.lowercase)]
+    sentences = [vocab.encode(tokens) for tokens in data.read_sentences(args.sentences, cfg.lowercase)]
     blocks = []
     with T.no_grad():
         # packed batches of the checkpoint's batch size: M has the bits of
@@ -133,7 +118,7 @@ def cmd_visualize(args):
     # one sentence at a time: a dense head over B > 1 rows can move the
     # logits' low bits
     with T.no_grad():
-        for idx, tokens in enumerate(_read_sentences(args.sentences, cfg.lowercase)):
+        for idx, tokens in enumerate(data.read_sentences(args.sentences, cfg.lowercase)):
             ids = vocab.encode(tokens)
             predicted = confidence = None
             if single:

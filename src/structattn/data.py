@@ -1,13 +1,15 @@
-"""Corpus ingestion: vocabulary, datasets, pretrained vectors, padded batches.
+"""Corpus ingestion: vocabulary, datasets, sentence files, pretrained vectors, batches.
 
 File formats (all UTF-8, whitespace-pretokenized):
   single sentences: ``label<TAB>tok tok tok``
   sentence pairs:   ``label<TAB>hypothesis toks<TAB>premise toks``
+  sentences:        ``tok tok tok`` per line, unlabeled (``embed``, ``visualize``)
   embeddings:       ``token v1 v2 ... v_dim`` per line
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -88,6 +90,11 @@ def _tokenize(text, lowercase):
     return (text.lower() if lowercase else text).split()
 
 
+def _check_reserved(path, lineno, token_lists):
+    if any(PAD_TOKEN in toks for toks in token_lists):
+        raise DataError(f"{path}:{lineno}: the padding token {PAD_TOKEN} is reserved")
+
+
 def read_dataset(path, pairs=False, lowercase=False):
     """Validated ``(label, token lists)`` records, one per non-blank line of a
     dataset file: one token list per sentence, or a pair's hypothesis and premise.
@@ -112,12 +119,28 @@ def read_dataset(path, pairs=False, lowercase=False):
             token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
             if any(not toks for toks in token_lists):
                 raise DataError(f"{path}:{lineno}: empty sentence")
-            if any(PAD_TOKEN in toks for toks in token_lists):
-                raise DataError(f"{path}:{lineno}: the padding token {PAD_TOKEN} is reserved")
+            _check_reserved(path, lineno, token_lists)
             records.append((label, token_lists))
     if not records:
         raise DataError(f"{path}: no examples")
     return records
+
+
+def read_sentences(path, lowercase=False):
+    """The token list of each non-empty line of a sentences file; empty lines are
+    skipped with a warning, and a literal ``<pad>`` is an error, as in ``read_dataset``."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = _tokenize(line, lowercase)
+            if not tokens:
+                print(f"warning: {path}:{lineno}: empty sentence line skipped", file=sys.stderr)
+                continue
+            _check_reserved(path, lineno, [tokens])
+            out.append(tokens)
+    if not out:
+        raise DataError(f"{path}: no sentences")
+    return out
 
 
 def sentences(records):
@@ -183,47 +206,47 @@ def load_pretrained(path, vocab, table):
     return write_pretrained(table, read_pretrained(path, vocab, table.shape[1], table.dtype))
 
 
+def _length_mask(sentences):
+    lengths = np.array([len(ids) for ids in sentences])
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
 @dataclass
 class Batch:
-    tokens: np.ndarray  # B x L int
-    mask: np.ndarray    # B x L bool
+    sentences: list     # B int64 id arrays, each example's own
     labels: np.ndarray  # B
 
     def __len__(self):
-        return self.tokens.shape[0]
+        return len(self.sentences)
 
     def inputs(self):
         """Positional arguments of ``Classifier.forward_batch`` for this batch."""
-        return self.tokens, self.mask
+        return (self.sentences,)
+
+    mask = property(lambda self: _length_mask(self.sentences), doc="The padding mask built from the lengths "
+                    "on demand; read only by the benchmark tracer's padding ratio, until it reads lengths.")
 
 
 @dataclass
 class PairBatch:
-    hyp_tokens: np.ndarray
-    hyp_mask: np.ndarray
-    prem_tokens: np.ndarray
-    prem_mask: np.ndarray
-    labels: np.ndarray
+    hypotheses: list    # B int64 id arrays
+    premises: list      # B int64 id arrays
+    labels: np.ndarray  # B
 
     def __len__(self):
-        return self.hyp_tokens.shape[0]
+        return len(self.hypotheses)
 
     def inputs(self):
-        return self.hyp_tokens, self.hyp_mask, self.prem_tokens, self.prem_mask
+        return self.hypotheses, self.premises
 
-
-def _pad_block(token_lists):
-    width = max(len(t) for t in token_lists)
-    tokens = np.full((len(token_lists), width), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(token_lists), width), dtype=bool)
-    for i, toks in enumerate(token_lists):
-        tokens[i, :len(toks)] = toks
-        mask[i, :len(toks)] = True
-    return tokens, mask
+    # the padding masks of the hypotheses and premises, only for the tracer, like ``Batch.mask``
+    hyp_mask = property(lambda self: _length_mask(self.hypotheses))
+    prem_mask = property(lambda self: _length_mask(self.premises))
 
 
 def batch(examples, size, rng=None):
-    """Shuffle (when given an rng) and pad; every batch pads to its own max length."""
+    """Shuffle (when given an rng) and cut into batches of ``size`` examples,
+    each holding its examples' own id arrays."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
     order = np.arange(len(examples))
@@ -234,10 +257,7 @@ def batch(examples, size, rng=None):
         chunk = [examples[i] for i in order[start:start + size]]
         labels = np.array([ex.label for ex in chunk], dtype=np.int64)
         if isinstance(chunk[0], PairExample):
-            hyp_tokens, hyp_mask = _pad_block([ex.hypothesis for ex in chunk])
-            prem_tokens, prem_mask = _pad_block([ex.premise for ex in chunk])
-            batches.append(PairBatch(hyp_tokens, hyp_mask, prem_tokens, prem_mask, labels))
+            batches.append(PairBatch([ex.hypothesis for ex in chunk], [ex.premise for ex in chunk], labels))
         else:
-            tokens, mask = _pad_block([ex.tokens for ex in chunk])
-            batches.append(Batch(tokens, mask, labels))
+            batches.append(Batch([ex.tokens for ex in chunk], labels))
     return batches

@@ -12,16 +12,16 @@ from __future__ import annotations
 from . import tensor as T
 
 
-def mlp_forward(m, w1, b1, w2, b2, dropout_rate=0.0, train=False, rng=None):
+def mlp_forward(m, w1, b1, w2, b2, dropout_rate=0.0, rng=None):
     """B-by-C logits relu(flatten(M) @ w1ᵀ + b1) @ w2ᵀ + b2 for a B-by-r-by-c
     batch of matrix embeddings, one GEMM per layer.
 
     Each matrix is flattened into a row of the B-by-(r*c) input; dropout hits
-    the hidden layer only while training.
+    the hidden layer only when given an ``rng``, as in training.
     """
     x = T.reshape(m, (m.shape[0], -1))
     hidden = T.relu(T.linear(x, w1, b1))
-    hidden = T.dropout(hidden, dropout_rate, rng, train)
+    hidden = T.dropout(hidden, dropout_rate, rng)
     return T.linear(hidden, w2, b2)
 
 

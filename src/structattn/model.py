@@ -5,8 +5,8 @@ and draw order. A model is one ordered name -> Tensor map: ``build_model``
 fills it from ``_init``, checkpoint restore from the file's arrays, and the
 parameter audit counts its shapes, so a checkpoint written by one build
 always lines up with another. ``Classifier`` is the one place that hands
-each named tensor to the layer that uses it. It cuts each sentence of a
-batch to its real tokens and encodes the batch packed, one biLSTM pass for
+each named tensor to the layer that uses it. A batch is a list of
+sentences, each only its real tokens, encoded packed: one biLSTM pass for
 all of its sentences; a sentence gets the same bits in any batch.
 """
 
@@ -126,7 +126,7 @@ def _init(name, shape, rng, dtype):
 
 
 def _real_ids(tokens, mask):
-    """The ids of a sentence's real tokens, the only place a mask is read.
+    """The ids of a padded sentence's real tokens; only ``encode`` and ``forward`` read a mask.
 
     A missing mask marks every token real; padding may only follow them.
     """
@@ -194,28 +194,23 @@ class Classifier:
             a = T.concat([a, T.zeros((a.shape[0], n_pad), a.dtype)], axis=1)
         return h, a, m
 
-    def forward_batch(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
+    def forward_batch(self, sentences, premises=None, rng=None):
         """B-by-C class logits and each example's annotation matrix for a batch.
 
-        ``tokens`` holds B (padded) id sequences and ``mask`` their masks, e.g.
-        the rows of a ``data.Batch``; a missing mask marks every token real.
-        Each sentence is cut to its own real tokens, so its annotation matrix
-        has one column per real token, and the batch is encoded as one packed
-        batch; then the head classifies the B matrix embeddings together,
-        stacked into one B-by-r-by-2u tensor. For gated-pair, ``tokens`` are
-        the hypotheses and ``prem_tokens`` the premises, packed pair by pair
-        (hypothesis, then premise); each example's annotation is the pair
-        (A_hypothesis, A_premise), and the head takes the B gated r-by-k
-        factors.
+        ``sentences`` holds the B examples' id arrays, real tokens only, e.g.
+        a ``data.Batch``'s, so each annotation matrix has one column per
+        token. The batch is encoded as one packed batch; then the head
+        classifies the B matrix embeddings together, stacked into one
+        B-by-r-by-2u tensor, with dropout when given an ``rng``. For
+        gated-pair, ``sentences`` are the hypotheses and ``premises`` the
+        premises, packed pair by pair (hypothesis, then premise); each
+        example's annotation is the pair (A_hypothesis, A_premise), and the
+        head takes the B gated r-by-k factors.
         """
         p = self._params
         pair = self.cfg.head == "gated-pair"
-        sentences = []
-        for i in range(len(tokens)):
-            sentences.append(_real_ids(tokens[i], None if mask is None else mask[i]))
-            if pair:
-                sentences.append(_real_ids(prem_tokens[i], None if prem_mask is None else prem_mask[i]))
-        encoded = self.encode_batch(sentences)
+        encoded = self.encode_batch([s for both in zip(sentences, premises) for s in both] if pair
+                                    else sentences)
         if pair:
             ms = [heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"])
                   for (_, _, m), (_, _, m_p) in zip(encoded[::2], encoded[1::2])]
@@ -228,12 +223,12 @@ class Classifier:
             return heads.pruned_forward(m, p["head.w_v"], p["head.w_h"],
                                         p["head.w_out"], p["head.b_out"]), attns
         return heads.mlp_forward(m, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
-                                 self.cfg.dropout, train, rng), attns
+                                 self.cfg.dropout, rng), attns
 
-    def forward(self, tokens, mask=None, prem_tokens=None, prem_mask=None, train=False, rng=None):
-        """Class logits (1-D) and the annotation matrix for one (padded)
-        sentence or pair: the B = 1 case of ``forward_batch``."""
-        logits, attns = self.forward_batch([tokens], [mask], [prem_tokens], [prem_mask], train, rng)
+    def forward(self, tokens, mask=None, prem_tokens=None, rng=None):
+        """Class logits (1-D) and the annotation matrix for one sentence (padded
+        if ``mask`` says so) or unpadded pair: the B = 1 case of ``forward_batch``."""
+        logits, attns = self.forward_batch([_real_ids(tokens, mask)], [prem_tokens], rng)
         return T.reshape(logits, (logits.shape[1],)), attns[0]
 
     def named_parameters(self):

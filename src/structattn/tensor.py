@@ -233,7 +233,7 @@ def _row_blocks(x):
     return [slice(s, s + step) for s in range(0, x.shape[0], step)]
 
 
-def uniform(rng, low, high, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
+def uniform(rng, low, high, shape, dtype=DEFAULT_DTYPE):
     """Uniform draws in [low, high), made block by block straight into ``dtype``.
 
     Block draws consume the generator's stream in order, so the values are
@@ -243,10 +243,10 @@ def uniform(rng, low, high, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
     out = np.empty(shape, dtype)
     for rows in _row_blocks(out):
         out[rows] = rng.uniform(low, high, size=out[rows].shape)
-    return Tensor(out, requires_grad=requires_grad)
+    return Tensor(out, requires_grad=True)
 
 
-def glorot(rng, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
+def glorot(rng, shape, dtype=DEFAULT_DTYPE):
     """Uniform +/- sqrt(6/(fan_in+fan_out)); 3-D weights count their per-slice fans."""
     if len(shape) == 2:
         fan_in, fan_out = shape[1], shape[0]
@@ -255,7 +255,7 @@ def glorot(rng, shape, dtype=DEFAULT_DTYPE, requires_grad=True):
     else:
         raise ShapeError(f"glorot init expects a 2-D or 3-D shape, got {shape}")
     limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return uniform(rng, -limit, limit, shape, dtype, requires_grad)
+    return uniform(rng, -limit, limit, shape, dtype)
 
 
 def matmul(a, b):
@@ -519,11 +519,11 @@ def gather_rows(x, ids):
     return _from_op(data, (x,), bk)
 
 
-def dropout(x, rate, rng, train):
-    """Inverted dropout: survivors scale by 1/(1-rate); identity at eval time."""
+def dropout(x, rate, rng):
+    """Inverted dropout: survivors scale by 1/(1-rate); identity without an ``rng`` (at eval time)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype) / x.dtype.type(1.0 - rate)
     data = x.data * keep

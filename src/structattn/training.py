@@ -60,53 +60,57 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     return loss, penalties
 
 
-def _clip(g, clip):
-    """Clamp every component of ``g`` to [-clip, +clip] in place; ``None`` leaves it."""
-    if clip is not None:
-        np.clip(g, -clip, clip, out=g)
+ADAGRAD_EPS = 1e-8  # the eps of AdaGrad's sqrt(acc) + eps
 
 
 def _touched(p):
-    """``(ids, g)``: a dense ``p.grad`` with ids ``None``, or a ``RowGrad``'s
-    sorted touched ids and their rows, the only rows a step changes."""
-    g = p.grad
-    if type(g) is T.RowGrad:
-        return g.compact()
-    return None, g
+    """``(ids, g)``: a ``RowGrad``'s sorted touched ids and rows, or ``None`` and a dense ``p.grad``."""
+    return p.grad.compact() if type(p.grad) is T.RowGrad else (None, p.grad)
 
 
 def clip_grads(params, clip):
     """Clamp every component of each ``p.grad`` to [-clip, +clip] in place."""
     for p in params.values():
-        if p.grad is not None:
-            _clip(_touched(p)[1], clip)
+        if p.grad is not None and clip is not None:
+            g = _touched(p)[1]
+            np.clip(g, -clip, clip, out=g)
+
+
+def _spend(p, clip, *state):
+    """Spend ``p.grad`` a row block at a time: yield each gradient block,
+    clipped to [-clip, +clip] in place, with the matching blocks of ``p.data``
+    and of each ``state`` array to update in place. A ``RowGrad`` yields its
+    touched rows only (``_touched``), written back once every block is spent."""
+    ids, g = _touched(p)
+    arrays = (p.data, *state)
+    views = arrays if ids is None else [x[ids] for x in arrays]
+    for rows in T._row_blocks(g):
+        gb = g[rows]
+        if clip is not None:
+            np.clip(gb, -clip, clip, out=gb)
+        yield (gb, *(v[rows] for v in views))
+    if ids is not None:
+        for x, v in zip(arrays, views):
+            x[ids] = v
+    p.grad = None
 
 
 def sgd_step(params, lr, clip=None):
     """In-place SGD update from each ``p.grad``, which is spent.
 
-    One pass per gradient: a row block at a time, the gradient is clipped to
-    [-clip, +clip], scaled by ``lr`` and subtracted, with the elementwise
-    expressions of whole-array clipping and ``p -= lr * g``, so the bits are
-    theirs. A ``RowGrad`` updates its touched rows only; every other row's
-    update would be p - lr * 0 = p.
+    One pass per gradient (``_spend``): each block is clipped, scaled by
+    ``lr`` and subtracted, with the elementwise expressions of whole-array
+    clipping and ``p -= lr * g``, so the bits are theirs. Rows a ``RowGrad``
+    did not touch would get p - lr * 0 = p.
     """
     for p in params.values():
-        if p.grad is None:
-            continue
-        ids, g = _touched(p)
-        w = p.data if ids is None else p.data[ids]
-        for rows in T._row_blocks(g):
-            gb, wb = g[rows], w[rows]
-            _clip(gb, clip)
-            np.multiply(gb, lr, out=gb)
-            wb -= gb
-        if ids is not None:
-            p.data[ids] = w
-        p.grad = None
+        if p.grad is not None:
+            for gb, wb in _spend(p, clip):
+                np.multiply(gb, lr, out=gb)
+                wb -= gb
 
 
-def adagrad_step(params, state, lr, eps=1e-8, clip=None):
+def adagrad_step(params, state, lr, clip=None):
     """AdaGrad from each ``p.grad``, which is spent: accumulate squared
     gradients, scale steps by 1/sqrt(acc).
 
@@ -122,20 +126,13 @@ def adagrad_step(params, state, lr, eps=1e-8, clip=None):
         acc = state.get(name)
         if acc is None:
             acc = state[name] = np.zeros_like(p.data)
-        ids, g = _touched(p)
-        w, a = (p.data, acc) if ids is None else (p.data[ids], acc[ids])
-        for rows in T._row_blocks(g):
-            gb, ab, wb = g[rows], a[rows], w[rows]
-            _clip(gb, clip)
+        for gb, wb, ab in _spend(p, clip, acc):
             ab += gb * gb
             denom = np.sqrt(ab)
-            denom += eps
+            denom += ADAGRAD_EPS
             np.multiply(gb, lr, out=gb)
             gb /= denom
             wb -= gb
-        if ids is not None:
-            p.data[ids], acc[ids] = w, a
-        p.grad = None
 
 
 def _dev_stats(model, examples):
@@ -208,7 +205,7 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
         penalty_sum = 0.0
         n_seen = 0
         for bi, b in enumerate(data.batch(train_set, cfg.batch_size, rng)):
-            logits, attns = model.forward_batch(*b.inputs(), train=True, rng=rng)
+            logits, attns = model.forward_batch(*b.inputs(), rng=rng)
             batch_loss, penalties = total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, l2_params)
             for p in penalties:  # one at a time: a batch subtotal would round differently
                 penalty_sum += p

@@ -16,7 +16,7 @@ from structattn.model import build_model
 
 TOL = 1e-12
 VOCAB = 20
-LENGTHS = (3, 7, 1, 5)  # mixed lengths, so every batch row but one is padded
+LENGTHS = (3, 7, 1, 5)  # mixed lengths, so the packed scan's batch shrinks as it runs
 
 HEADS = {
     "dense": dict(head="dense", b=6, dropout=0.3),
@@ -43,7 +43,9 @@ def setup(head, seed=0, dtype=np.float64):
 
 def example_inputs(b, i):
     """Example i of a batch, as the single-sentence ``forward`` takes it."""
-    return [x[i] for x in b.inputs()]
+    if isinstance(b, data.PairBatch):
+        return dict(tokens=b.hypotheses[i], prem_tokens=b.premises[i])
+    return dict(tokens=b.sentences[i])
 
 
 def loss_and_grads(net, build):
@@ -58,7 +60,7 @@ def loss_and_grads(net, build):
 
 
 def batched_loss(net, cfg, b, rng):
-    logits, attns = net.forward_batch(*b.inputs(), train=True, rng=rng)
+    logits, attns = net.forward_batch(*b.inputs(), rng=rng)
     assert logits.shape == (len(b), cfg.classes) and len(attns) == len(b)
     return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())[0]
 
@@ -66,7 +68,7 @@ def batched_loss(net, cfg, b, rng):
 def reference_loss(net, cfg, b, rng):
     total = None
     for i in range(len(b)):
-        logits, attn = net.forward(*example_inputs(b, i), train=True, rng=rng)
+        logits, attn = net.forward(**example_inputs(b, i), rng=rng)
         loss = training.total_loss(logits, b.labels[i], [attn], cfg.penalty_coeff, cfg.l2,
                                    net.l2_parameters())[0]
         total = loss if total is None else T.add(total, loss)
@@ -100,7 +102,7 @@ def test_single_sentence_forward_is_row_of_batch_forward(head):
     with T.no_grad():
         logits, attns = net.forward_batch(*b.inputs())
         for i in range(len(b)):
-            alone, attn = net.forward(*example_inputs(b, i))
+            alone, attn = net.forward(**example_inputs(b, i))
             assert alone.shape == (cfg.classes,)
             np.testing.assert_allclose(alone.data, logits.data[i], rtol=TOL, atol=TOL)
             pairs = zip(attn, attns[i]) if head == "gated-pair" else [(attn, attns[i])]
@@ -113,7 +115,7 @@ def test_zero_coeff_loss_has_the_bits_of_a_graph_without_penalties(head):
     cfg, net, b = setup(head, dtype=np.float32)
 
     def build(through_total_loss):
-        logits, attns = net.forward_batch(*b.inputs(), train=True, rng=np.random.default_rng(7))
+        logits, attns = net.forward_batch(*b.inputs(), rng=np.random.default_rng(7))
         if through_total_loss:
             return training.total_loss(logits, b.labels, attns, 0.0, cfg.l2, net.l2_parameters())[0]
         return T.add(T.sum_squares(net.l2_parameters(), cfg.l2), T.cross_entropy(logits, b.labels))
@@ -127,7 +129,7 @@ def test_zero_coeff_loss_has_the_bits_of_a_graph_without_penalties(head):
 
 def per_weight_l2_loss(net, cfg, b, rng):
     """The batch loss with L2 as one ``scale(frobenius_sq(w), l2)`` node per weight."""
-    logits, attns = net.forward_batch(*b.inputs(), train=True, rng=rng)
+    logits, attns = net.forward_batch(*b.inputs(), rng=rng)
     loss = training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, 0.0, [])[0]
     for w in net.l2_parameters():
         loss = T.add(loss, T.scale(T.frobenius_sq(w), cfg.l2))
@@ -152,7 +154,7 @@ def test_fused_l2_matches_per_weight_chain(head):
 @pytest.mark.parametrize("head", sorted(HEADS))
 def test_each_padded_sentence_gets_the_bits_it_gets_alone(head, monkeypatch):
     """In a mixed-length float32 batch of 8, every example's A and M from
-    ``forward_batch`` equal ``encode`` of that sentence unpadded, bit for bit."""
+    ``forward_batch`` equal ``encode`` of that sentence alone, bit for bit."""
     cfg = RunConfig(d=5, u=4, d_a=3, r=2, classes=3, **HEADS[head]).validate()
     rng = np.random.default_rng(3)
     net = build_model(cfg, VOCAB, rng)
@@ -163,7 +165,7 @@ def test_each_padded_sentence_gets_the_bits_it_gets_alone(head, monkeypatch):
     else:
         examples = [data.Example(s, 0) for s in sentences]
     [b] = data.batch(examples, len(examples))
-    assert not b.inputs()[1].all()
+    assert len({len(ids) for ids in b.inputs()[0]}) > 1
 
     seen = []  # the matrix embeddings each head receives
     head_fn = {"dense": "mlp_forward", "pruned": "pruned_forward", "gated-pair": "gated_encode"}[head]
@@ -193,12 +195,12 @@ def separately_encoded_loss(net, cfg, b, rng):
     direction per sentence, then the head once over the stacked matrix
     embeddings: the per-sentence reference of ``forward_batch``."""
     p = net.named_parameters()
-    tokens, mask, *premises = b.inputs()
+    sentences, *premises = b.inputs()
     ms, attns = [], []
     for i in range(len(b)):
-        [(_, a, m)] = net.encode_batch([tokens[i][mask[i]]])
+        [(_, a, m)] = net.encode_batch([sentences[i]])
         if premises:
-            [(_, a_p, m_p)] = net.encode_batch([premises[0][i][premises[1][i]]])
+            [(_, a_p, m_p)] = net.encode_batch([premises[0][i]])
             m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
         ms.append(T.reshape(m, (1, *m.shape)))
         attns.append(a)
@@ -207,7 +209,7 @@ def separately_encoded_loss(net, cfg, b, rng):
         logits = heads.pruned_forward(m, p["head.w_v"], p["head.w_h"], p["head.w_out"], p["head.b_out"])
     else:
         logits = heads.mlp_forward(m, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
-                                   cfg.dropout, True, rng)
+                                   cfg.dropout, rng)
     return training.total_loss(logits, b.labels, attns, cfg.penalty_coeff, cfg.l2, net.l2_parameters())[0]
 
 

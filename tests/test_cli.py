@@ -291,6 +291,17 @@ class TestEmbedCommand:
         assert out.read_bytes() == viz.render_embedding_csv(blocks).encode("utf-8")
 
 
+    def test_literal_pad_is_an_error(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        sents, out = tmp_path / "s.txt", tmp_path / "emb.csv"
+        sents.write_text("kw0_0 f00\nf10 kw0_1 <pad> f03\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("embed", "--checkpoint", cfg.checkpoint_path,
+                       "--sentences", str(sents), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {sents}:2: the padding token <pad> is reserved\n"
+        assert not out.exists()
+
+
 class TestVisualizeCommand:
     def test_overall_and_per_hop(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)
@@ -321,6 +332,17 @@ class TestVisualizeCommand:
         hops = {r["hop"] for r in rows if r["sentence"] == "0"}
         assert len(hops) == cfg.r
         assert html_path.read_text().count("<h3>") == 2
+
+
+    def test_literal_pad_is_an_error(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        sents, html_path, csv_path = tmp_path / "s.txt", tmp_path / "h.html", tmp_path / "h.csv"
+        sents.write_text("<pad> kw0_0 f00\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("visualize", "--checkpoint", cfg.checkpoint_path, "--sentences", str(sents),
+                       "--out-html", str(html_path), "--out-csv", str(csv_path)) == 1
+        assert capsys.readouterr().err == f"error: {sents}:1: the padding token <pad> is reserved\n"
+        assert not html_path.exists() and not csv_path.exists()
 
 
 class TestParamsCommand:

@@ -139,6 +139,29 @@ class TestLoadDataset:
         assert dropped.tokens[0] == 1
 
 
+
+class TestReadSentences:
+    def test_token_lists_with_empty_lines_skipped(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text("A b\n\n  \nc\n", encoding="utf-8")
+        assert data.read_sentences(path, lowercase=True) == [["a", "b"], ["c"]]
+        err = capsys.readouterr().err
+        assert f"warning: {path}:2: empty sentence line skipped" in err
+        assert f"warning: {path}:3: empty sentence line skipped" in err
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_literal_pad_rejected_with_line(self, tmp_path, lowercase):
+        path = tmp_path / "s.txt"
+        path.write_text("a b\nc <pad> d\n", encoding="utf-8")
+        with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}:2: the padding token <pad> is reserved$"):
+            data.read_sentences(path, lowercase)
+
+    def test_no_sentences(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(data.DataError, match="no sentences"):
+            data.read_sentences(path)
+
 class TestLoadPretrained:
     def test_full_coverage(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
@@ -214,33 +237,83 @@ class TestBatch:
 
     def test_equal_lengths_no_padding(self, rng):
         [b] = data.batch(self.examples([3, 3]), size=2, rng=rng)
-        assert b.mask.all() and b.tokens.shape == (2, 3)
+        assert b.mask.all() and b.mask.shape == (2, 3)
+        assert [len(ids) for ids in b.sentences] == [3, 3]
 
     def test_batch_of_one_mask_all_true(self):
         [b] = data.batch(self.examples([4]), size=1)
         assert b.mask.all()
 
     def test_pads_to_batch_max(self):
+        """The mask view is the mask of the batch padded to its longest sentence."""
         [b] = data.batch(self.examples([2, 4]), size=2)
-        assert b.tokens.shape == (2, 4)
+        assert b.mask.shape == (2, 4) and b.mask.dtype == bool
         assert b.mask.sum() == 6
-        assert (b.tokens[b.mask == False] == 0).all()  # noqa: E712
+        assert np.array_equal(b.mask, [[True, True, False, False], [True] * 4])
 
     def test_shuffle_is_seeded(self):
-        exs = self.examples([2] * 10)
+        exs = self.examples(list(range(1, 11)), labels=list(range(10)))
         a = data.batch(exs, 3, np.random.default_rng(5))
         b = data.batch(exs, 3, np.random.default_rng(5))
         for x, y in zip(a, b):
-            assert np.array_equal(x.tokens, y.tokens)
+            assert np.array_equal(x.labels, y.labels)
+            assert all(s is t for s, t in zip(x.sentences, y.sentences))
 
     def test_pair_batches(self):
         exs = [data.PairExample(np.array([2, 3]), np.array([4]), 1)]
         [b] = data.batch(exs, 1)
-        assert b.hyp_tokens.shape == (1, 2) and b.prem_tokens.shape == (1, 1)
+        assert b.hypotheses[0] is exs[0].hypothesis and b.premises[0] is exs[0].premise
+        assert b.hyp_mask.shape == (1, 2) and b.prem_mask.shape == (1, 1)
 
     def test_bad_size(self):
         with pytest.raises(ValueError):
             data.batch(self.examples([2]), 0)
+
+    def test_holds_the_examples_arrays_in_seeded_order(self):
+        """Each batch holds its examples' own id arrays, unpadded and uncopied,
+        in the order of the seeded permutation."""
+        exs = self.examples([3, 1, 4, 1, 5, 9, 2], labels=[0, 1, 2, 3, 4, 5, 6])
+        pairs = [data.PairExample(ex.tokens, ex.tokens[::-1].copy(), ex.label) for ex in exs]
+        order = np.random.default_rng(5).permutation(len(exs))
+        singles = data.batch(exs, 3, np.random.default_rng(5))
+        pair_batches = data.batch(pairs, 3, np.random.default_rng(5))
+        assert [len(b) for b in singles] == [len(b) for b in pair_batches] == [3, 3, 1]
+        i = 0
+        for b, pb in zip(singles, pair_batches):
+            for j in range(len(b)):
+                k = order[i]
+                assert b.sentences[j] is exs[k].tokens and b.labels[j] == k
+                assert pb.hypotheses[j] is pairs[k].hypothesis and pb.premises[j] is pairs[k].premise
+                assert pb.labels[j] == k
+                i += 1
+            assert b.inputs()[0] is b.sentences
+            assert pb.inputs()[0] is pb.hypotheses and pb.inputs()[1] is pb.premises
+
+    def test_mask_views_equal_the_padded_masks(self):
+        """The read-only mask views are the masks of each batch padded to its
+        longest sentence, so a padding ratio read from them cannot move."""
+        def padded_mask(token_lists):
+            mask = np.zeros((len(token_lists), max(len(t) for t in token_lists)), dtype=bool)
+            for i, toks in enumerate(token_lists):
+                mask[i, :len(toks)] = True
+            return mask
+
+        rng = np.random.default_rng(8)
+        lengths = rng.integers(1, 12, size=23)
+        exs = self.examples(list(lengths))
+        pairs = [data.PairExample(ex.tokens, np.arange(2, 2 + int(n)), 0)
+                 for ex, n in zip(exs, rng.integers(1, 12, size=23))]
+        for b in data.batch(exs, 5, np.random.default_rng(1)):
+            assert np.array_equal(b.mask, padded_mask(b.sentences)) and b.mask.dtype == bool
+        for b in data.batch(pairs, 5, np.random.default_rng(1)):
+            assert np.array_equal(b.hyp_mask, padded_mask(b.hypotheses))
+            assert np.array_equal(b.prem_mask, padded_mask(b.premises))
+        [b] = data.batch([data.PairExample(np.arange(2, 5), np.arange(2, 7), 0),
+                          data.PairExample(np.arange(2, 4), np.arange(2, 3), 0)], 2)
+        assert b.hyp_mask.shape == (2, 3) and b.hyp_mask.sum() == 5
+        assert b.prem_mask.shape == (2, 5) and b.prem_mask.sum() == 6
+        with pytest.raises(AttributeError):
+            b.hyp_mask = None
 
 
 def test_padding_inertness_through_model(rng):
@@ -248,9 +321,11 @@ def test_padding_inertness_through_model(rng):
     cfg = RunConfig(d=6, u=5, d_a=4, r=3, head="dense", b=7, classes=2, dropout=0.0).validate()
     net = build_model(cfg, vocab_size=10, rng=rng)
     examples = [data.Example(np.array([2, 3, 4]), 0), data.Example(np.array([5, 6, 7, 8, 2, 3]), 1)]
-    [padded] = data.batch(examples, size=2)
+    [b] = data.batch(examples, size=2)
     with T.no_grad():
-        for i, ex in enumerate(examples):
+        for ex, mask in zip(examples, b.mask):
+            padded = np.zeros(mask.shape, dtype=np.int64)
+            padded[mask] = ex.tokens
             alone, _ = net.forward(ex.tokens)
-            batched, _ = net.forward(padded.tokens[i], padded.mask[i])
+            batched, _ = net.forward(padded, mask)
             assert np.array_equal(alone.data, batched.data)

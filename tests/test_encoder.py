@@ -188,7 +188,7 @@ class TestBilstm:
         with pytest.raises(ValueError, match="contiguous"):
             net.encode(np.array([2, 3, 4]), np.array([True, False, True]))
         with pytest.raises(ValueError, match="contiguous"):
-            net.forward_batch([np.array([2, 3, 4])], [np.array([False, True, True])])
+            net.forward(np.array([2, 3, 4]), np.array([False, True, True]))
 
     def test_gradient_through_three_tokens(self, rng):
         d, u = 2, 3
@@ -341,7 +341,7 @@ class TestPackedScan:
         monkeypatch.setattr(T, "lstm_scan", lambda *a, **k: calls.append(a[1]) or scan(*a, **k))
         tokens = [rng.integers(2, 6, size=n) for n in (3, 1, 4)]
         with T.no_grad():
-            net.forward_batch(tokens, prem_tokens=tokens[::-1])
+            net.forward_batch(tokens, tokens[::-1])
         sizes = [3, 4, 1, 1, 4, 3] if head == "gated-pair" else [3, 1, 4]
         assert [list(c) for c in calls] == [sizes, sizes]
 

@@ -41,8 +41,8 @@ class TestMlpHead:
     def test_eval_deterministic_under_dropout_rate(self, rng):
         head = mlp_head(rng, 6, 5, 3)
         m = t64(rng.standard_normal((4, 2, 3)))
-        a = heads.mlp_forward(m, *head, dropout_rate=0.5, train=False).data
-        b = heads.mlp_forward(m, *head, dropout_rate=0.5, train=False).data
+        a = heads.mlp_forward(m, *head, dropout_rate=0.5).data
+        b = heads.mlp_forward(m, *head, dropout_rate=0.5).data
         assert np.array_equal(a, b)
 
     def test_gradient_through_head(self, rng):

@@ -363,22 +363,23 @@ class TestRowGrad:
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         x = t64(np.ones(5))
-        assert T.dropout(x, 0.0, rng, train=True) is x
+        assert T.dropout(x, 0.0, rng) is x
 
-    def test_eval_is_identity(self, rng):
+    def test_eval_is_identity(self):
         x = t64(np.ones(5))
-        assert T.dropout(x, 0.5, rng, train=False) is x
+        assert T.dropout(x, 0.5, None) is x
 
     def test_survivors_scaled(self):
         x = t64(np.ones(1000))
-        out = T.dropout(x, 0.25, np.random.default_rng(0), train=True).data
+        out = T.dropout(x, 0.25, np.random.default_rng(0)).data
         kept = out[out != 0]
         assert np.allclose(kept, 1 / 0.75)
         assert 0.6 < kept.size / 1000 < 0.9
 
     def test_bad_rate(self, rng):
-        with pytest.raises(ValueError):
-            T.dropout(t64(np.ones(2)), 1.0, rng, train=True)
+        for gen in (rng, None):  # checked at eval time too
+            with pytest.raises(ValueError):
+                T.dropout(t64(np.ones(2)), 1.0, gen)
 
 
 class TestCrossEntropy:
@@ -612,7 +613,7 @@ class TestBackward:
     @pytest.mark.parametrize("op", [
         T.softmax_rows, T.tanh_elem, T.sigmoid, T.relu, lambda x: T.scale(x, 0.3), T.frobenius_sq,
         T.sum_all, T.transpose, lambda x: T.reshape(x, (4, 3)), lambda x: T.gather_rows(x, [2, 0, 2]),
-        lambda x: T.dropout(x, 0.5, np.random.default_rng(1), train=True),
+        lambda x: T.dropout(x, 0.5, np.random.default_rng(1)),
         lambda x: T.cross_entropy(x, [1, 0, 3])],
         ids=["softmax_rows", "tanh_elem", "sigmoid", "relu", "scale", "frobenius_sq", "sum_all", "transpose",
              "reshape", "gather_rows", "dropout", "cross_entropy"])

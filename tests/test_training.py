@@ -7,6 +7,7 @@ import pytest
 from structattn import attention, checks, data, training
 from structattn import tensor as T
 from structattn.model import build_model
+from structattn.synth import make_pair_task, write_lines
 
 from support import load_sets, tiny_config
 
@@ -141,13 +142,13 @@ class TestAdagradStep:
 
     def test_matches_hand_trace_on_scalar(self):
         # acc: 4 then 4.25; steps lr*2/(2+eps), lr*0.5/(sqrt(4.25)+eps)
-        lr, eps = 0.1, 1e-8
+        lr, eps = 0.1, training.ADAGRAD_EPS
         p = {"w": T.Tensor(np.array([1.0]))}
         state = {}
-        adagrad(p, {"w": np.array([2.0])}, state, lr=lr, eps=eps)
+        adagrad(p, {"w": np.array([2.0])}, state, lr=lr)
         expected = 1.0 - lr * 2.0 / (np.sqrt(4.0) + eps)
         assert p["w"].data[0] == pytest.approx(expected, rel=1e-7)
-        adagrad(p, {"w": np.array([0.5])}, state, lr=lr, eps=eps)
+        adagrad(p, {"w": np.array([0.5])}, state, lr=lr)
         expected -= lr * 0.5 / (np.sqrt(4.25) + eps)
         assert p["w"].data[0] == pytest.approx(expected, rel=1e-7)
 
@@ -212,6 +213,7 @@ def test_clipped_adagrad_steps_give_the_bits_of_the_whole_array_formula():
     ref_acc = {}
     state = {}
     lr, eps = 0.05, 1e-8
+    assert training.ADAGRAD_EPS == eps
     for _ in range(2):
         grads = clipped_grads(rng, params)
         for k, g in grads.items():  # clip_grads, then adagrad_step, as whole arrays
@@ -220,7 +222,7 @@ def test_clipped_adagrad_steps_give_the_bits_of_the_whole_array_formula():
             acc = ref_acc.setdefault(k, np.zeros_like(ref[k]))
             acc += g * g
             ref[k] -= lr * g / (np.sqrt(acc) + eps)
-        training.adagrad_step(set_grads(params, grads), state, lr=lr, eps=eps, clip=0.5)
+        training.adagrad_step(set_grads(params, grads), state, lr=lr, clip=0.5)
         for k, p in params.items():
             assert p.grad is None and p.data.dtype == np.float32
             assert np.array_equal(p.data, ref[k]), k
@@ -297,13 +299,13 @@ def test_row_grad_adagrad_steps_give_the_bits_of_the_dense_formula():
     ref = table.data.copy()
     ref_acc = np.zeros_like(ref)
     state = {}
-    lr, eps = 0.05, 1e-8
+    lr, eps = 0.05, training.ADAGRAD_EPS
     for _ in range(2):
         table.grad, g = row_grad(rng, table.data)
         np.clip(g, -0.5, 0.5, out=g)  # clip_grads, then adagrad_step, as whole arrays
         ref_acc += g * g
         ref -= lr * g / (np.sqrt(ref_acc) + eps)
-        training.adagrad_step({"table": table}, state, lr=lr, eps=eps, clip=0.5)
+        training.adagrad_step({"table": table}, state, lr=lr, clip=0.5)
         assert table.grad is None and table.data.dtype == np.float32
         assert np.array_equal(table.data, ref)
         assert np.array_equal(state["table"], ref_acc)
@@ -337,9 +339,10 @@ class StubModel:
     def __init__(self, logits_for):
         self.logits_for = logits_for
 
-    def forward_batch(self, tokens, mask=None, train=False, rng=None):
-        logits = [self.logits_for(t) for t in tokens]
-        return T.Tensor(np.asarray(logits, dtype=np.float32)), [T.Tensor(np.ones((1, len(t)))) for t in tokens]
+    def forward_batch(self, sentences, premises=None, rng=None):
+        logits = [self.logits_for(t) for t in sentences]
+        return (T.Tensor(np.asarray(logits, dtype=np.float32)),
+                [T.Tensor(np.ones((1, len(t)))) for t in sentences])
 
 
 class TestEvaluate:
@@ -377,6 +380,32 @@ class TestEvaluate:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("head", ["dense", "gated-pair"])
+    def test_training_and_evaluation_build_no_mask(self, tmp_path, monkeypatch, head):
+        """A batch reaches the model as its examples' id arrays: with the mask
+        helper made to raise, a toy run trains and evaluates."""
+        extra = {}
+        if head == "gated-pair":
+            train, dev = make_pair_task(n_train=16, n_dev=6, n_fillers=10, seed=4)
+            write_lines(tmp_path / "pair_train.txt", train)
+            write_lines(tmp_path / "pair_dev.txt", dev)
+            extra = dict(head=head, k=3, optimizer="adagrad", train_path=tmp_path / "pair_train.txt",
+                         dev_path=tmp_path / "pair_dev.txt")
+        cfg = tiny_config(tmp_path, **extra)
+        vocab, train_set, dev_set = load_sets(cfg)
+
+        def no_mask(sentences):
+            raise AssertionError("a padding mask was built")
+
+        monkeypatch.setattr(data, "_length_mask", no_mask)
+        b = data.batch(train_set, 4)[0]
+        with pytest.raises(AssertionError, match="padding mask"):
+            b.hyp_mask if head == "gated-pair" else b.mask
+        net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
+        result = training.train(net, train_set, dev_set, cfg)
+        assert len(result.history) == cfg.max_epochs
+        assert training.evaluate(net, dev_set) == result.history[-1].dev_acc
+
     def test_same_seed_identical_history(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=3, patience=3)
 
