@@ -2,7 +2,8 @@
 
 Every command is a thin shell over the library; results go to stdout (or the
 requested output files), errors go to stderr with a nonzero exit code.
-``embed`` encodes packed batches of the checkpoint's ``batch_size``;
+``embed`` encodes packed batches of the checkpoint's ``batch_size`` and writes
+each batch's rows before it encodes the next;
 ``visualize`` predicts one sentence at a time.
 """
 
@@ -98,16 +99,16 @@ def cmd_eval(args):
 def cmd_embed(args):
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     sentences = [vocab.encode(tokens) for tokens in data.read_sentences(args.sentences, cfg.lowercase)]
-    blocks = []
-    with T.no_grad():
+    with T.no_grad(), open(args.out, "wb") as fh:
+        fh.write(viz.embedding_csv_header(2 * cfg.u))
         # packed batches of the checkpoint's batch size: M has the bits of
-        # each sentence encoded alone
+        # each sentence encoded alone. Everything written so far is in the
+        # file before the next batch is encoded.
         for start in range(0, len(sentences), cfg.batch_size):
-            for _, _, m in net.encode_batch(sentences[start:start + cfg.batch_size]):
-                blocks.append((len(blocks), m.data))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(viz.render_embedding_csv(blocks))
-    print(f"wrote {len(blocks)} embedding blocks to {args.out}")
+            fh.flush()
+            encoded = net.encode_batch(sentences[start:start + cfg.batch_size])
+            fh.writelines(viz.embedding_csv_rows((start + i, m.data) for i, (_, _, m) in enumerate(encoded)))
+    print(f"wrote {len(sentences)} embedding blocks to {args.out}")
     return 0
 
 

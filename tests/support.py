@@ -1,5 +1,8 @@
-"""Shared test helpers: config paths, a toy config, and dataset loading."""
+"""Shared test helpers: config paths, a toy config, dataset loading, and the
+per-value embedding CSV."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -59,3 +62,15 @@ def append_repeated_tensor(path, name):
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     second = np.full(entry[1], 0.5, dtype="<f4").tobytes()
     Path(path).write_bytes(raw[:start - 8] + len(blob).to_bytes(8, "little") + blob + raw[end:] + second)
+
+
+def per_value_repr_csv(blocks):
+    """The embedding CSV as csv.writer writes it with repr(float(v)) per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    width = blocks[0][1].shape[1] if blocks else 0
+    writer.writerow(["sentence", "hop"] + [f"dim{j}" for j in range(width)])
+    for sentence_id, block in blocks:
+        for hop in range(block.shape[0]):
+            writer.writerow([sentence_id, hop] + [repr(float(v)) for v in block[hop]])
+    return buf.getvalue()

@@ -9,7 +9,7 @@ from structattn import attention, checkpoint, cli, data, training, viz
 from structattn import model as model_mod
 from structattn import tensor as T
 
-from support import CONFIG_DIR, append_repeated_tensor, tiny_config
+from support import CONFIG_DIR, append_repeated_tensor, per_value_repr_csv, tiny_config
 
 
 def run_cli(*args):
@@ -290,6 +290,61 @@ class TestEmbedCommand:
             blocks = [(i, net.encode(vocab.encode(line.split()))[2].data) for i, line in enumerate(lines)]
         assert out.read_bytes() == viz.render_embedding_csv(blocks).encode("utf-8")
 
+
+    def test_streams_each_batch_before_encoding_the_next(self, tmp_path, capsys, monkeypatch):
+        """Lengths 1-9 at batch size 8: the file equals the per-value reference,
+        and when batch k is encoded the file holds the header and exactly the
+        rows of the batches before it."""
+        cfg, _ = train_once(tmp_path)
+        words = ["kw0_0", "kw1_1", "f00", "f01", "f02", "unseen"]
+        lines = [" ".join(words[(i + n) % len(words)] for i in range(n)) for n in range(1, 10)]
+        sents, out = tmp_path / "s.txt", tmp_path / "emb.csv"
+        sents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        net, vocab, saved = checkpoint.restore_model(cfg.checkpoint_path)
+        assert saved.batch_size == 8
+        with T.no_grad():
+            blocks = [(i, net.encode(vocab.encode(line.split()))[2].data) for i, line in enumerate(lines)]
+        sizes, encode_batch = [], model_mod.Classifier.encode_batch
+
+        def recording(self, sentences):
+            sizes.append(out.stat().st_size)
+            return encode_batch(self, sentences)
+
+        monkeypatch.setattr(model_mod.Classifier, "encode_batch", recording)
+        assert run_cli("embed", "--checkpoint", cfg.checkpoint_path,
+                       "--sentences", str(sents), "--out", str(out)) == 0
+        assert out.read_bytes() == per_value_repr_csv(blocks).encode("utf-8")
+        header = per_value_repr_csv(blocks).split("\n")[0] + "\n"
+        assert sizes == [len(header), len(per_value_repr_csv(blocks[:8]))]
+        assert capsys.readouterr().out.endswith(f"wrote 9 embedding blocks to {out}\n")
+
+    def test_float64_model_gives_the_per_value_file(self, tmp_path, capsys, monkeypatch):
+        """Checkpoints hold float32; a float64 model's blocks take repr one value
+        at a time and give the same file as the per-value reference."""
+        cfg, _ = train_once(tmp_path)
+        net, vocab, saved = checkpoint.restore_model(cfg.checkpoint_path)
+        for p in net.named_parameters().values():
+            p.data = p.data.astype(np.float64)
+        monkeypatch.setattr(checkpoint, "restore_model", lambda path: (net, vocab, saved))
+        lines = ["kw0_0 f00 f01", "f02 kw1_1"]
+        sents, out = tmp_path / "s.txt", tmp_path / "emb.csv"
+        sents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("embed", "--checkpoint", cfg.checkpoint_path,
+                       "--sentences", str(sents), "--out", str(out)) == 0
+        with T.no_grad():
+            blocks = [(i, net.encode(vocab.encode(line.split()))[2].data) for i, line in enumerate(lines)]
+        assert blocks[0][1].dtype == np.float64
+        assert out.read_bytes() == per_value_repr_csv(blocks).encode("utf-8")
+
+    def test_empty_sentences_file_writes_no_file(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        sents, out = tmp_path / "s.txt", tmp_path / "emb.csv"
+        sents.write_text("\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("embed", "--checkpoint", cfg.checkpoint_path,
+                       "--sentences", str(sents), "--out", str(out)) == 1
+        assert capsys.readouterr().err.endswith(f"error: {sents}: no sentences\n")
+        assert not out.exists()
 
     def test_literal_pad_is_an_error(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)

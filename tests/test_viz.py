@@ -1,9 +1,14 @@
 import csv
 import io
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from structattn import attention, viz
+
+from support import per_value_repr_csv
 
 
 def make_doc(rng, sentence_id=0, r=3, tokens=("the", "cat", "<sat>")):
@@ -84,18 +89,6 @@ def test_prediction_metadata_optional(rng):
     assert "predicted" not in html_text
 
 
-def per_value_repr_csv(blocks):
-    """The embedding CSV as csv.writer writes it with repr(float(v)) per value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    width = blocks[0][1].shape[1] if blocks else 0
-    writer.writerow(["sentence", "hop"] + [f"dim{j}" for j in range(width)])
-    for sentence_id, block in blocks:
-        for hop in range(block.shape[0]):
-            writer.writerow([sentence_id, hop] + [repr(float(v)) for v in block[hop]])
-    return buf.getvalue()
-
-
 def test_embedding_csv_bytes_match_per_value_repr(rng):
     tiny = np.finfo(np.float32).smallest_subnormal
     m = rng.standard_normal((3, 5)).astype(np.float32)
@@ -105,3 +98,93 @@ def test_embedding_csv_bytes_match_per_value_repr(rng):
     assert text.encode("utf-8") == per_value_repr_csv(blocks).encode("utf-8")
     assert ",-0.0," in text and "e-45," in text
     assert viz.render_embedding_csv([]) == per_value_repr_csv([])
+
+
+def as_blocks(values, r=30, width=600):
+    """float32 values as r-by-width blocks (the last one shorter), padded with 0.5."""
+    values = np.concatenate([values, np.full(-values.size % width, 0.5, dtype=np.float32)])
+    rows = values.reshape(-1, width)
+    return [(i, rows[start:start + r]) for i, start in enumerate(range(0, len(rows), r))]
+
+
+def from_bits(bits):
+    return np.asarray(bits, dtype=np.int64).astype(np.uint32).view(np.float32)
+
+
+def assert_same_bytes(blocks):
+    assert viz.render_embedding_csv(blocks).encode("utf-8") == per_value_repr_csv(blocks).encode("utf-8")
+
+
+def test_decade_bounds_are_the_first_float32_at_or_above_each_power_of_ten():
+    for k, bound in zip((4, 3, 2, 1), [viz._LOW] + viz._DECADES):
+        below, at = (Fraction(float(v)) for v in from_bits([bound - 1, bound]))
+        assert below < Fraction(1, 10 ** k) < at
+    assert from_bits([viz._TOP])[0] == np.nextafter(np.float32(1), np.float32(0))
+
+
+def test_strided_sweep_of_the_fast_range_both_signs():
+    """Every 257th float32 pattern from just below 1e-4 to just above 1, with
+    each sign: about 0.9 M values, almost all formatted in bulk."""
+    bits = np.arange(viz._LOW - 2570, 0x3F800000 + 2570, 257)
+    assert_same_bytes(as_blocks(np.concatenate([from_bits(bits), from_bits(bits | 1 << 31)])))
+
+
+def test_strided_sweep_of_every_float32():
+    """Every 65 537th pattern of the whole space: NaNs, infinities, subnormals
+    and magnitudes far outside [1e-4, 1), beside signed zeros and powers of two."""
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, -0.25, 2.0 ** -13, 1.0, 1e-45],
+                       dtype=np.float32)
+    values = np.concatenate([from_bits(np.arange(0, 2 ** 32, 65537)), special])
+    assert_same_bytes(as_blocks(values))
+    assert ",-0.0," in per_value_repr_csv(as_blocks(special))
+
+
+def test_edges_of_the_fast_range():
+    low = np.float32(1e-4)
+    edges = [np.nextafter(low, np.float32(0)), low, np.nextafter(low, np.float32(1)),
+             np.nextafter(np.float32(1), np.float32(0)), np.float32(0.1), np.float32(0.01),
+             np.float32(0.001), np.float32(0.375), np.float32(0.1015625)]
+    edges += [np.float32(2.0 ** -k) for k in range(1, 15)]  # 2**-14 < 1e-4 < 2**-13
+    values = np.array(edges + [-v for v in edges], dtype=np.float32)
+    text = viz.render_embedding_csv([(0, values.reshape(2, -1))])
+    assert text == per_value_repr_csv([(0, values.reshape(2, -1))])
+    assert ",0.375," in text and "9.99999901978299e-05" in text
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (0, 4), (3, 0)])
+def test_block_shapes(rng, shape):
+    m = (rng.standard_normal(shape) * 0.1).astype(np.float32)
+    assert_same_bytes([(0, m), (12, m), (13, m[:, :1])])
+
+
+def test_other_dtypes_and_long_ids_take_repr(rng):
+    m = rng.standard_normal((3, 4)) * 0.1
+    blocks = [(0, m), (1, m.astype(np.float32)), (2, m.astype(np.float16)), (10 ** 40, m.astype(np.float32)),
+              (3, m.astype(">f4")), (4, m.astype(np.float32))]
+    assert_same_bytes(blocks)
+    assert viz.render_embedding_csv([]) == per_value_repr_csv([]) == "sentence,hop\n"
+
+
+def test_rows_come_in_chunks_of_whole_rows(rng):
+    """Float32 rows are formatted about _CHUNK values at a time, across blocks:
+    four 30-by-600 blocks (72 000 values) reach 65 536."""
+    assert viz._CHUNK == 65536
+    blocks = [(i, (rng.standard_normal((30, 600)) * 0.1).astype(np.float32)) for i in range(9)]
+    chunks = list(viz.embedding_csv_rows(blocks))
+    assert [c.count(b"\n") for c in chunks] == [120, 120, 30]
+    assert all(c.endswith(b"\n") for c in chunks)
+    assert b"".join(chunks).decode("utf-8") == per_value_repr_csv(blocks).split("\n", 1)[1]
+
+
+def test_peak_memory_is_near_one_output_buffer_and_its_text():
+    """The per-value loop peaks at 3.0 times its text on these blocks; one
+    output buffer decoded once stays near 2 times."""
+    rng = np.random.default_rng(0)
+    blocks = [(i, (rng.standard_normal((30, 600)) * 0.1).astype(np.float32)) for i in range(100)]
+    tracemalloc.start()
+    try:
+        text = viz.render_embedding_csv(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
