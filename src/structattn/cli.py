@@ -3,8 +3,10 @@
 Every command is a thin shell over the library; results go to stdout (or the
 requested output files), errors go to stderr with a nonzero exit code.
 ``embed`` encodes packed batches of the checkpoint's ``batch_size`` and writes
-each batch's rows before it encodes the next;
-``visualize`` predicts one sentence at a time.
+each batch's rows before it encodes the next; ``visualize`` reads and checks
+the whole sentences file, then predicts one sentence at a time and writes its
+heat-map section and CSV rows before it encodes the next. ``train`` and
+``sweep`` check that every output's directory exists before they train.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import astuple, fields, replace
 
@@ -37,6 +40,14 @@ def _write_history(path, records):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HISTORY_FIELDS)
         writer.writerows(_history_rows(records))
+
+
+def _check_out_dirs(*paths):
+    """Fail before any training when an output file's directory is missing."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"{path}: no such directory {folder}")
 
 
 def _load_sets(cfg):
@@ -79,9 +90,10 @@ def _run_training(cfg, sets):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, args.set)
+    _check_out_dirs(cfg.checkpoint_path, cfg.history_path)
     net, vocab, result = _run_training(cfg, _load_sets(cfg))
-    _write_history(cfg.history_path, result.history)
     checkpoint.save_model(cfg.checkpoint_path, net, vocab)
+    _write_history(cfg.history_path, result.history)
     print(f"best dev accuracy {result.best_dev_acc:.4f} at epoch {result.best_epoch}")
     print(f"checkpoint: {cfg.checkpoint_path}")
     print(f"history: {cfg.history_path}")
@@ -114,30 +126,32 @@ def cmd_embed(args):
 
 def cmd_visualize(args):
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
-    single = cfg.head in ("dense", "pruned")
-    docs = []
-    # one sentence at a time: a dense head over B > 1 rows can move the
-    # logits' low bits
-    with T.no_grad():
-        for idx, tokens in enumerate(data.read_sentences(args.sentences, cfg.lowercase)):
-            ids = vocab.encode(tokens)
+    sentences = data.read_sentences(args.sentences, cfg.lowercase)
+    with T.no_grad(), open(args.out_html, "w", encoding="utf-8") as html_fh, \
+            open(args.out_csv, "w", encoding="utf-8", newline="") as csv_fh:
+        html_fh.write(viz.HTML_HEAD)
+        csv_fh.write(viz.CSV_HEADER)
+        # One sentence at a time, each written before the next is encoded. In
+        # a batch, rows of the classes-wide head products (dense w2, pruned
+        # w_out) get other low bits than the sentence alone, and running one
+        # sentence as a 2-row GEMM does not restore them (on the paper's dense
+        # head.w1 it also takes 2-4 times as long as the GEMV), so the B = 1
+        # ``forward`` stays the reference.
+        for idx, tokens in enumerate(sentences):
             predicted = confidence = None
-            if single:
-                logits, a = net.forward(ids)
+            if cfg.head != "gated-pair":
+                logits, a = net.forward(vocab.encode(tokens))
                 z = logits.data - logits.data.max()
                 probs = np.exp(z) / np.exp(z).sum()
                 predicted, confidence = int(np.argmax(probs)), float(probs.max())
             else:
-                _, a, _ = net.encode(ids)
-            docs.append(viz.HeatmapDoc(
-                sentence_id=idx, tokens=tokens, hop_weights=a.data.copy(),
-                overall=attention.overall_attention(a), model_id=args.checkpoint,
-                predicted=predicted, confidence=confidence))
-    with open(args.out_html, "w", encoding="utf-8") as fh:
-        fh.write(viz.render_html(docs, args.mode))
-    with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write(viz.render_csv(docs, args.mode))
-    print(f"wrote heatmaps for {len(docs)} sentences to {args.out_html} and {args.out_csv}")
+                _, a, _ = net.encode(vocab.encode(tokens))
+            doc = viz.HeatmapDoc(idx, tokens, a.data, attention.overall_attention(a),
+                                 predicted=predicted, confidence=confidence)
+            html_fh.write(viz.heatmap_html(doc, args.mode))
+            csv_fh.write(viz.heatmap_csv(doc, args.mode))
+        html_fh.write(viz.HTML_TAIL)
+    print(f"wrote heatmaps for {len(sentences)} sentences to {args.out_html} and {args.out_csv}")
     return 0
 
 
@@ -164,6 +178,7 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = load_run_config(args.config, args.set)
+    _check_out_dirs(args.out)
     values = [_coerce(args.param, v) for v in args.values.split(",")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

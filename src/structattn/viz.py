@@ -1,8 +1,10 @@
-"""Attention heat maps rendered to static HTML and CSV.
+"""Attention heat maps rendered to static HTML and CSV, one sentence at a time.
 
-Both renderings come from the same document; the CSV carries the exact
-weights and is the ground truth, the HTML colors each token on a linear
-white-to-red scale normalized to the sentence's maximum weight.
+Both renderings come from the same rows of a document (every hop, or the
+overall row); the CSV carries the exact weights and is the ground truth, the
+HTML colors each token on a linear white-to-red scale normalized to the
+largest weight the section shows. A file is its head, then each sentence's
+section or rows, then (for HTML) its tail, so a caller can write it as it goes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ class HeatmapDoc:
     tokens: list
     hop_weights: np.ndarray       # r x n
     overall: np.ndarray           # n
-    model_id: str = ""
+    model_id: str = ""            # read by no renderer
     predicted: int | None = None
     confidence: float | None = None
 
@@ -33,62 +35,68 @@ def _color(weight, max_weight):
 
 
 def _row_html(tokens, weights, max_weight):
-    spans = []
-    for tok, w in zip(tokens, weights):
-        spans.append(
-            f'<span class="tok" style="background:{_color(float(w), max_weight)}" '
-            f'title="{float(w):.6f}">{html.escape(tok)}</span>'
-        )
-    return "".join(spans)
+    return "".join(f'<span class="tok" style="background:{_color(float(w), max_weight)}" '
+                   f'title="{float(w):.6f}">{html.escape(tok)}</span>' for tok, w in zip(tokens, weights))
+
+
+def _rows(doc, mode):
+    """A document's heat map: the hop labels and the matching rows of weights,
+    every hop in per-hop mode, else the one ``overall`` row."""
+    if mode == "per-hop":
+        return range(len(doc.hop_weights)), doc.hop_weights
+    return ("overall",), doc.overall[None]
+
+
+HTML_HEAD = "\n".join([
+    "<!doctype html>",
+    '<html><head><meta charset="utf-8"><title>attention heatmap</title>',
+    "<style>",
+    "body{font-family:sans-serif;margin:2em}",
+    ".tok{display:inline-block;padding:2px 4px;margin:1px;border-radius:3px}",
+    ".row{margin:4px 0}",
+    ".label{color:#555;margin-right:6px;font-size:smaller}",
+    "</style></head><body>\n",
+])
+HTML_TAIL = "</body></html>"
+CSV_HEADER = "sentence,hop,position,token,weight\n"
+
+
+def heatmap_html(doc, mode="overall"):
+    """The HTML section of one sentence; every line ends in a newline. The
+    colors are scaled to the largest weight the section shows."""
+    title = f"sentence {doc.sentence_id}"
+    if doc.predicted is not None:
+        title += f" &mdash; predicted {doc.predicted}"
+        if doc.confidence is not None:
+            title += f" ({doc.confidence:.3f})"
+    labels, weights = _rows(doc, mode)
+    max_w = float(weights.max())
+    lines = [f"<h3>{title}</h3>\n"]
+    for hop, row in zip(labels, weights):
+        label = "" if hop == "overall" else f'<span class="label">hop {hop}</span>'
+        lines.append(f'<div class="row">{label}' + _row_html(doc.tokens, row, max_w) + "</div>\n")
+    return "".join(lines)
+
+
+def heatmap_csv(doc, mode="overall"):
+    """The CSV rows of one sentence: sentence, hop (index or 'overall'),
+    position, token, weight (``repr`` of the float)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for hop, row in zip(*_rows(doc, mode)):
+        writer.writerows([doc.sentence_id, hop, pos, tok, repr(float(w))]
+                         for pos, (tok, w) in enumerate(zip(doc.tokens, row)))
+    return buf.getvalue()
 
 
 def render_html(docs, mode="overall"):
     """One section per sentence; per-hop mode shows every attention row."""
-    parts = [
-        "<!doctype html>",
-        '<html><head><meta charset="utf-8"><title>attention heatmap</title>',
-        "<style>",
-        "body{font-family:sans-serif;margin:2em}",
-        ".tok{display:inline-block;padding:2px 4px;margin:1px;border-radius:3px}",
-        ".row{margin:4px 0}",
-        ".label{color:#555;margin-right:6px;font-size:smaller}",
-        "</style></head><body>",
-    ]
-    for doc in docs:
-        title = f"sentence {doc.sentence_id}"
-        if doc.predicted is not None:
-            title += f" &mdash; predicted {doc.predicted}"
-            if doc.confidence is not None:
-                title += f" ({doc.confidence:.3f})"
-        parts.append(f"<h3>{title}</h3>")
-        if mode == "per-hop":
-            max_w = float(doc.hop_weights.max())
-            for hop in range(doc.hop_weights.shape[0]):
-                parts.append(
-                    f'<div class="row"><span class="label">hop {hop}</span>'
-                    + _row_html(doc.tokens, doc.hop_weights[hop], max_w) + "</div>"
-                )
-        else:
-            max_w = float(doc.overall.max())
-            parts.append('<div class="row">' + _row_html(doc.tokens, doc.overall, max_w) + "</div>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
+    return "".join([HTML_HEAD, *(heatmap_html(doc, mode) for doc in docs), HTML_TAIL])
 
 
 def render_csv(docs, mode="overall"):
     """Long-format CSV: sentence, hop (index or 'overall'), position, token, weight."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sentence", "hop", "position", "token", "weight"])
-    for doc in docs:
-        if mode == "per-hop":
-            for hop in range(doc.hop_weights.shape[0]):
-                for pos, (tok, w) in enumerate(zip(doc.tokens, doc.hop_weights[hop])):
-                    writer.writerow([doc.sentence_id, hop, pos, tok, repr(float(w))])
-        else:
-            for pos, (tok, w) in enumerate(zip(doc.tokens, doc.overall)):
-                writer.writerow([doc.sentence_id, "overall", pos, tok, repr(float(w))])
-    return buf.getvalue()
+    return "".join([CSV_HEADER, *(heatmap_csv(doc, mode) for doc in docs)])
 
 
 # The embedding CSV holds exactly ``repr(float(v))`` for every value v, written

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from structattn import attention, checkpoint, cli, data, training, viz
 from structattn import model as model_mod
 from structattn import tensor as T
+from structattn.config import load_run_config
 
 from support import CONFIG_DIR, append_repeated_tensor, per_value_repr_csv, tiny_config
 
@@ -29,6 +31,13 @@ def train_once(tmp_path, **extra):
     cfg, cfg_path = write_config(tmp_path, **extra)
     assert run_cli("train", "--config", str(cfg_path)) == 0
     return cfg, cfg_path
+
+
+def save_untrained(path, cfg, words, seed=0):
+    """Save a freshly initialized model of ``cfg`` over the vocabulary ``words``."""
+    vocab = data.build_vocab([words])
+    checkpoint.save_model(path, model_mod.build_model(cfg, len(vocab), np.random.default_rng(seed)), vocab)
+    return str(path)
 
 
 class TestTrainCommand:
@@ -65,6 +74,26 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: bad value for {key}: ''\n" and captured.out == ""
         assert not Path(cfg.checkpoint_path).exists()
+
+    @pytest.mark.parametrize("key", ["checkpoint_path", "history_path"])
+    def test_output_in_a_missing_directory_fails_before_training(self, tmp_path, capsys, key):
+        _, cfg_path = write_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        missing = tmp_path / "missing" / "out.file"
+        assert run_cli("train", "--config", str(cfg_path), "--set", f"{key}={missing}") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {missing}: no such directory {missing.parent}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_checkpoint_is_saved_before_the_history(self, tmp_path, capsys):
+        """A history that cannot be written (its path is a directory) still
+        fails the command, but no longer loses the trained checkpoint."""
+        cfg, cfg_path = write_config(tmp_path)
+        (tmp_path / "history").mkdir()
+        assert run_cli("train", "--config", str(cfg_path), "--set", f"history_path={tmp_path / 'history'}") == 1
+        assert "error:" in capsys.readouterr().err
+        assert Path(cfg.checkpoint_path).exists()
 
     def test_non_finite_pretrained_vector_is_an_error(self, tmp_path, capsys):
         vectors = tmp_path / "vec.txt"
@@ -399,6 +428,55 @@ class TestVisualizeCommand:
         assert capsys.readouterr().err == f"error: {sents}:1: the padding token <pad> is reserved\n"
         assert not html_path.exists() and not csv_path.exists()
 
+    def test_empty_sentences_file_writes_no_file(self, tmp_path, capsys):
+        cfg, _ = train_once(tmp_path)
+        sents, html_path, csv_path = tmp_path / "s.txt", tmp_path / "h.html", tmp_path / "h.csv"
+        sents.write_text("\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("visualize", "--checkpoint", cfg.checkpoint_path, "--sentences", str(sents),
+                       "--out-html", str(html_path), "--out-csv", str(csv_path)) == 1
+        assert capsys.readouterr().err.endswith(f"error: {sents}: no sentences\n")
+        assert not html_path.exists() and not csv_path.exists()
+
+    @pytest.mark.parametrize("mode", ["overall", "per-hop"])
+    def test_gated_pair_files_are_the_rendered_encode_documents(self, tmp_path, capsys, mode):
+        words = ["ma", "mb", "f00", "f01", "f02"]
+        ckpt = save_untrained(tmp_path / "pair.ckpt", tiny_config(tmp_path, head="gated-pair", k=3), words)
+        lines = ["ma f00 f01", "f02", "mb f01 unseen f00 ma"]
+        sents, html_path, csv_path = tmp_path / "s.txt", tmp_path / "h.html", tmp_path / "h.csv"
+        sents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("visualize", "--checkpoint", ckpt, "--sentences", str(sents), "--mode", mode,
+                       "--out-html", str(html_path), "--out-csv", str(csv_path)) == 0
+        net, vocab, _ = checkpoint.restore_model(ckpt)
+        docs = []
+        with T.no_grad():
+            for idx, line in enumerate(lines):
+                _, a, _ = net.encode(vocab.encode(line.split()))
+                docs.append(viz.HeatmapDoc(idx, line.split(), a.data, attention.overall_attention(a)))
+        assert html_path.read_text(encoding="utf-8") == viz.render_html(docs, mode)
+        assert csv_path.read_text(encoding="utf-8") == viz.render_csv(docs, mode)
+        assert "predicted" not in html_path.read_text(encoding="utf-8")
+
+    def test_peak_memory_stays_below_the_bytes_written(self, tmp_path, capsys):
+        """A per-hop run of 100 sentences of 40 tokens at the toy shapes
+        writes each sentence before it encodes the next, so its traced peak
+        stays well below the files it writes."""
+        words = [f"w{i}" for i in range(60)]
+        ckpt = save_untrained(tmp_path / "toy.ckpt", load_run_config(str(CONFIG_DIR / "toy.cfg"), []), words)
+        rng = np.random.default_rng(2)
+        sents, html_path, csv_path = tmp_path / "s.txt", tmp_path / "h.html", tmp_path / "h.csv"
+        sents.write_text("".join(" ".join(rng.choice(words, size=40)) + "\n" for _ in range(100)),
+                         encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert run_cli("visualize", "--checkpoint", ckpt, "--sentences", str(sents), "--mode", "per-hop",
+                           "--out-html", str(html_path), "--out-csv", str(csv_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = html_path.stat().st_size + csv_path.stat().st_size
+        assert peak < 0.6 * written, (peak, written)
+
 
 class TestParamsCommand:
     def test_toy_total_matches_hand_count(self, tmp_path, capsys):
@@ -464,6 +542,17 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {self.INVALID[param, values]}\n" and captured.out == ""
         assert not out.exists()
+
+    def test_out_in_a_missing_directory_fails_before_any_run(self, tmp_path, capsys):
+        _, cfg_path = write_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "missing" / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--param", "r",
+                       "--values", "1,2", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out}: no such directory {out.parent}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -72,6 +72,72 @@ def test_html_color_scale_peaks_at_max_weight(rng):
     assert "rgb(255,255,255)" in html_text  # zero weight is white
 
 
+def golden_docs():
+    """Two fixed float32 documents: tokens that need HTML escaping and CSV
+    quoting, one with no prediction, one with a prediction and confidence."""
+    h0 = np.array([[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]], dtype=np.float32)
+    h1 = np.array([[0.7, 0.3], [0.1, 0.9]], dtype=np.float32)
+    return [viz.HeatmapDoc(0, ["the", 'a"b,c', "<x&y>"], h0, attention.overall_attention(h0)),
+            viz.HeatmapDoc(7, ["kw", "é"], h1, attention.overall_attention(h1), predicted=1, confidence=0.875)]
+
+
+GOLDEN_HEAD = (
+    '<!doctype html>\n<html><head><meta charset="utf-8"><title>attention heatmap</title>\n<style>\n'
+    'body{font-family:sans-serif;margin:2em}\n'
+    '.tok{display:inline-block;padding:2px 4px;margin:1px;border-radius:3px}\n.row{margin:4px 0}\n'
+    '.label{color:#555;margin-right:6px;font-size:smaller}\n</style></head><body>\n')
+GOLDEN = {
+    ("html", "overall"): GOLDEN_HEAD + (
+        '<h3>sentence 0</h3>\n<div class="row">'
+        '<span class="tok" style="background:rgb(255,42,42)" title="0.312500">the</span>'
+        '<span class="tok" style="background:rgb(255,42,42)" title="0.312500">a&quot;b,c</span>'
+        '<span class="tok" style="background:rgb(255,0,0)" title="0.375000">&lt;x&amp;y&gt;</span></div>\n'
+        '<h3>sentence 7 &mdash; predicted 1 (0.875)</h3>\n<div class="row">'
+        '<span class="tok" style="background:rgb(255,85,85)" title="0.400000">kw</span>'
+        '<span class="tok" style="background:rgb(255,0,0)" title="0.600000">é</span></div>\n'
+        '</body></html>'),
+    ("html", "per-hop"): GOLDEN_HEAD + (
+        '<h3>sentence 0</h3>\n<div class="row"><span class="label">hop 0</span>'
+        '<span class="tok" style="background:rgb(255,0,0)" title="0.500000">the</span>'
+        '<span class="tok" style="background:rgb(255,128,128)" title="0.250000">a&quot;b,c</span>'
+        '<span class="tok" style="background:rgb(255,128,128)" title="0.250000">&lt;x&amp;y&gt;</span></div>\n'
+        '<div class="row"><span class="label">hop 1</span>'
+        '<span class="tok" style="background:rgb(255,191,191)" title="0.125000">the</span>'
+        '<span class="tok" style="background:rgb(255,64,64)" title="0.375000">a&quot;b,c</span>'
+        '<span class="tok" style="background:rgb(255,0,0)" title="0.500000">&lt;x&amp;y&gt;</span></div>\n'
+        '<h3>sentence 7 &mdash; predicted 1 (0.875)</h3>\n<div class="row"><span class="label">hop 0</span>'
+        '<span class="tok" style="background:rgb(255,57,57)" title="0.700000">kw</span>'
+        '<span class="tok" style="background:rgb(255,170,170)" title="0.300000">é</span></div>\n'
+        '<div class="row"><span class="label">hop 1</span>'
+        '<span class="tok" style="background:rgb(255,227,227)" title="0.100000">kw</span>'
+        '<span class="tok" style="background:rgb(255,0,0)" title="0.900000">é</span></div>\n'
+        '</body></html>'),
+    ("csv", "overall"): (
+        'sentence,hop,position,token,weight\n0,overall,0,the,0.3125\n0,overall,1,"a""b,c",0.3125\n'
+        '0,overall,2,<x&y>,0.375\n7,overall,0,kw,0.4000000059604645\n7,overall,1,é,0.6000000238418579\n'),
+    ("csv", "per-hop"): (
+        'sentence,hop,position,token,weight\n0,0,0,the,0.5\n0,0,1,"a""b,c",0.25\n0,0,2,<x&y>,0.25\n'
+        '0,1,0,the,0.125\n0,1,1,"a""b,c",0.375\n0,1,2,<x&y>,0.5\n7,0,0,kw,0.699999988079071\n'
+        '7,0,1,é,0.30000001192092896\n7,1,0,kw,0.10000000149011612\n7,1,1,é,0.8999999761581421\n'),
+}
+
+
+@pytest.mark.parametrize("kind, mode", list(GOLDEN))
+def test_renderers_give_the_golden_bytes(kind, mode):
+    render = {"html": viz.render_html, "csv": viz.render_csv}[kind]
+    assert render(golden_docs(), mode) == GOLDEN[kind, mode]
+
+
+@pytest.mark.parametrize("mode", ["overall", "per-hop"])
+def test_files_are_head_then_each_document_then_tail(mode):
+    docs = golden_docs()
+    assert viz.render_html(docs, mode) == (viz.HTML_HEAD + "".join(viz.heatmap_html(d, mode) for d in docs)
+                                           + viz.HTML_TAIL)
+    assert viz.render_csv(docs, mode) == viz.CSV_HEADER + "".join(viz.heatmap_csv(d, mode) for d in docs)
+    assert viz.render_html([], mode) == GOLDEN_HEAD + "</body></html>"
+    assert viz.render_csv([], mode) == "sentence,hop,position,token,weight\n"
+
+
 def test_embedding_csv_blocks(rng):
     m0 = rng.standard_normal((2, 4))
     m1 = rng.standard_normal((2, 4))

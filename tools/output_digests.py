@@ -1,0 +1,91 @@
+"""SHA-256 digests of every output of a seeded toy session.
+
+Runs ``structattn.cli.main`` in a temporary directory on the synthetic keyword
+and pair tasks with ``configs/toy.cfg`` at 3 epochs: five ``train`` runs
+(dense, dense with dropout, pruned, dense without the penalty, gated-pair with
+AdaGrad), a ``sweep`` over ``r`` and one over ``penalty_coeff``, and ``eval``,
+``embed`` and ``visualize`` (both modes) for every checkpoint. Prints one
+``sha256  name`` line per output file and per command's stdout, so two
+checkouts (or two BLAS thread counts) can be compared with ``diff``:
+
+    OPENBLAS_NUM_THREADS=1 python tools/output_digests.py > digests-1.txt
+    OPENBLAS_NUM_THREADS=2 python tools/output_digests.py > digests-2.txt
+
+Takes no arguments. Every path is relative to the temporary directory, so the
+stdout of each command is the same wherever the session runs.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from structattn import cli, synth  # noqa: E402
+
+TOY = ["--config", str(ROOT / "configs" / "toy.cfg"), "--set", "max_epochs=3"]
+KEYWORDS = ["--set", "train_path=data/toy/train.txt", "--set", "dev_path=data/toy/dev.txt"]
+PAIRS = ["--set", "train_path=data/pair/train.txt", "--set", "dev_path=data/pair/dev.txt"]
+RUNS = {
+    "dense": KEYWORDS,
+    "dropout": KEYWORDS + ["--set", "dropout=0.3"],
+    "pruned": KEYWORDS + ["--set", "head=pruned", "--set", "p=8", "--set", "q=4"],
+    "nopenalty": KEYWORDS + ["--set", "penalty_coeff=0"],
+    "pair": PAIRS + ["--set", "head=gated-pair", "--set", "k=16", "--set", "optimizer=adagrad"],
+}
+SENTENCES = ("kw0_0 f10 f20 f30\nkw1_1 f11 f12\nf13 f14 kw0_2 unseen f15 f16 f17\n"
+             "ma f01 f02 & \"quoted\" <b>\nmb\n")
+
+
+def run(name, *argv):
+    """Run one command, print the digest of its stdout, and fail on a nonzero exit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"{name}: exit code {code}")
+    print(f"{hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()}  {name}.stdout")
+
+
+def session():
+    """The toy session in the current directory, printing each digest."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        synth.main(["--out-dir", "data/toy", "--seed", "7"])
+        synth.main(["--out-dir", "data/pair", "--seed", "7", "--pairs"])
+    os.mkdir("out")
+    Path("sents.txt").write_text(SENTENCES, encoding="utf-8")
+    for name, extra in RUNS.items():
+        ckpt = f"out/{name}.ckpt"
+        run(f"train-{name}", "train", *TOY, *extra, "--set", f"checkpoint_path={ckpt}",
+            "--set", f"history_path=out/{name}_history.csv")
+        dev = "data/pair/dev.txt" if name == "pair" else "data/toy/dev.txt"
+        run(f"eval-{name}", "eval", "--checkpoint", ckpt, "--data", dev)
+        run(f"embed-{name}", "embed", "--checkpoint", ckpt, "--sentences", "sents.txt",
+            "--out", f"out/{name}_emb.csv")
+        for mode in ("overall", "per-hop"):
+            run(f"visualize-{name}-{mode}", "visualize", "--checkpoint", ckpt, "--sentences", "sents.txt",
+                "--mode", mode, "--out-html", f"out/{name}_{mode}.html", "--out-csv", f"out/{name}_{mode}.csv")
+    run("sweep-r", "sweep", *TOY, *KEYWORDS, "--param", "r", "--values", "1,3", "--out", "out/sweep_r.csv")
+    run("sweep-penalty", "sweep", *TOY, *KEYWORDS, "--param", "penalty_coeff", "--values", "0,0.5",
+        "--out", "out/sweep_penalty.csv")
+    for path in sorted(Path("out").iterdir()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+
+
+def main():
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            session()
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()
