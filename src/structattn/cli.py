@@ -1,12 +1,17 @@
 """Command-line interface: train, eval, embed, visualize, params, gradcheck, sweep.
 
-Every command is a thin shell over the library; results go to stdout (or the
-requested output files), errors go to stderr with a nonzero exit code.
-``embed`` encodes packed batches of the checkpoint's ``batch_size`` and writes
-each batch's rows before it encodes the next; ``visualize`` reads and checks
-the whole sentences file, then predicts one sentence at a time and writes its
-heat-map section and CSV rows before it encodes the next. ``train`` and
-``sweep`` check that every output's directory exists before they train.
+Every command is argument handling over the library: it parses its arguments,
+checks its outputs, restores or reads its inputs, opens its files and prints;
+results go to stdout (or the requested output files), errors go to stderr with
+a nonzero exit code. Three public functions here hold the work of the commands
+and are its only copy: ``load_sets`` loads ``train``'s and ``sweep``'s data,
+``write_embeddings`` writes ``embed``'s file, and ``heatmap_doc`` makes one
+sentence's document for ``visualize``. ``embed`` encodes packed batches of the
+checkpoint's ``batch_size`` and writes each batch's rows before it encodes the
+next; ``visualize`` reads and checks the whole sentences file, then writes each
+sentence's heat-map section and CSV rows before it encodes the next.
+``train``, ``sweep``, ``embed`` and ``visualize`` check every output path
+before they load anything.
 """
 
 from __future__ import annotations
@@ -42,15 +47,25 @@ def _write_history(path, records):
         writer.writerows(_history_rows(records))
 
 
-def _check_out_dirs(*paths):
-    """Fail before any training when an output file's directory is missing."""
-    for path in paths:
+def _check_outputs(paths):
+    """Fail before any work when an output cannot be written. ``paths`` maps
+    each output's option to its path; an empty path, a directory, a path in a
+    missing directory and two options naming one file are errors."""
+    seen = {}
+    for name, path in paths.items():
+        if not path:
+            raise ValueError(f"{name}: empty output path")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"{path}: no such directory {folder}")
+        other = seen.setdefault(os.path.realpath(path), name)
+        if other != name:
+            raise ValueError(f"{path}: {name} is the same file as {other}")
 
 
-def _load_sets(cfg):
+def load_sets(cfg):
     """The vocabulary, the train and dev sets and the pretrained vectors (or
     ``None``); each file is parsed once."""
     pairs = cfg.head == "gated-pair"
@@ -88,10 +103,45 @@ def _run_training(cfg, sets):
     return net, vocab, result
 
 
+def write_embeddings(net, sentences, fh):
+    """Write the embedding CSV of ``sentences`` (id arrays) to the binary file
+    ``fh``: the header, then the rows of packed batches of the model's
+    ``batch_size``, in which M has the bits of each sentence encoded alone.
+    Everything written so far is flushed before the next batch is encoded."""
+    fh.write(viz.embedding_csv_header(2 * net.cfg.u))
+    with T.no_grad():
+        for start in range(0, len(sentences), net.cfg.batch_size):
+            fh.flush()
+            encoded = net.encode_batch(sentences[start:start + net.cfg.batch_size])
+            fh.writelines(viz.embedding_csv_rows((start + i, m.data) for i, (_, _, m) in enumerate(encoded)))
+
+
+def heatmap_doc(net, vocab, idx, tokens):
+    """The heat-map document of sentence ``idx``, ``tokens``: the annotation
+    matrix of a B = 1 ``forward`` with the softmax prediction and its
+    confidence, or of ``encode`` (no prediction) for a gated-pair model."""
+    # One sentence at a time. In a batch, rows of the classes-wide head
+    # products (dense w2, pruned w_out) get other low bits than the sentence
+    # alone, and running one sentence as a 2-row GEMM does not restore them
+    # (on the paper's dense head.w1 it also takes 2-4 times as long as the
+    # GEMV), so the B = 1 ``forward`` stays the reference.
+    predicted = confidence = None
+    with T.no_grad():
+        if net.cfg.head == "gated-pair":
+            _, a, _ = net.encode(vocab.encode(tokens))
+        else:
+            logits, a = net.forward(vocab.encode(tokens))
+            z = logits.data - logits.data.max()
+            probs = np.exp(z) / np.exp(z).sum()
+            predicted, confidence = int(np.argmax(probs)), float(probs.max())
+    return viz.HeatmapDoc(idx, tokens, a.data, attention.overall_attention(a),
+                          predicted=predicted, confidence=confidence)
+
+
 def cmd_train(args):
     cfg = load_run_config(args.config, args.set)
-    _check_out_dirs(cfg.checkpoint_path, cfg.history_path)
-    net, vocab, result = _run_training(cfg, _load_sets(cfg))
+    _check_outputs({"checkpoint_path": cfg.checkpoint_path, "history_path": cfg.history_path})
+    net, vocab, result = _run_training(cfg, load_sets(cfg))
     checkpoint.save_model(cfg.checkpoint_path, net, vocab)
     _write_history(cfg.history_path, result.history)
     print(f"best dev accuracy {result.best_dev_acc:.4f} at epoch {result.best_epoch}")
@@ -109,45 +159,25 @@ def cmd_eval(args):
 
 
 def cmd_embed(args):
+    _check_outputs({"--out": args.out})
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     sentences = [vocab.encode(tokens) for tokens in data.read_sentences(args.sentences, cfg.lowercase)]
-    with T.no_grad(), open(args.out, "wb") as fh:
-        fh.write(viz.embedding_csv_header(2 * cfg.u))
-        # packed batches of the checkpoint's batch size: M has the bits of
-        # each sentence encoded alone. Everything written so far is in the
-        # file before the next batch is encoded.
-        for start in range(0, len(sentences), cfg.batch_size):
-            fh.flush()
-            encoded = net.encode_batch(sentences[start:start + cfg.batch_size])
-            fh.writelines(viz.embedding_csv_rows((start + i, m.data) for i, (_, _, m) in enumerate(encoded)))
+    with open(args.out, "wb") as fh:
+        write_embeddings(net, sentences, fh)
     print(f"wrote {len(sentences)} embedding blocks to {args.out}")
     return 0
 
 
 def cmd_visualize(args):
+    _check_outputs({"--out-html": args.out_html, "--out-csv": args.out_csv})
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     sentences = data.read_sentences(args.sentences, cfg.lowercase)
-    with T.no_grad(), open(args.out_html, "w", encoding="utf-8") as html_fh, \
+    with open(args.out_html, "w", encoding="utf-8") as html_fh, \
             open(args.out_csv, "w", encoding="utf-8", newline="") as csv_fh:
         html_fh.write(viz.HTML_HEAD)
         csv_fh.write(viz.CSV_HEADER)
-        # One sentence at a time, each written before the next is encoded. In
-        # a batch, rows of the classes-wide head products (dense w2, pruned
-        # w_out) get other low bits than the sentence alone, and running one
-        # sentence as a 2-row GEMM does not restore them (on the paper's dense
-        # head.w1 it also takes 2-4 times as long as the GEMV), so the B = 1
-        # ``forward`` stays the reference.
         for idx, tokens in enumerate(sentences):
-            predicted = confidence = None
-            if cfg.head != "gated-pair":
-                logits, a = net.forward(vocab.encode(tokens))
-                z = logits.data - logits.data.max()
-                probs = np.exp(z) / np.exp(z).sum()
-                predicted, confidence = int(np.argmax(probs)), float(probs.max())
-            else:
-                _, a, _ = net.encode(vocab.encode(tokens))
-            doc = viz.HeatmapDoc(idx, tokens, a.data, attention.overall_attention(a),
-                                 predicted=predicted, confidence=confidence)
+            doc = heatmap_doc(net, vocab, idx, tokens)
             html_fh.write(viz.heatmap_html(doc, args.mode))
             csv_fh.write(viz.heatmap_csv(doc, args.mode))
         html_fh.write(viz.HTML_TAIL)
@@ -178,7 +208,7 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = load_run_config(args.config, args.set)
-    _check_out_dirs(args.out)
+    _check_outputs({"--out": args.out})
     values = [_coerce(args.param, v) for v in args.values.split(",")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -188,7 +218,7 @@ def cmd_sweep(args):
     # not touch the data, so the files are loaded once for every run.
     run_cfgs = [replace(cfg, patience=cfg.max_epochs, seed=cfg.seed + 1000 * idx,
                         **{args.param: value}).validate() for idx, value in enumerate(values)]
-    sets = _load_sets(cfg)
+    sets = load_sets(cfg)
     for value, run_cfg in zip(values, run_cfgs):
         print(f"sweep {args.param}={value} (seed {run_cfg.seed})")
         _, _, result = _run_training(run_cfg, sets)

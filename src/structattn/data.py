@@ -201,11 +201,6 @@ def write_pretrained(table, vectors):
     return len(vectors) / max(table.shape[0] - 2, 1)
 
 
-def load_pretrained(path, vocab, table):
-    """``write_pretrained`` of the ``read_pretrained`` vectors of a file; returns the coverage."""
-    return write_pretrained(table, read_pretrained(path, vocab, table.shape[1], table.dtype))
-
-
 def _length_mask(sentences):
     lengths = np.array([len(ids) for ids in sentences])
     return np.arange(lengths.max()) < lengths[:, None]

@@ -1,5 +1,5 @@
-"""Shared test helpers: config paths, a toy config, dataset loading, and the
-per-value embedding CSV."""
+"""Shared test helpers: config paths, a toy config, a checkpoint with a
+repeated tensor, and the per-value embedding CSV."""
 
 import csv
 import io
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from structattn import checkpoint, data
+from structattn import checkpoint
 from structattn.config import load_run_config
 from structattn.synth import make_keyword_task, write_lines
 
@@ -40,14 +40,6 @@ def tiny_config(tmp_path, **extra):
     })
     overrides.update({k: str(v) for k, v in extra.items()})
     return load_run_config(None, [f"{k}={v}" for k, v in overrides.items()])
-
-
-def load_sets(cfg):
-    pairs = cfg.head == "gated-pair"
-    vocab = data.build_vocab(data.corpus_tokens(cfg.train_path, pairs), cfg.min_count)
-    return (vocab,
-            data.load_dataset(cfg.train_path, vocab, pairs),
-            data.load_dataset(cfg.dev_path, vocab, pairs))
 
 
 def append_repeated_tensor(path, name):

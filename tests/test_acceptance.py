@@ -16,7 +16,7 @@ from structattn import tensor as T
 from structattn.config import load_run_config
 from structattn.synth import make_keyword_task, write_lines
 
-from support import ACCEPTANCE_LINES, CONFIG_DIR, load_sets
+from support import ACCEPTANCE_LINES, CONFIG_DIR
 from test_attention import params as attention_params
 from test_heads import gated_params
 
@@ -91,7 +91,7 @@ def test_criterion_3_parameter_count_oracle(capsys):
 
 def test_criterion_4_toy_task_learning(tmp_path):
     cfg = toy_run_config(tmp_path)
-    vocab, train_set, dev_set = load_sets(cfg)
+    vocab, train_set, dev_set, _ = cli.load_sets(cfg)
     assert len(vocab) <= 100 + 2
     assert all(5 <= len(ex.tokens) <= 15 for ex in train_set)
     start = time.time()
@@ -112,7 +112,7 @@ def test_criterion_5_penalty_lowers_overlap(tmp_path):
                                    min_len=6, max_len=12, seed=11)
     write_lines(tmp_path / "train.txt", train)
     write_lines(tmp_path / "dev.txt", dev)
-    vocab, train_set, dev_set = load_sets(base)
+    vocab, train_set, dev_set, _ = cli.load_sets(base)
 
     outcomes = []
     for seed in (1, 2, 3):

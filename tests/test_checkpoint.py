@@ -4,19 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from structattn import checkpoint, training
+from structattn import checkpoint, cli, training
 from structattn.config import ConfigError, load_run_config
 from structattn.data import DataError, Vocab
 from structattn.model import build_model
 
-from support import append_repeated_tensor, load_sets, tiny_config
+from support import append_repeated_tensor, tiny_config
 
 MIB = 2**20
 
 
 def trained_model(tmp_path, **extra):
     cfg = tiny_config(tmp_path, **extra)
-    vocab, train_set, dev_set = load_sets(cfg)
+    vocab, train_set, dev_set, _ = cli.load_sets(cfg)
     net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
     result = training.train(net, train_set, dev_set, cfg)
     training.restore_params(net, result.best_params)

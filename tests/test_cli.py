@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -38,6 +40,11 @@ def save_untrained(path, cfg, words, seed=0):
     vocab = data.build_vocab([words])
     checkpoint.save_model(path, model_mod.build_model(cfg, len(vocab), np.random.default_rng(seed)), vocab)
     return str(path)
+
+
+def builds_graph():
+    """Whether an op on a tensor that requires a gradient records its backward now."""
+    return T.sum_all(T.Tensor(np.ones(2), requires_grad=True)).requires_grad
 
 
 class TestTrainCommand:
@@ -86,14 +93,18 @@ class TestTrainCommand:
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_checkpoint_is_saved_before_the_history(self, tmp_path, capsys):
-        """A history that cannot be written (its path is a directory) still
-        fails the command, but no longer loses the trained checkpoint."""
+    def test_checkpoint_is_saved_before_the_history(self, tmp_path, capsys, monkeypatch):
+        """A history that cannot be written still fails the command, but does
+        not lose the trained checkpoint."""
         cfg, cfg_path = write_config(tmp_path)
-        (tmp_path / "history").mkdir()
-        assert run_cli("train", "--config", str(cfg_path), "--set", f"history_path={tmp_path / 'history'}") == 1
-        assert "error:" in capsys.readouterr().err
-        assert Path(cfg.checkpoint_path).exists()
+
+        def unwritable(path, records):
+            raise OSError(f"{path}: cannot write")
+
+        monkeypatch.setattr(cli, "_write_history", unwritable)
+        assert run_cli("train", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == f"error: {cfg.history_path}: cannot write\n"
+        assert Path(cfg.checkpoint_path).exists() and not Path(cfg.history_path).exists()
 
     def test_non_finite_pretrained_vector_is_an_error(self, tmp_path, capsys):
         vectors = tmp_path / "vec.txt"
@@ -318,6 +329,9 @@ class TestEmbedCommand:
         with T.no_grad():
             blocks = [(i, net.encode(vocab.encode(line.split()))[2].data) for i, line in enumerate(lines)]
         assert out.read_bytes() == viz.render_embedding_csv(blocks).encode("utf-8")
+        buf = io.BytesIO()
+        cli.write_embeddings(net, [vocab.encode(line.split()) for line in lines], buf)
+        assert buf.getvalue() == out.read_bytes() and builds_graph()
 
 
     def test_streams_each_batch_before_encoding_the_next(self, tmp_path, capsys, monkeypatch):
@@ -453,9 +467,40 @@ class TestVisualizeCommand:
             for idx, line in enumerate(lines):
                 _, a, _ = net.encode(vocab.encode(line.split()))
                 docs.append(viz.HeatmapDoc(idx, line.split(), a.data, attention.overall_attention(a)))
+        library_docs = [cli.heatmap_doc(net, vocab, idx, line.split()) for idx, line in enumerate(lines)]
+        assert builds_graph()
+        for rendered in (docs, library_docs):
+            assert html_path.read_text(encoding="utf-8") == viz.render_html(rendered, mode)
+            assert csv_path.read_text(encoding="utf-8") == viz.render_csv(rendered, mode)
+        assert "predicted" not in html_path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("mode", ["overall", "per-hop"])
+    @pytest.mark.parametrize("head", ["dense", "pruned"])
+    def test_files_are_the_rendered_forward_documents(self, tmp_path, capsys, head, mode):
+        """Both files equal ``render_*`` of ``cli.heatmap_doc``'s documents,
+        and each document holds the A of its sentence's B = 1 ``forward``
+        with the argmax of its logits and the softmax confidence."""
+        words = ["ma", "mb", "f00", "f01", "f02"]
+        cfg = tiny_config(tmp_path, head=head, p=3, q=2, classes=3)
+        ckpt = save_untrained(tmp_path / f"{head}.ckpt", cfg, words)
+        lines = ["ma f00 f01", "f02", "mb f01 unseen f00 ma"]
+        sents, html_path, csv_path = tmp_path / "s.txt", tmp_path / "h.html", tmp_path / "h.csv"
+        sents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("visualize", "--checkpoint", ckpt, "--sentences", str(sents), "--mode", mode,
+                       "--out-html", str(html_path), "--out-csv", str(csv_path)) == 0
+        net, vocab, _ = checkpoint.restore_model(ckpt)
+        docs = [cli.heatmap_doc(net, vocab, idx, line.split()) for idx, line in enumerate(lines)]
+        assert builds_graph()
         assert html_path.read_text(encoding="utf-8") == viz.render_html(docs, mode)
         assert csv_path.read_text(encoding="utf-8") == viz.render_csv(docs, mode)
-        assert "predicted" not in html_path.read_text(encoding="utf-8")
+        for doc, line in zip(docs, lines):
+            with T.no_grad():
+                logits, a = net.forward(vocab.encode(line.split()))
+            probs = np.exp(logits.data.astype(np.float64))
+            assert doc.hop_weights.tobytes() == a.data.tobytes()
+            assert doc.overall.tobytes() == attention.overall_attention(a).tobytes()
+            assert doc.predicted == int(np.argmax(logits.data))
+            assert doc.confidence == pytest.approx(probs.max() / probs.sum(), rel=1e-5)
 
     def test_peak_memory_stays_below_the_bytes_written(self, tmp_path, capsys):
         """A per-hop run of 100 sentences of 40 tokens at the toy shapes
@@ -553,6 +598,77 @@ class TestSweepCommand:
         assert captured.err == f"error: {out}: no such directory {out.parent}\n"
         assert captured.out == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestOutputChecks:
+    """Every output of ``train``, ``sweep``, ``embed`` and ``visualize`` is
+    checked before the command loads any data or restores any checkpoint; a
+    rejected one exits 1, prints nothing on stdout and writes no file."""
+
+    OUTPUTS = {"train": {}, "sweep": {"--out": "sweep.csv"}, "embed": {"--out": "emb.csv"},
+               "visualize": {"--out-html": "h.html", "--out-csv": "h.csv"}}
+
+    def argv(self, tmp_path, command, outputs):
+        """``command``'s arguments with its outputs in ``tmp_path``, except ``outputs``."""
+        cfg, cfg_path = write_config(tmp_path)
+        if command == "train":
+            return ["train", "--config", str(cfg_path)] + [a for key, path in outputs.items()
+                                                          for a in ("--set", f"{key}={path}")]
+        if command == "sweep":
+            argv = ["sweep", "--config", str(cfg_path), "--param", "r", "--values", "1,2"]
+        else:
+            sents = tmp_path / "s.txt"
+            sents.write_text("kw0_0 f00\n", encoding="utf-8")
+            ckpt = save_untrained(tmp_path / "model.ckpt", cfg, ["kw0_0", "f00"])
+            argv = [command, "--checkpoint", ckpt, "--sentences", str(sents)]
+        paths = {option: tmp_path / name for option, name in self.OUTPUTS[command].items()} | outputs
+        return argv + [a for option, path in paths.items() for a in (option, str(path))]
+
+    def assert_rejected(self, tmp_path, capsys, monkeypatch, argv, message):
+        def loads(*args):
+            raise AssertionError("an input was loaded before the outputs were checked")
+
+        monkeypatch.setattr(data, "read_dataset", loads)
+        monkeypatch.setattr(checkpoint, "restore_model", loads)
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("case", ["empty", "directory", "missing-directory"])
+    @pytest.mark.parametrize("command, option", [
+        ("train", "checkpoint_path"), ("train", "history_path"), ("sweep", "--out"), ("embed", "--out"),
+        ("visualize", "--out-html"), ("visualize", "--out-csv")])
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, option, case):
+        path = {"empty": "", "directory": tmp_path / "outdir",
+                "missing-directory": tmp_path / "missing" / "out.file"}[case]
+        if case == "directory":
+            path.mkdir()
+        message = {"empty": f"{option}: empty output path", "directory": f"{path}: is a directory",
+                   "missing-directory": f"{path}: no such directory {tmp_path / 'missing'}"}[case]
+        self.assert_rejected(tmp_path, capsys, monkeypatch, self.argv(tmp_path, command, {option: path}), message)
+
+    @pytest.mark.parametrize("command, first, second", [
+        ("train", "checkpoint_path", "history_path"), ("visualize", "--out-html", "--out-csv")])
+    def test_two_outputs_in_one_file_fail_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          command, first, second):
+        """The paths are compared resolved: ``dir/./name`` is ``dir/name``."""
+        one, same = tmp_path / "same.out", f"{tmp_path}/./same.out"
+        self.assert_rejected(tmp_path, capsys, monkeypatch, self.argv(tmp_path, command, {first: one, second: same}),
+                             f"{same}: {second} is the same file as {first}")
+
+
+def test_every_output_has_the_recorded_digest(tmp_path, monkeypatch):
+    """The seeded toy session of ``tools/output_digests.py`` gives every
+    output and every command's stdout the bytes recorded in
+    ``tools/output_digests.txt``."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("output_digests", tools / "output_digests.py")
+    output_digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(output_digests)
+    monkeypatch.chdir(tmp_path)
+    assert output_digests.session() == (tools / "output_digests.txt").read_text(encoding="utf-8").splitlines()
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -163,12 +163,19 @@ class TestReadSentences:
             data.read_sentences(path)
 
 class TestLoadPretrained:
+    """Pretrained vectors as the CLI loads them: ``read_pretrained`` of a
+    file, then ``write_pretrained`` into an embedding table."""
+
+    @staticmethod
+    def load(path, vocab, table):
+        return data.write_pretrained(table, data.read_pretrained(path, vocab, table.shape[1], table.dtype))
+
     def test_full_coverage(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y"]])
         path = tmp_path / "vec.txt"
         path.write_text("x 1 2 3\ny 4 5 6\n", encoding="utf-8")
         table = rng.uniform(-0.1, 0.1, (len(vocab), 3)).astype(np.float32)
-        coverage = data.load_pretrained(path, vocab, table)
+        coverage = self.load(path, vocab, table)
         assert coverage == 1.0
         assert np.array_equal(table[vocab.token_to_id["x"]], [1, 2, 3])
         assert table.dtype == np.float32
@@ -178,7 +185,7 @@ class TestLoadPretrained:
         path = tmp_path / "vec.txt"
         path.write_text("a 1 1\nb 2 2\na 3 3\nb 4 4\n", encoding="utf-8")
         table = np.zeros((len(vocab), 2), dtype=np.float32)
-        assert data.load_pretrained(path, vocab, table) == 2 / 3
+        assert self.load(path, vocab, table) == 2 / 3
         assert np.array_equal(table[vocab.token_to_id["a"]], [3, 3])
         assert np.array_equal(table[vocab.token_to_id["b"]], [4, 4])
 
@@ -188,7 +195,7 @@ class TestLoadPretrained:
         path.write_text("", encoding="utf-8")
         table = rng.uniform(-0.1, 0.1, (len(vocab), 3))
         before = table.copy()
-        coverage = data.load_pretrained(path, vocab, table)
+        coverage = self.load(path, vocab, table)
         assert coverage == 0.0
         assert np.array_equal(table, before)
 
@@ -197,7 +204,7 @@ class TestLoadPretrained:
         path = tmp_path / "vec.txt"
         path.write_text("x 1 2 3\nx 1 2\n", encoding="utf-8")
         with pytest.raises(data.DataError, match=":2:"):
-            data.load_pretrained(path, vocab, np.zeros((len(vocab), 3)))
+            self.load(path, vocab, np.zeros((len(vocab), 3)))
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e39"])
     def test_non_finite_component_reports_line(self, tmp_path, value):
@@ -206,7 +213,7 @@ class TestLoadPretrained:
         path.write_text(f"x 1 2\ny {value} 0.1\n", encoding="utf-8")
         table = np.zeros((len(vocab), 2), dtype=np.float32)
         with pytest.raises(data.DataError, match=r":2: non-finite vector component"):
-            data.load_pretrained(path, vocab, table)
+            self.load(path, vocab, table)
 
     def test_one_parse_writes_the_bits_of_a_load_into_each_table(self, tmp_path, rng):
         vocab = data.build_vocab([["x", "y", "z"]])
@@ -214,7 +221,7 @@ class TestLoadPretrained:
         path.write_text("x 0.1 -2.5\nzz 1 1\ny 1e-3 7\nx 0.3 0.7\n", encoding="utf-8")
         start = rng.uniform(-0.1, 0.1, (len(vocab), 2)).astype(np.float32)
         loaded = start.copy()
-        want = data.load_pretrained(path, vocab, loaded)
+        want = self.load(path, vocab, loaded)
         vectors = data.read_pretrained(path, vocab, 2, np.float32)
         for _ in range(2):
             table = start.copy()
@@ -226,7 +233,7 @@ class TestLoadPretrained:
         before = list(vocab.id_to_token)
         path = tmp_path / "vec.txt"
         path.write_text("x 9 9\nzz 1 1\n", encoding="utf-8")
-        data.load_pretrained(path, vocab, np.zeros((len(vocab), 2)))
+        self.load(path, vocab, np.zeros((len(vocab), 2)))
         assert vocab.id_to_token == before
 
 

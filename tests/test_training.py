@@ -4,12 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from structattn import attention, checks, data, training
+from structattn import attention, checks, cli, data, training
 from structattn import tensor as T
 from structattn.model import build_model
 from structattn.synth import make_pair_task, write_lines
 
-from support import load_sets, tiny_config
+from support import tiny_config
 
 
 def t64(a):
@@ -370,7 +370,7 @@ class TestEvaluate:
 
     def test_side_effect_free(self, tmp_path, rng):
         cfg = tiny_config(tmp_path)
-        vocab, train_set, _ = load_sets(cfg)
+        vocab, train_set, _, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), rng)
         before = {k: p.data.copy() for k, p in net.named_parameters().items()}
         training.evaluate(net, train_set)
@@ -392,7 +392,7 @@ class TestTrainLoop:
             extra = dict(head=head, k=3, optimizer="adagrad", train_path=tmp_path / "pair_train.txt",
                          dev_path=tmp_path / "pair_dev.txt")
         cfg = tiny_config(tmp_path, **extra)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
 
         def no_mask(sentences):
             raise AssertionError("a padding mask was built")
@@ -410,7 +410,7 @@ class TestTrainLoop:
         cfg = tiny_config(tmp_path, max_epochs=3, patience=3)
 
         def run():
-            vocab, train_set, dev_set = load_sets(cfg)
+            vocab, train_set, dev_set, _ = cli.load_sets(cfg)
             net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
             result = training.train(net, train_set, dev_set, cfg)
             training.restore_params(net, result.best_params)
@@ -424,7 +424,7 @@ class TestTrainLoop:
 
     def test_best_params_reproduce_best_dev_accuracy(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=4, patience=4)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         result = training.train(net, train_set, dev_set, cfg)
         training.restore_params(net, result.best_params)
@@ -440,7 +440,7 @@ class TestTrainLoop:
         scripted = iter(accs)
         monkeypatch.setattr(training, "_dev_stats", lambda model, examples: (next(scripted), 0.0))
         cfg = tiny_config(tmp_path, max_epochs=max_epochs, patience=2)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         params = net.named_parameters()
         at_best = {}
@@ -461,14 +461,14 @@ class TestTrainLoop:
 
     def test_one_epoch_copies_nothing(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=1, patience=1)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         result = training.train(net, train_set, dev_set, cfg)
         assert result.best_epoch == 1 and result.best_params == {}
 
     def test_early_stopping_respects_patience(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=50, patience=2, learning_rate=1e-9)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         result = training.train(net, train_set, dev_set, cfg)
         # with a frozen model dev accuracy never improves after epoch 1
@@ -476,7 +476,7 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_batch_name(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         net.named_parameters()["attention.w1"].data[0, 0] = np.nan
         with pytest.raises(training.TrainingDiverged, match="epoch 1, batch 0"):
@@ -484,7 +484,7 @@ class TestTrainLoop:
 
     def test_empty_dataset_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         with pytest.raises(ValueError):
             training.train(net, [], dev_set, cfg)
@@ -496,7 +496,7 @@ class TestTrainLoop:
         snapshot, so only one W1-sized array (the gradient) is ever alive
         beside the model."""
         cfg = tiny_config(tmp_path, r=8, b=8192, max_epochs=1, patience=1)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         w1 = net.named_parameters()["head.w1"].data.nbytes
         assert w1 > 0.9 * sum(p.data.nbytes for p in net.named_parameters().values())
@@ -510,7 +510,7 @@ class TestTrainLoop:
 
     def test_restore_copies_into_the_parameters(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        vocab, _, _ = load_sets(cfg)
+        vocab, _, _, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         arrays = {k: p.data for k, p in net.named_parameters().items()}
         snapshot = {k: np.full_like(a, 0.25) for k, a in arrays.items()}
@@ -523,7 +523,7 @@ class TestTrainLoop:
 
     def test_history_records_fields(self, tmp_path):
         cfg = tiny_config(tmp_path, max_epochs=2, patience=2)
-        vocab, train_set, dev_set = load_sets(cfg)
+        vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
         result = training.train(net, train_set, dev_set, cfg)
         for i, rec in enumerate(result.history, start=1):

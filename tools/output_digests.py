@@ -13,6 +13,12 @@ checkouts (or two BLAS thread counts) can be compared with ``diff``:
 
 Takes no arguments. Every path is relative to the temporary directory, so the
 stdout of each command is the same wherever the session runs.
+
+``output_digests.txt`` beside this file holds the recorded lines, and the
+test suite compares ``session()``'s lines with it. A deliberate change of an
+output's bytes records the new lines:
+
+    python tools/output_digests.py > tools/output_digests.txt
 """
 
 import contextlib
@@ -43,17 +49,18 @@ SENTENCES = ("kw0_0 f10 f20 f30\nkw1_1 f11 f12\nf13 f14 kw0_2 unseen f15 f16 f17
 
 
 def run(name, *argv):
-    """Run one command, print the digest of its stdout, and fail on a nonzero exit."""
+    """Run one command and return the digest line of its stdout; fail on a nonzero exit."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
     if code != 0:
         raise SystemExit(f"{name}: exit code {code}")
-    print(f"{hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()}  {name}.stdout")
+    return f"{hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()}  {name}.stdout"
 
 
 def session():
-    """The toy session in the current directory, printing each digest."""
+    """The toy session in the current directory; returns its digest lines."""
+    lines = []
     with contextlib.redirect_stdout(io.StringIO()):
         synth.main(["--out-dir", "data/toy", "--seed", "7"])
         synth.main(["--out-dir", "data/pair", "--seed", "7", "--pairs"])
@@ -61,20 +68,22 @@ def session():
     Path("sents.txt").write_text(SENTENCES, encoding="utf-8")
     for name, extra in RUNS.items():
         ckpt = f"out/{name}.ckpt"
-        run(f"train-{name}", "train", *TOY, *extra, "--set", f"checkpoint_path={ckpt}",
-            "--set", f"history_path=out/{name}_history.csv")
+        lines.append(run(f"train-{name}", "train", *TOY, *extra, "--set", f"checkpoint_path={ckpt}",
+                         "--set", f"history_path=out/{name}_history.csv"))
         dev = "data/pair/dev.txt" if name == "pair" else "data/toy/dev.txt"
-        run(f"eval-{name}", "eval", "--checkpoint", ckpt, "--data", dev)
-        run(f"embed-{name}", "embed", "--checkpoint", ckpt, "--sentences", "sents.txt",
-            "--out", f"out/{name}_emb.csv")
+        lines.append(run(f"eval-{name}", "eval", "--checkpoint", ckpt, "--data", dev))
+        lines.append(run(f"embed-{name}", "embed", "--checkpoint", ckpt, "--sentences", "sents.txt",
+                         "--out", f"out/{name}_emb.csv"))
         for mode in ("overall", "per-hop"):
-            run(f"visualize-{name}-{mode}", "visualize", "--checkpoint", ckpt, "--sentences", "sents.txt",
-                "--mode", mode, "--out-html", f"out/{name}_{mode}.html", "--out-csv", f"out/{name}_{mode}.csv")
-    run("sweep-r", "sweep", *TOY, *KEYWORDS, "--param", "r", "--values", "1,3", "--out", "out/sweep_r.csv")
-    run("sweep-penalty", "sweep", *TOY, *KEYWORDS, "--param", "penalty_coeff", "--values", "0,0.5",
-        "--out", "out/sweep_penalty.csv")
-    for path in sorted(Path("out").iterdir()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+            lines.append(run(f"visualize-{name}-{mode}", "visualize", "--checkpoint", ckpt,
+                             "--sentences", "sents.txt", "--mode", mode,
+                             "--out-html", f"out/{name}_{mode}.html", "--out-csv", f"out/{name}_{mode}.csv"))
+    lines.append(run("sweep-r", "sweep", *TOY, *KEYWORDS, "--param", "r", "--values", "1,3",
+                     "--out", "out/sweep_r.csv"))
+    lines.append(run("sweep-penalty", "sweep", *TOY, *KEYWORDS, "--param", "penalty_coeff", "--values", "0,0.5",
+                     "--out", "out/sweep_penalty.csv"))
+    return lines + [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+                    for path in sorted(Path("out").iterdir())]
 
 
 def main():
@@ -82,9 +91,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            session()
+            lines = session()
         finally:
             os.chdir(home)
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":
