@@ -10,8 +10,9 @@ sentence's document for ``visualize``. ``embed`` encodes packed batches of the
 checkpoint's ``batch_size`` and writes each batch's rows before it encodes the
 next; ``visualize`` reads and checks the whole sentences file, then writes each
 sentence's heat-map section and CSV rows before it encodes the next.
-``train``, ``sweep``, ``embed`` and ``visualize`` check every output path
-before they load anything.
+``train``, ``sweep``, ``embed`` and ``visualize`` check every output path,
+against the other outputs and against their input files, before they load
+anything.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import attention, checkpoint, checks, data, model as model_mod, training, viz
 from . import tensor as T
-from .config import ConfigError, _coerce, load_run_config
+from .config import ConfigError, load_run_config, parse_value
 
 HISTORY_FIELDS = tuple(f.name for f in fields(training.EpochRecord))
 
@@ -47,11 +48,12 @@ def _write_history(path, records):
         writer.writerows(_history_rows(records))
 
 
-def _check_outputs(paths):
-    """Fail before any work when an output cannot be written. ``paths`` maps
-    each output's option to its path; an empty path, a directory, a path in a
-    missing directory and two options naming one file are errors."""
-    seen = {}
+def _check_outputs(paths, inputs):
+    """Fail before any work when an output cannot be written. ``paths`` and
+    ``inputs`` map each output's and each input's option to its path; an empty
+    output path, a directory, a path in a missing directory and an output that
+    names the file of another output or of an input are errors."""
+    seen = {os.path.realpath(path): name for name, path in inputs.items() if path}
     for name, path in paths.items():
         if not path:
             raise ValueError(f"{name}: empty output path")
@@ -63,6 +65,12 @@ def _check_outputs(paths):
         other = seen.setdefault(os.path.realpath(path), name)
         if other != name:
             raise ValueError(f"{path}: {name} is the same file as {other}")
+
+
+def _config_inputs(args, cfg):
+    """The input files of ``train`` and ``sweep``, by option."""
+    return {"--config": args.config, "train_path": cfg.train_path, "dev_path": cfg.dev_path,
+            "embeddings_path": cfg.embeddings_path}
 
 
 def load_sets(cfg):
@@ -140,7 +148,8 @@ def heatmap_doc(net, vocab, idx, tokens):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, args.set)
-    _check_outputs({"checkpoint_path": cfg.checkpoint_path, "history_path": cfg.history_path})
+    _check_outputs({"checkpoint_path": cfg.checkpoint_path, "history_path": cfg.history_path},
+                   _config_inputs(args, cfg))
     net, vocab, result = _run_training(cfg, load_sets(cfg))
     checkpoint.save_model(cfg.checkpoint_path, net, vocab)
     _write_history(cfg.history_path, result.history)
@@ -159,7 +168,7 @@ def cmd_eval(args):
 
 
 def cmd_embed(args):
-    _check_outputs({"--out": args.out})
+    _check_outputs({"--out": args.out}, {"--checkpoint": args.checkpoint, "--sentences": args.sentences})
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     sentences = [vocab.encode(tokens) for tokens in data.read_sentences(args.sentences, cfg.lowercase)]
     with open(args.out, "wb") as fh:
@@ -169,7 +178,8 @@ def cmd_embed(args):
 
 
 def cmd_visualize(args):
-    _check_outputs({"--out-html": args.out_html, "--out-csv": args.out_csv})
+    _check_outputs({"--out-html": args.out_html, "--out-csv": args.out_csv},
+                   {"--checkpoint": args.checkpoint, "--sentences": args.sentences})
     net, vocab, cfg = checkpoint.restore_model(args.checkpoint)
     sentences = data.read_sentences(args.sentences, cfg.lowercase)
     with open(args.out_html, "w", encoding="utf-8") as html_fh, \
@@ -208,8 +218,8 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = load_run_config(args.config, args.set)
-    _check_outputs({"--out": args.out})
-    values = [_coerce(args.param, v) for v in args.values.split(",")]
+    _check_outputs({"--out": args.out}, _config_inputs(args, cfg))
+    values = [parse_value(args.param, v) for v in args.values.split(",")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("param", "value", "seed") + HISTORY_FIELDS)

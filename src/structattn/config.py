@@ -1,39 +1,48 @@
 """Flat key=value run configuration shared by the CLI commands.
 
 A config file holds ``key = value`` lines ('#' starts a comment); command-line
-``--set key=value`` overrides win over file values. Unknown keys are rejected,
-and a handful of structural keys have no defaults and must be provided.
+``--set key=value`` overrides win over file values. ``RunConfig`` declares
+every key once: a field's type decides how its value is read and checked, and
+a field without a default is a key every run must provide. Unknown keys are
+rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 HEAD_KINDS = ("dense", "pruned", "gated-pair")
-
-# No sensible defaults exist for these; every run must pin them.
-REQUIRED_KEYS = ("d", "u", "d_a", "r", "head", "classes")
 
 
 class ConfigError(Exception):
     pass
 
 
-# Declared field type -> accepted Python types (values may come from JSON).
-_FIELD_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
-                "bool": bool, "str": str}
+def _read_bool(raw):
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+# Declared field type -> (accepted Python types, as values may come from JSON;
+# reader of a ``key = value`` string, which raises ValueError on a bad one).
+_TYPES = {"int": (int, int), "float": ((int, float), float),
+          "float | None": ((int, float, type(None)), lambda raw: None if raw.lower() == "none" else float(raw)),
+          "bool": (bool, _read_bool), "str": (str, str)}
 
 
 @dataclass
 class RunConfig:
-    # model
-    d: int = 0
-    u: int = 0
-    d_a: int = 0
-    r: int = 0
-    head: str = ""
-    classes: int = 0
+    # model; no sensible defaults exist for these, so every run must pin them
+    d: int
+    u: int
+    d_a: int
+    r: int
+    head: str
+    classes: int
     b: int = 2000
     p: int = 150
     q: int = 10
@@ -64,7 +73,7 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             # bool is an int subclass, but a flag is never a count or a rate.
-            if not isinstance(value, _FIELD_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+            if not isinstance(value, _TYPES[f.type][0]) or (isinstance(value, bool) and f.type != "bool"):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
             # NaN and inf slip past every bound below; None is only ``clip = none``.
             if f.type.startswith("float") and value is not None and not math.isfinite(value):
@@ -83,10 +92,10 @@ class RunConfig:
             raise ConfigError("clip must be > 0 or none")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        for key in ("d", "u", "d_a", "r", "classes", "b", "p", "q", "k", "batch_size", "max_epochs",
-                    "patience", "min_count", "vocab_size"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
+        # Every int key is a size or a count, except the seed.
+        for f in fields(self):
+            if f.type == "int" and f.name != "seed" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         return self
@@ -96,29 +105,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The validated config of a ``{key: value}`` dict that holds every
+        required key and no unknown one."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"missing required config keys: {missing}")
         return cls(**d).validate()
 
 
-def _coerce(key, raw):
+def parse_value(key, raw):
+    """The value of config key ``key`` read from the string ``raw`` by the key's declared type."""
     raw = raw.strip()
-    kind = {f.name: f.type for f in fields(RunConfig)}[key]
     try:
-        if key == "clip":
-            return None if raw.lower() == "none" else float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return raw
+        return _TYPES[{f.name: f.type for f in fields(RunConfig)}[key]][1](raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
@@ -136,35 +138,22 @@ def parse_assignments(lines, source):
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in known:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, raw)
+        out[key] = parse_value(key, raw)
     return out
 
 
 def load_run_config(path=None, overrides=()):
     """Build a RunConfig from an optional file plus ``key=value`` overrides."""
     values = {}
-    provided = set()
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 values.update(parse_assignments(fh, str(path)))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        provided.update(values)
-    override_values = parse_assignments(list(overrides), "--set")
-    values.update(override_values)
-    provided.update(override_values)
-
-    cfg = RunConfig()
-    for key, value in values.items():
-        setattr(cfg, key, value)
+    values.update(parse_assignments(list(overrides), "--set"))
     # Pair-task regime trains without extra regularization unless asked for.
-    if cfg.head == "gated-pair":
-        if "dropout" not in provided:
-            cfg.dropout = 0.0
-        if "l2" not in provided:
-            cfg.l2 = 0.0
-    missing = [key for key in REQUIRED_KEYS if key not in provided]
-    if missing:
-        raise ConfigError(f"missing required config keys: {missing}")
-    return cfg.validate()
+    if values.get("head") == "gated-pair":
+        values.setdefault("dropout", 0.0)
+        values.setdefault("l2", 0.0)
+    return RunConfig.from_dict(values)

@@ -90,6 +90,16 @@ def _tokenize(text, lowercase):
     return (text.lower() if lowercase else text).split()
 
 
+def _numbered_lines(path):
+    """The ``(line number, line)`` pairs of a UTF-8 text file; a byte that is
+    not UTF-8 is a ``DataError`` that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _check_reserved(path, lineno, token_lists):
     if any(PAD_TOKEN in toks for toks in token_lists):
         raise DataError(f"{path}:{lineno}: the padding token {PAD_TOKEN} is reserved")
@@ -103,24 +113,23 @@ def read_dataset(path, pairs=False, lowercase=False):
     """
     want = 3 if pairs else 2
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != want:
-                raise DataError(f"{path}:{lineno}: expected {want} tab-separated fields, got {len(cells)}")
-            try:
-                label = int(cells[0])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: label is not an integer: {cells[0]!r}") from None
-            if label < 0:
-                raise DataError(f"{path}:{lineno}: label must be >= 0")
-            token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
-            if any(not toks for toks in token_lists):
-                raise DataError(f"{path}:{lineno}: empty sentence")
-            _check_reserved(path, lineno, token_lists)
-            records.append((label, token_lists))
+    for lineno, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        cells = line.rstrip("\n").split("\t")
+        if len(cells) != want:
+            raise DataError(f"{path}:{lineno}: expected {want} tab-separated fields, got {len(cells)}")
+        try:
+            label = int(cells[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: label is not an integer: {cells[0]!r}") from None
+        if label < 0:
+            raise DataError(f"{path}:{lineno}: label must be >= 0")
+        token_lists = [_tokenize(cell, lowercase) for cell in cells[1:]]
+        if any(not toks for toks in token_lists):
+            raise DataError(f"{path}:{lineno}: empty sentence")
+        _check_reserved(path, lineno, token_lists)
+        records.append((label, token_lists))
     if not records:
         raise DataError(f"{path}: no examples")
     return records
@@ -130,14 +139,13 @@ def read_sentences(path, lowercase=False):
     """The token list of each non-empty line of a sentences file; empty lines are
     skipped with a warning, and a literal ``<pad>`` is an error, as in ``read_dataset``."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = _tokenize(line, lowercase)
-            if not tokens:
-                print(f"warning: {path}:{lineno}: empty sentence line skipped", file=sys.stderr)
-                continue
-            _check_reserved(path, lineno, [tokens])
-            out.append(tokens)
+    for lineno, line in _numbered_lines(path):
+        tokens = _tokenize(line, lowercase)
+        if not tokens:
+            print(f"warning: {path}:{lineno}: empty sentence line skipped", file=sys.stderr)
+            continue
+        _check_reserved(path, lineno, [tokens])
+        out.append(tokens)
     if not out:
         raise DataError(f"{path}: no sentences")
     return out
@@ -170,25 +178,24 @@ def read_pretrained(path, vocab, dim, dtype):
     ``vocab``, as ``{id: vector}`` in ``dtype``; a token listed twice keeps
     its last vector. Every line must hold ``dim`` finite values."""
     vectors = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise DataError(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
-            idx = vocab.token_to_id.get(token)
-            if idx is None or idx in (PAD_ID, UNK_ID):
-                continue
-            try:
-                with np.errstate(over="ignore"):  # out of the dtype's range gives inf, rejected below
-                    vector = np.array([float(v) for v in values], dtype=dtype)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
-            if not np.isfinite(vector).all():
-                raise DataError(f"{path}:{lineno}: non-finite vector component")
-            vectors[idx] = vector
+    for lineno, line in _numbered_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise DataError(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+        idx = vocab.token_to_id.get(token)
+        if idx is None or idx in (PAD_ID, UNK_ID):
+            continue
+        try:
+            with np.errstate(over="ignore"):  # out of the dtype's range gives inf, rejected below
+                vector = np.array([float(v) for v in values], dtype=dtype)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not np.isfinite(vector).all():
+            raise DataError(f"{path}:{lineno}: non-finite vector component")
+        vectors[idx] = vector
     return vectors
 
 

@@ -1,5 +1,5 @@
 """Shared test helpers: config paths, a toy config, a checkpoint with a
-repeated tensor, and the per-value embedding CSV."""
+repeated tensor, the per-value embedding CSV and single-character edits."""
 
 import csv
 import io
@@ -66,3 +66,22 @@ def per_value_repr_csv(blocks):
         for hop in range(block.shape[0]):
             writer.writerow([sentence_id, hop] + [repr(float(v)) for v in block[hop]])
     return buf.getvalue()
+
+
+# The characters the single-edit fuzz inserts and substitutes: the separators
+# (`=`, `#`, space, tab), the characters of numbers (`0 1 - . e`), `x` and `n`
+# (hex, `none`, `nan`) and one character beyond ASCII.
+EDIT_ALPHABET = "=# 01-.x\téen"
+
+
+def single_edits(text):
+    """Every text that differs from ``text`` in one line by one deleted,
+    inserted or substituted character (``EDIT_ALPHABET``); the empty line after
+    a final newline counts as a line."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        edited = [line[:j] + line[j + 1:] for j in range(len(line))]
+        edited += [line[:j] + c + line[j:] for j in range(len(line) + 1) for c in EDIT_ALPHABET]
+        edited += [line[:j] + c + line[j + 1:] for j in range(len(line)) for c in EDIT_ALPHABET]
+        for new in edited:
+            yield "\n".join(lines[:i] + [new] + lines[i + 1:])

@@ -2,6 +2,9 @@ import csv
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -658,6 +661,32 @@ class TestOutputChecks:
         self.assert_rejected(tmp_path, capsys, monkeypatch, self.argv(tmp_path, command, {first: one, second: same}),
                              f"{same}: {second} is the same file as {first}")
 
+    INPUTS = {"--config": "run.cfg", "train_path": "train.txt", "dev_path": "dev.txt", "--checkpoint": "model.ckpt",
+              "--sentences": "s.txt"}
+
+    @pytest.mark.parametrize("command, output, source", [
+        ("train", "history_path", "train_path"), ("train", "checkpoint_path", "--config"), ("sweep", "--out", "dev_path"),
+        ("embed", "--out", "--checkpoint"), ("visualize", "--out-csv", "--sentences")])
+    def test_output_naming_an_input_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command, output, source):
+        """The input keeps its bytes; the output is spelled ``dir/./name``."""
+        same = f"{tmp_path}/./{self.INPUTS[source]}"
+        argv = self.argv(tmp_path, command, {output: same})
+        before = (tmp_path / self.INPUTS[source]).read_bytes()
+        self.assert_rejected(tmp_path, capsys, monkeypatch, argv, f"{same}: {output} is the same file as {source}")
+        assert (tmp_path / self.INPUTS[source]).read_bytes() == before
+
+
+@pytest.mark.parametrize("command, key", [("params", "--config"), ("train", "train_path")])
+def test_input_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys, command, key):
+    cfg, cfg_path = write_config(tmp_path)
+    path = cfg_path if key == "--config" else Path(getattr(cfg, key))
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert run_cli(command, "--config", str(cfg_path)) == 1
+    captured = capsys.readouterr()
+    prefix = f"cannot read config file {path}" if key == "--config" else f"{path}: not UTF-8 text"
+    assert captured.err.startswith(f"error: {prefix}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.out == "" and not Path(cfg.checkpoint_path).exists()
+
 
 def test_every_output_has_the_recorded_digest(tmp_path, monkeypatch):
     """The seeded toy session of ``tools/output_digests.py`` gives every
@@ -671,10 +700,18 @@ def test_every_output_has_the_recorded_digest(tmp_path, monkeypatch):
     assert output_digests.session() == (tools / "output_digests.txt").read_text(encoding="utf-8").splitlines()
 
 
+def test_the_recorded_digests_hold_at_one_blas_thread():
+    """``tools/output_digests.py`` prints the recorded lines in a process whose
+    OpenBLAS runs one thread, so a product whose bits depend on the thread
+    count shows here even when the test process runs more threads."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    r = subprocess.run([sys.executable, str(tools / "output_digests.py")], capture_output=True, text=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == (tools / "output_digests.txt").read_text(encoding="utf-8")
+
+
 def test_entry_point_subprocess(tmp_path):
-    import os
-    import subprocess
-    import sys
     # the child does not inherit pytest's ``pythonpath``; give it this checkout's src
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,6 +1,11 @@
+import re
+from collections import Counter
+
 import pytest
 
 from structattn.config import ConfigError, RunConfig, load_run_config
+
+from support import CONFIG_DIR, single_edits
 
 MINIMAL = "d = 8\nu = 8\nd_a = 8\nr = 2\nhead = dense\nclasses = 2\n"
 
@@ -75,7 +80,8 @@ def test_validation_bounds(tmp_path):
     for bad in ["learning_rate=0", "penalty_coeff=-1", "clip=0", "dropout=1.0", "batch_size=0",
                 "l2=-1", "vocab_size=-5", "vocab_size=0", "learning_rate=nan", "learning_rate=inf",
                 "clip=nan", "clip=inf", "penalty_coeff=inf", "l2=nan", "dropout=nan", "patience=0",
-                "patience=-3", "seed=-1", "min_count=0", "clip="]:
+                "patience=-3", "seed=-1", "min_count=0", "clip=", "learning_rate=none", "r=7.0",
+                "lowercase=2"]:
         with pytest.raises(ConfigError):
             load_run_config(write(tmp_path, MINIMAL), [bad])
 
@@ -100,3 +106,39 @@ def test_from_dict_rejects_unknown():
 def test_malformed_line(tmp_path):
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         load_run_config(write(tmp_path, MINIMAL + "justaword\n"))
+
+
+def test_every_single_edit_of_a_config_line_is_a_config_or_a_config_error(tmp_path):
+    """Each one-character edit of a line of ``configs/toy.cfg`` loads as a
+    validated config that survives a checkpoint's round trip, or is a
+    ``ConfigError``; no other exception escapes."""
+    path = tmp_path / "run.cfg"
+    outcomes = Counter()
+    for text in single_edits((CONFIG_DIR / "toy.cfg").read_text(encoding="utf-8")):
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_run_config(path)
+        except ConfigError:
+            outcomes["error"] += 1
+            continue
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        outcomes["config"] += 1
+    assert outcomes["config"] > 0 and outcomes["error"] > 0
+    assert sum(outcomes.values()) == 9625
+
+
+@pytest.mark.parametrize("key", ["d", "u", "d_a", "r", "head", "classes"])
+def test_from_dict_names_a_dropped_required_key(key):
+    values = RunConfig(d=4, u=4, d_a=4, r=2, head="dense", classes=2).validate().to_dict()
+    del values[key]
+    with pytest.raises(ConfigError, match=re.escape(f"missing required config keys: ['{key}']")):
+        RunConfig.from_dict(values)
+
+
+@pytest.mark.parametrize("lines", [0, 5000], ids=["first-line", "after-5000-lines"])
+def test_bytes_that_are_not_utf8_are_a_config_error_naming_the_file(tmp_path, lines):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(MINIMAL.encode("utf-8") + b"# padding\n" * lines + b"b = 3\xff\n")
+    with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(path))}: 'utf-8' codec"):
+        load_run_config(path)
+

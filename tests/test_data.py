@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from structattn import data
 from structattn import tensor as T
 from structattn.config import RunConfig
 from structattn.model import build_model
+
+from support import single_edits
 
 
 class TestVocab:
@@ -336,3 +339,37 @@ def test_padding_inertness_through_model(rng):
             alone, _ = net.forward(ex.tokens)
             batched, _ = net.forward(padded, mask)
             assert np.array_equal(alone.data, batched.data)
+
+
+@pytest.mark.parametrize("pairs, text, edits", [(False, "1\tkw0 f01\n0\tf02 kw1\n", 486),
+                                                (True, "1\tkw0 f1\tf2\n0\tf3\tkw1 f4\n", 586)], ids=["single", "pair"])
+def test_every_single_edit_of_a_dataset_line_is_records_or_a_data_error(tmp_path, pairs, text, edits):
+    """Each one-character edit of a line of a two-line dataset reads as
+    well-formed records or is a ``DataError``; no other exception escapes."""
+    path = tmp_path / "d.txt"
+    outcomes = Counter()
+    for edited in single_edits(text):
+        path.write_text(edited, encoding="utf-8")
+        try:
+            records = data.read_dataset(path, pairs)
+        except data.DataError:
+            outcomes["error"] += 1
+            continue
+        assert records and all(label >= 0 and len(token_lists) == 1 + pairs and all(token_lists)
+                               for label, token_lists in records)
+        outcomes["records"] += 1
+    assert outcomes["records"] > 0 and outcomes["error"] > 0
+    assert sum(outcomes.values()) == edits
+
+
+@pytest.mark.parametrize("lines", [0, 5000], ids=["first-line", "after-5000-lines"])
+@pytest.mark.parametrize("reader, line", [
+    (lambda path: data.read_dataset(path), b"1\tkw0 f1\n"),
+    (lambda path: data.read_sentences(path), b"kw0 f1\n"),
+    (lambda path: data.read_pretrained(path, data.build_vocab([["kw0"]]), 2, np.float32), b"kw0 0.5 -1\n"),
+], ids=["read_dataset", "read_sentences", "read_pretrained"])
+def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(tmp_path, reader, line, lines):
+    path = tmp_path / "in.txt"
+    path.write_bytes(line * lines + b"kw0 \xff\n")
+    with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
+        reader(path)
