@@ -113,7 +113,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
         offset += header_len
         _check_header(path, header)

@@ -44,7 +44,8 @@ def _op_checks(rng):
     checks = [
         ("matmul", lambda a, b: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))),
          [_rand(rng, 3, 4), _rand(rng, 4, 2)]),
-        ("matmul_vec", lambda a, b: T.sum_all(T.matmul(a, b)),
+        # a one-row product, the way ``attend_vector`` scores the rows of H
+        ("matmul_vec", lambda a, b: T.sum_all(T.matmul(T.reshape(a, (1, 4)), b)),
          [_rand(rng, 4), _rand(rng, 4, 2)]),
         ("batched_dot", lambda m, w: T.frobenius_sq(T.batched_dot(m, w)),
          [_rand(rng, 3, 2), _rand(rng, 3, 2, 4)]),
@@ -83,7 +84,7 @@ def _op_checks(rng):
         ("gather_rows_run", lambda x: T.frobenius_sq(T.gather_rows(T.reshape(x, (6, 1)), np.arange(1, 4))),
          [_rand(rng, 6)]),
         ("dropout", dropout_fixed, [_rand(rng, 8)]),
-        ("cross_entropy", lambda x: T.cross_entropy(x, 2), [_rand(rng, 5)]),
+        ("cross_entropy", lambda x: T.cross_entropy(T.reshape(x, (1, 5)), [2]), [_rand(rng, 5)]),
         ("lstm_step", _lstm_step_loss, _lstm_step_inputs(rng)),
         ("lstm_scan", _lstm_scan_loss, _lstm_scan_inputs(rng)),
         ("attend_pool", _attend_pool_loss, _attend_pool_inputs(rng)),
@@ -234,7 +235,10 @@ def lstm_step(x_t, h_prev, c_prev, w_x, w_h, bias):
     Gates are stacked input/forget/cell/output along the rows of ``w_x``,
     ``w_h`` and ``bias``.
     """
-    z = T.add(T.add(T.matmul(w_x, x_t), T.matmul(w_h, h_prev)), bias)
+    def times(w, v):  # w times the column vector v
+        return T.reshape(T.matmul(w, T.reshape(v, (-1, 1))), (-1,))
+
+    z = T.add(T.add(times(w_x, x_t), times(w_h, h_prev)), bias)
     gates = T.reshape(z, (4, w_h.shape[1]))
     i = T.sigmoid(T.gather_rows(gates, 0))
     f = T.sigmoid(T.gather_rows(gates, 1))
@@ -248,9 +252,8 @@ def lstm_step(x_t, h_prev, c_prev, w_x, w_h, bias):
 def attend_vector(h, w1, w2_row):
     """Single-hop attention, a weight vector over the n rows of H: the
     reference ``attention.attend`` must equal at r = 1."""
-    scores = T.matmul(w2_row, T.tanh_elem(T.matmul(w1, T.transpose(h))))
-    a = T.softmax_rows(T.reshape(scores, (1, -1)))
-    return T.gather_rows(a, 0)
+    scores = T.matmul(T.reshape(w2_row, (1, -1)), T.tanh_elem(T.matmul(w1, T.transpose(h))))
+    return T.gather_rows(T.softmax_rows(scores), 0)
 
 
 # Extended precision for the finite-difference side of the full-model check.

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
+from .data import numbered_lines
+
 HEAD_KINDS = ("dense", "pruned", "gated-pair")
 
 
@@ -147,9 +149,8 @@ def load_run_config(path=None, overrides=()):
     values = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                values.update(parse_assignments(fh, str(path)))
-        except (OSError, UnicodeDecodeError) as exc:
+            values.update(parse_assignments((line for _, line in numbered_lines(path, ConfigError)), str(path)))
+        except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values.update(parse_assignments(list(overrides), "--set"))
     # Pair-task regime trains without extra regularization unless asked for.

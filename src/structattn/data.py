@@ -90,14 +90,26 @@ def _tokenize(text, lowercase):
     return (text.lower() if lowercase else text).split()
 
 
-def _numbered_lines(path):
-    """The ``(line number, line)`` pairs of a UTF-8 text file; a byte that is
-    not UTF-8 is a ``DataError`` that names the file."""
+def numbered_lines(path, error=DataError):
+    """The ``(line number, line)`` pairs of a UTF-8 text file, read with
+    universal newlines; a byte that is not UTF-8 is an ``error`` naming the
+    file and the line that holds the byte."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+            return
+        except UnicodeDecodeError:
+            pass
+    # The decoder's error gives a position inside the chunk it was decoding, so
+    # the lines are read again with each bad byte kept as a lone surrogate,
+    # which no line of UTF-8 text holds and which does not encode back.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    raise error(f"{path}: not UTF-8 text")
 
 
 def _check_reserved(path, lineno, token_lists):
@@ -113,7 +125,7 @@ def read_dataset(path, pairs=False, lowercase=False):
     """
     want = 3 if pairs else 2
     records = []
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
         cells = line.rstrip("\n").split("\t")
@@ -139,7 +151,7 @@ def read_sentences(path, lowercase=False):
     """The token list of each non-empty line of a sentences file; empty lines are
     skipped with a warning, and a literal ``<pad>`` is an error, as in ``read_dataset``."""
     out = []
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in numbered_lines(path):
         tokens = _tokenize(line, lowercase)
         if not tokens:
             print(f"warning: {path}:{lineno}: empty sentence line skipped", file=sys.stderr)
@@ -178,7 +190,7 @@ def read_pretrained(path, vocab, dim, dtype):
     ``vocab``, as ``{id: vector}`` in ``dtype``; a token listed twice keeps
     its last vector. Every line must hold ``dim`` finite values."""
     vectors = {}
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in numbered_lines(path):
         parts = line.rstrip("\n").split()
         if not parts:
             continue

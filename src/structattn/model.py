@@ -86,12 +86,12 @@ class ParamAudit:
         return "\n".join(lines)
 
 
-def count_model_params(cfg: RunConfig, vocab_size=None):
-    """Audit every trainable scalar of ``parameter_shapes``, grouped by ``audit_group``."""
-    size = cfg.vocab_size if vocab_size is None else vocab_size
+def count_model_params(cfg: RunConfig):
+    """Audit every trainable scalar of ``parameter_shapes`` at the config's
+    ``vocab_size``, grouped by ``audit_group``."""
     rows = []
     group_totals = {}
-    for name, shape in parameter_shapes(cfg, size).items():
+    for name, shape in parameter_shapes(cfg, cfg.vocab_size).items():
         count = int(np.prod(shape))
         group = audit_group(name)
         rows.append((group, name, shape, count))
@@ -225,11 +225,12 @@ class Classifier:
         return heads.mlp_forward(m, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
                                  self.cfg.dropout, rng), attns
 
-    def forward(self, tokens, mask=None, prem_tokens=None, rng=None):
-        """Class logits (1-D) and the annotation matrix for one sentence (padded
-        if ``mask`` says so) or unpadded pair: the B = 1 case of ``forward_batch``."""
-        logits, attns = self.forward_batch([_real_ids(tokens, mask)], [prem_tokens], rng)
-        return T.reshape(logits, (logits.shape[1],)), attns[0]
+    def forward(self, tokens, mask=None):
+        """Class logits (1-D) and the annotation matrix of one sentence (padded
+        if ``mask`` says so) under a single-sentence head, without dropout: the
+        B = 1 case of ``forward_batch``."""
+        logits, [attn] = self.forward_batch([_real_ids(tokens, mask)])
+        return T.reshape(logits, (logits.shape[1],)), attn
 
     def named_parameters(self):
         """Every trainable tensor under its ``parameter_shapes`` name, in that order."""

@@ -2,7 +2,9 @@
 
 Sentences are filler tokens with a few class-specific keywords planted at
 random positions; the label is fully determined by the planted keywords, so
-attention has something concrete to find.
+attention has something concrete to find. ``make_pair_task`` is the
+sentence-pair version. ``python -m structattn.synth`` writes either task at
+one fixed size; the generators take every size as a parameter.
 """
 
 from __future__ import annotations
@@ -64,24 +66,18 @@ def write_lines(path, lines):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="generate a toy keyword-classification dataset")
+    """Write 200 training and 50 dev examples of the keyword task, or of the
+    pair task with ``--pairs``, drawn from ``--seed``, to ``train.txt`` and
+    ``dev.txt``."""
+    parser = argparse.ArgumentParser(description="generate a toy keyword-classification (or sentence-pair) dataset")
     parser.add_argument("--out-dir", required=True)
-    parser.add_argument("--train", type=int, default=200)
-    parser.add_argument("--dev", type=int, default=50)
-    parser.add_argument("--classes", type=int, default=2)
-    parser.add_argument("--keywords-per-class", type=int, default=3)
-    parser.add_argument("--plants", type=int, default=1)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", action="store_true", help="emit a sentence-pair task instead")
     args = parser.parse_args(argv)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.pairs:
-        train, dev = make_pair_task(args.train, args.dev, seed=args.seed)
-    else:
-        train, dev = make_keyword_task(args.train, args.dev, classes=args.classes,
-                                       keywords_per_class=args.keywords_per_class,
-                                       plants_per_sentence=args.plants, seed=args.seed)
+    make_task = make_pair_task if args.pairs else make_keyword_task
+    train, dev = make_task(200, 50, seed=args.seed)
     write_lines(os.path.join(args.out_dir, "train.txt"), train)
     write_lines(os.path.join(args.out_dir, "dev.txt"), dev)
     print(f"wrote {len(train)} train and {len(dev)} dev examples to {args.out_dir}")

@@ -4,6 +4,8 @@ Forward arithmetic runs on numpy arrays; every differentiable op attaches a
 backward closure to its output, and ``Tensor.backward()`` replays the closures
 in reverse topological order. Graphs are rebuilt on every forward pass
 (define-by-run), so the same parameter tensors can be reused across passes.
+The ops take the shapes the model uses: ``matmul`` multiplies two matrices,
+and ``cross_entropy`` is the mean loss of a B-by-C batch of logits.
 
 Two precisions are in play: float32 is the training default, float64 is used
 wherever gradients are compared against finite differences (float32 has too
@@ -218,8 +220,8 @@ def _from_op(data, parents, backward_fn):
     return out
 
 
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+def zeros(shape, dtype=DEFAULT_DTYPE):
+    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def _row_blocks(x):
@@ -259,30 +261,16 @@ def glorot(rng, shape, dtype=DEFAULT_DTYPE):
 
 
 def matmul(a, b):
-    """Matrix product of a 2-D operand with a 1-D or 2-D one (numpy semantics);
-    inner dimensions must agree."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2) or a.ndim + b.ndim < 3:
-        raise ShapeError(f"matmul needs a 2-D operand and a 1-D/2-D one, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    """Product of two matrices; inner dimensions must agree."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs two matrices with matching inner dimensions, got {a.shape} and {b.shape}")
     data = a.data @ b.data
 
     def bk(g):
-        if a.ndim == 2 and b.ndim == 2:
-            if a.requires_grad:
-                a._acc(g @ b.data.T, fresh=True)
-            if b.requires_grad:
-                b._acc(a.data.T @ g, fresh=True)
-        elif a.ndim == 1:
-            if a.requires_grad:
-                a._acc(b.data @ g, fresh=True)
-            if b.requires_grad:
-                b._acc(np.outer(a.data, g), fresh=True)
-        else:
-            if a.requires_grad:
-                a._acc(np.outer(g, b.data), fresh=True)
-            if b.requires_grad:
-                b._acc(a.data.T @ g, fresh=True)
+        if a.requires_grad:
+            a._acc(g @ b.data.T, fresh=True)
+        if b.requires_grad:
+            b._acc(a.data.T @ g, fresh=True)
 
     return _from_op(data, (a, b), bk)
 
@@ -535,17 +523,15 @@ def dropout(x, rate, rng):
 
 
 def cross_entropy(logits, labels):
-    """Mean negative log-likelihood of ``labels`` under stabilized log-softmax.
-
-    B-by-C logits take B labels; 1-D logits take one label, the B = 1 case.
-    """
-    if logits.ndim not in (1, 2):
-        raise ShapeError(f"cross_entropy expects 1-D or 2-D logits, got shape {logits.shape}")
-    classes = logits.shape[-1]
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    z = logits.data.reshape(-1, classes)
+    """Mean negative log-likelihood of B ``labels`` under the stabilized
+    log-softmax of B-by-C ``logits``."""
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy expects B-by-C logits, got shape {logits.shape}")
+    z = logits.data
+    classes = z.shape[1]
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (z.shape[0],):
-        raise ShapeError(f"cross_entropy needs {z.shape[0]} labels, got {labels.size}")
+        raise ShapeError(f"cross_entropy needs {z.shape[0]} labels, got shape {labels.shape}")
     bad = labels[(labels < 0) | (labels >= classes)]
     if bad.size:
         raise LabelError(f"label {int(bad[0])} out of range for {classes} classes")
@@ -557,7 +543,7 @@ def cross_entropy(logits, labels):
     def bk(g):
         p = np.exp(z - lse[:, None])
         p[rows, labels] -= 1.0
-        logits._acc(((g / len(rows)) * p).reshape(logits.shape), fresh=True)
+        logits._acc((g / len(rows)) * p, fresh=True)
 
     return _from_op(data, (logits,), bk)
 

@@ -136,7 +136,8 @@ def adagrad_step(params, state, lr, clip=None):
 
 
 def _dev_stats(model, examples):
-    """Accuracy plus the mean pairwise attention overlap; dropout off, parameters untouched.
+    """Accuracy, the mean pairwise attention overlap, and whether every logit
+    was finite; dropout off, parameters untouched.
 
     Predicts ``cfg.batch_size`` examples at a time, one head GEMM per chunk.
     """
@@ -144,13 +145,15 @@ def _dev_stats(model, examples):
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     overlaps = []
+    finite = True
     with T.no_grad():
         for b in data.batch(examples, model.cfg.batch_size):
             logits, attns = model.forward_batch(*b.inputs())
+            finite = finite and bool(np.isfinite(logits.data).all())
             correct += int((np.argmax(logits.data, axis=1) == b.labels).sum())
             for attn in attns:
                 overlaps.extend(attention.mean_pairwise_overlap(a) for a in _matrices(attn))
-    return correct / len(examples), float(np.mean(overlaps))
+    return correct / len(examples), float(np.mean(overlaps)), finite
 
 
 def evaluate(model, examples):
@@ -185,7 +188,8 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
     that epoch's first step changes them. So when the best epoch is the last
     one trained, nothing is copied, ``best_params`` is ``{}``, and the model
     already holds the best parameters; ``restore_params(model, {})`` leaves it
-    as it is.
+    as it is. A non-finite batch loss, or a non-finite logit in an epoch's dev
+    pass, raises ``TrainingDiverged`` before that epoch is recorded.
     """
     if not train_set or not dev_set:
         raise ValueError("training and dev sets must be nonempty")
@@ -219,7 +223,11 @@ def train(model, train_set, dev_set, cfg: RunConfig, log=None):
             loss_sum += batch_loss.item() * len(b)
             n_seen += len(b)
 
-        dev_acc, dev_overlap = _dev_stats(model, dev_set)
+        dev_acc, dev_overlap, finite = _dev_stats(model, dev_set)
+        if not finite:
+            # the loss is checked before each step, so this is where a last
+            # step that made the weights non-finite shows
+            raise TrainingDiverged(f"non-finite dev logits after epoch {epoch}")
         record = EpochRecord(epoch, loss_sum / n_seen, dev_acc, penalty_sum / n_seen, dev_overlap)
         history.append(record)
         if log:

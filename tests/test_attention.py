@@ -62,7 +62,7 @@ class TestAttendVector:
     def test_weighted_sum_gradient(self, rng):
         def loss(h, w1, w2_row):
             a = checks.attend_vector(h, w1, w2_row)
-            m = T.matmul(a, h)
+            m = T.matmul(T.reshape(a, (1, -1)), h)
             return T.sum_all(T.mul(m, m))
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in [(5, 6), (3, 6), (3,)]]

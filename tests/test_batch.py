@@ -1,7 +1,7 @@
 """Batch-major forward and loss against the per-example reference, in float64.
 
-The reference runs each example through the single-sentence ``forward`` and
-its own ``total_loss`` (L2 included), sums the losses and divides by B. The
+The reference runs each example as a batch of one through ``forward_batch``
+and its own ``total_loss`` (L2 included), sums the losses and divides by B. The
 batched path encodes each sentence, runs the head once over the stacked
 matrix embeddings and adds L2 once; in exact arithmetic both are equal.
 """
@@ -42,10 +42,8 @@ def setup(head, seed=0, dtype=np.float64):
 
 
 def example_inputs(b, i):
-    """Example i of a batch, as the single-sentence ``forward`` takes it."""
-    if isinstance(b, data.PairBatch):
-        return dict(tokens=b.hypotheses[i], prem_tokens=b.premises[i])
-    return dict(tokens=b.sentences[i])
+    """Example i of a batch, as the ``forward_batch`` arguments of a batch of one."""
+    return tuple(part[i:i + 1] for part in b.inputs())
 
 
 def loss_and_grads(net, build):
@@ -68,8 +66,8 @@ def batched_loss(net, cfg, b, rng):
 def reference_loss(net, cfg, b, rng):
     total = None
     for i in range(len(b)):
-        logits, attn = net.forward(**example_inputs(b, i), rng=rng)
-        loss = training.total_loss(logits, b.labels[i], [attn], cfg.penalty_coeff, cfg.l2,
+        logits, attns = net.forward_batch(*example_inputs(b, i), rng=rng)
+        loss = training.total_loss(logits, b.labels[i:i + 1], attns, cfg.penalty_coeff, cfg.l2,
                                    net.l2_parameters())[0]
         total = loss if total is None else T.add(total, loss)
     return T.scale(total, 1.0 / len(b))
@@ -102,12 +100,16 @@ def test_single_sentence_forward_is_row_of_batch_forward(head):
     with T.no_grad():
         logits, attns = net.forward_batch(*b.inputs())
         for i in range(len(b)):
-            alone, attn = net.forward(**example_inputs(b, i))
-            assert alone.shape == (cfg.classes,)
-            np.testing.assert_allclose(alone.data, logits.data[i], rtol=TOL, atol=TOL)
+            one, [attn] = net.forward_batch(*example_inputs(b, i))
+            assert one.shape == (1, cfg.classes)
+            np.testing.assert_allclose(one.data[0], logits.data[i], rtol=TOL, atol=TOL)
             pairs = zip(attn, attns[i]) if head == "gated-pair" else [(attn, attns[i])]
             for a, a_batch in pairs:
                 assert np.array_equal(a.data, a_batch.data)
+            if head != "gated-pair":
+                alone, attn_alone = net.forward(b.sentences[i])
+                assert alone.shape == (cfg.classes,)
+                assert np.array_equal(alone.data, one.data[0]) and np.array_equal(attn_alone.data, attn.data)
 
 
 @pytest.mark.parametrize("head", sorted(HEADS))

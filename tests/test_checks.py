@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 
 import numpy as np
@@ -49,6 +50,24 @@ def test_op_checks_reach_every_tensor_function(monkeypatch):
     assert {"uniform", "glorot"} <= set(public)
     missing = set(public) - {"uniform", "glorot"} - reached
     assert not missing, sorted(missing)
+
+
+# SHA-256 of each ``_op_checks`` entry's name and input bytes, in order, at seeds 0-29.
+OP_CHECK_INPUTS_SHA256 = "24ebc83bdbe5b8199f058ea64ce12acef377c177edb567957184e0aa283b6758"
+
+
+def test_op_check_inputs_are_the_recorded_draws():
+    """Every op check keeps its inputs. One draw inserted or dropped moves each
+    later check onto new inputs, and which checks fail at the 1e-8 floor of
+    ``_max_rel_err`` depends on them, so a change that means to move them
+    records the new value and says so."""
+    h = hashlib.sha256()
+    for seed in range(30):
+        for name, _, inputs in checks._op_checks(np.random.default_rng(seed)):
+            h.update(name.encode("utf-8"))
+            for t in inputs:
+                h.update(t.data.tobytes())
+    assert h.hexdigest() == OP_CHECK_INPUTS_SHA256
 
 
 def wrong_double(backward_factor, nan_at=None):

@@ -128,6 +128,14 @@ class TestTrainCommand:
         _, vocab, _ = checkpoint.restore_model(cfg.checkpoint_path)
         assert vocab.id_to_token.count("<unk>") == 1 and capsys.readouterr().err == ""
 
+    def test_a_last_step_that_makes_the_weights_non_finite_is_an_error(self, tmp_path, capsys):
+        """In float32, lr·g overflows although the rate is a finite float; the
+        loss before the one step is finite, so the epoch's dev pass shows it."""
+        cfg, cfg_path = write_config(tmp_path, max_epochs=1, batch_size=1000, learning_rate=1e39)
+        assert run_cli("train", "--config", str(cfg_path)) == 1
+        assert capsys.readouterr().err == "error: non-finite dev logits after epoch 1\n"
+        assert not Path(cfg.checkpoint_path).exists() and not Path(cfg.history_path).exists()
+
     def test_rerun_same_seed_identical_history(self, tmp_path):
         cfg, cfg_path = train_once(tmp_path)
         first = open(cfg.history_path, "rb").read()
@@ -269,6 +277,8 @@ class TestEvalCommand:
         ("vocab", ["<pad>", "<unk>", ["kw0_0"]]),
         ("entry", ["embedding.table", [2, 8]]), ("entry", "embedding.table"),
         ("entry", ["embedding.table", 16, "<f4"]), ("entry", ["embedding.table", ["2", 8], "<f4"]),
+        # JSON nested deeper than the decoder's recursion limit
+        pytest.param("bytes", b"[" * 200_000 + b"]" * 200_000, id="bytes-nested-200000-deep"),
     ])
     def test_malformed_header_is_an_error(self, tmp_path, capsys, field, value):
         cfg, _ = train_once(tmp_path)
@@ -281,9 +291,9 @@ class TestEvalCommand:
             header["manifest"][0] = value
         elif value is None:
             del header[field]
-        else:
+        elif field != "bytes":
             header[field] = value
-        blob = json.dumps(header).encode("utf-8")
+        blob = value if field == "bytes" else json.dumps(header).encode("utf-8")
         path.write_bytes(raw[:start - 8] + len(blob).to_bytes(8, "little") + blob + raw[end:])
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", str(path), "--data", cfg.dev_path) == 1
@@ -591,6 +601,14 @@ class TestSweepCommand:
         assert captured.err == f"error: {self.INVALID[param, values]}\n" and captured.out == ""
         assert not out.exists()
 
+    def test_a_run_whose_last_step_makes_the_weights_non_finite_is_an_error(self, tmp_path, capsys):
+        cfg, cfg_path = write_config(tmp_path, max_epochs=1, batch_size=1000, learning_rate=1e39)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg_path), "--param", "r",
+                       "--values", "2", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: non-finite dev logits after epoch 1\n"
+        assert not out.exists()
+
     def test_out_in_a_missing_directory_fails_before_any_run(self, tmp_path, capsys):
         _, cfg_path = write_config(tmp_path)
         before = sorted(tmp_path.rglob("*"))
@@ -680,11 +698,12 @@ class TestOutputChecks:
 def test_input_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys, command, key):
     cfg, cfg_path = write_config(tmp_path)
     path = cfg_path if key == "--config" else Path(getattr(cfg, key))
-    path.write_bytes(path.read_bytes() + b"\xff\n")
+    text = path.read_bytes()
+    path.write_bytes(text + b"\xff\n")
+    bad_line = text.count(b"\n") + 1
     assert run_cli(command, "--config", str(cfg_path)) == 1
     captured = capsys.readouterr()
-    prefix = f"cannot read config file {path}" if key == "--config" else f"{path}: not UTF-8 text"
-    assert captured.err.startswith(f"error: {prefix}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err == f"error: {path}:{bad_line}: not UTF-8 text\n"
     assert captured.out == "" and not Path(cfg.checkpoint_path).exists()
 
 

@@ -362,6 +362,45 @@ def test_every_single_edit_of_a_dataset_line_is_records_or_a_data_error(tmp_path
     assert sum(outcomes.values()) == edits
 
 
+def test_every_single_edit_of_a_sentences_line_is_token_lists_or_a_data_error(tmp_path):
+    """Each one-character edit of a line of a two-line sentences file reads as
+    non-empty token lists or is a ``DataError``; no other exception escapes."""
+    path = tmp_path / "s.txt"
+    outcomes = Counter()
+    for edited in single_edits("kw0 f01\nf02 kw1\n"):
+        path.write_text(edited, encoding="utf-8")
+        try:
+            token_lists = data.read_sentences(path)
+        except data.DataError:
+            outcomes["error"] += 1
+            continue
+        assert token_lists and all(toks and data.PAD_TOKEN not in toks for toks in token_lists)
+        outcomes["token lists"] += 1
+    # no single edit can empty both lines or spell ``<pad>``
+    assert outcomes == {"token lists": 386}
+
+
+def test_every_single_edit_of_a_vectors_line_is_vectors_or_a_data_error(tmp_path):
+    """Each one-character edit of a line of a two-line vectors file (dim 3)
+    reads as finite vectors of the vocabulary's words or is a ``DataError``;
+    no other exception escapes."""
+    path = tmp_path / "v.txt"
+    vocab = data.build_vocab([["kw0", "f01"]])
+    outcomes = Counter()
+    for edited in single_edits("kw0 0.5 -1 2\nf01 1e3 0 .25\n"):
+        path.write_text(edited, encoding="utf-8")
+        try:
+            vectors = data.read_pretrained(path, vocab, 3, np.float32)
+        except data.DataError:
+            outcomes["error"] += 1
+            continue
+        assert set(vectors) <= {vocab.id("kw0"), vocab.id("f01")}
+        assert all(v.shape == (3,) and v.dtype == np.float32 and np.isfinite(v).all() for v in vectors.values())
+        outcomes["vectors"] += 1
+    assert outcomes["vectors"] > 0 and outcomes["error"] > 0
+    assert sum(outcomes.values()) == 661
+
+
 @pytest.mark.parametrize("lines", [0, 5000], ids=["first-line", "after-5000-lines"])
 @pytest.mark.parametrize("reader, line", [
     (lambda path: data.read_dataset(path), b"1\tkw0 f1\n"),
@@ -369,7 +408,19 @@ def test_every_single_edit_of_a_dataset_line_is_records_or_a_data_error(tmp_path
     (lambda path: data.read_pretrained(path, data.build_vocab([["kw0"]]), 2, np.float32), b"kw0 0.5 -1\n"),
 ], ids=["read_dataset", "read_sentences", "read_pretrained"])
 def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(tmp_path, reader, line, lines):
+    """The error names the line that holds the byte, not a position inside the
+    decoder's chunk."""
     path = tmp_path / "in.txt"
     path.write_bytes(line * lines + b"kw0 \xff\n")
-    with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
+    with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}:{lines + 1}: not UTF-8 text$"):
         reader(path)
+
+
+def test_the_line_of_a_byte_that_is_not_utf8_counts_every_universal_newline(tmp_path):
+    """Lines end at \\r\\n, \\r or \\n, as the readers split them."""
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a\r\nb\rc\n\xe2\x82\xac d\n")
+    assert data.read_sentences(path) == [["a"], ["b"], ["c"], ["\u20ac", "d"]]
+    path.write_bytes(b"a\r\nb\rc\nd \xe2\x82")
+    with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}:4: not UTF-8 text$"):
+        data.read_sentences(path)

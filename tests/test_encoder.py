@@ -15,7 +15,7 @@ from structattn.model import build_model
 def lstm_params(rng, d, u, dtype):
     """One direction's (w_x, w_h, bias)."""
     return (T.glorot(rng, (4 * u, d), dtype), T.glorot(rng, (4 * u, u), dtype),
-            T.zeros(4 * u, dtype, requires_grad=True))
+            T.Tensor(np.zeros(4 * u, dtype), requires_grad=True))
 
 
 def make_params(rng, d=3, u=4, dtype=np.float64):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,15 @@ def t64(a):
 
 def mlp_head(rng, in_dim, hidden, classes, dtype=np.float64):
     """The dense head's (w1, b1, w2, b2)."""
-    return (T.glorot(rng, (hidden, in_dim), dtype), T.zeros(hidden, dtype, requires_grad=True),
-            T.glorot(rng, (classes, hidden), dtype), T.zeros(classes, dtype, requires_grad=True))
+    return (T.glorot(rng, (hidden, in_dim), dtype), T.Tensor(np.zeros(hidden, dtype), requires_grad=True),
+            T.glorot(rng, (classes, hidden), dtype), T.Tensor(np.zeros(classes, dtype), requires_grad=True))
 
 
 def pruned_head(rng, r, width, p, q, classes, dtype=np.float64):
     """The structured head's (w_v, w_h, w_out, b_out)."""
     return (T.glorot(rng, (r, width, p), dtype), T.glorot(rng, (width, r, q), dtype),
             T.glorot(rng, (classes, r * p + width * q), dtype),
-            T.zeros(classes, dtype, requires_grad=True))
+            T.Tensor(np.zeros(classes, dtype), requires_grad=True))
 
 
 def gated_params(rng, r, width, k, dtype=np.float64):
@@ -187,12 +188,12 @@ class TestCountParams:
         # d=5, u=4, d_a=3, r=2, b=6, 3 classes, 9 words: embedding 9*5; two LSTM
         # directions of 16*5 + 16*4 + 16; attention 3*8 + 2*3; head 6*16 + 6 + 3*6 + 3
         cfg = RunConfig(d=5, u=4, d_a=3, r=2, head="dense", classes=3, b=6).validate()
-        audit = count_model_params(cfg, vocab_size=9)
+        audit = count_model_params(replace(cfg, vocab_size=9))
         assert audit.group_totals == {"embedding": 45, "other": 359, "hidden_layer": 96, "softmax": 18}
         assert audit.total == 518
         for head in ("dense", "pruned", "gated-pair"):
             cfg = RunConfig(d=5, u=4, d_a=3, r=2, head=head, classes=3, b=6, p=2, q=2, k=3).validate()
-            audit = count_model_params(cfg, vocab_size=9)
+            audit = count_model_params(replace(cfg, vocab_size=9))
             counts = {name: count for _, name, _, count in audit.rows}
             assert counts == {name: int(np.prod(shape)) for name, shape in parameter_shapes(cfg, 9).items()}
             assert audit.total == sum(counts.values()) == sum(audit.group_totals.values())

@@ -438,7 +438,7 @@ class TestTrainLoop:
     def test_restore_gives_the_best_epochs_parameters(self, tmp_path, monkeypatch, accs, max_epochs,
                                                      best_epoch):
         scripted = iter(accs)
-        monkeypatch.setattr(training, "_dev_stats", lambda model, examples: (next(scripted), 0.0))
+        monkeypatch.setattr(training, "_dev_stats", lambda model, examples: (next(scripted), 0.0, True))
         cfg = tiny_config(tmp_path, max_epochs=max_epochs, patience=2)
         vocab, train_set, dev_set, _ = cli.load_sets(cfg)
         net = build_model(cfg, len(vocab), np.random.default_rng(cfg.seed))
