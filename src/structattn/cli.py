@@ -12,16 +12,19 @@ next; ``visualize`` reads and checks the whole sentences file, then writes each
 sentence's heat-map section and CSV rows before it encodes the next.
 ``train``, ``sweep``, ``embed`` and ``visualize`` check every output path,
 against the other outputs and against their input files, before they load
-anything.
+anything. A training run that diverges prints its error alone: the warnings
+shown while it trained are dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
 import sys
+import warnings
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -96,6 +99,27 @@ def _check_labels(name, dataset, classes):
         raise data.DataError(f"{name} has label {top} but config declares {classes} classes")
 
 
+@contextlib.contextmanager
+def _warnings_unless_diverged():
+    """Hold the warnings shown inside the block and show them as it exits,
+    unless it raises ``TrainingDiverged``: numpy's overflow and NaN warnings
+    of the steps that diverged say less than the error, which then stands
+    alone on stderr. Filters and their once-per-location registries work as
+    before; only the showing (``warnings.showwarning``) waits."""
+    held = []
+    show = warnings.showwarning
+    warnings.showwarning = lambda *shown: held.append(shown)
+    try:
+        yield
+    except training.TrainingDiverged:
+        held.clear()
+        raise
+    finally:
+        warnings.showwarning = show
+        for shown in held:
+            show(*shown)
+
+
 def _run_training(cfg, sets):
     vocab, train_set, dev_set, vectors = sets
     rng = np.random.default_rng(cfg.seed)
@@ -103,10 +127,11 @@ def _run_training(cfg, sets):
     if vectors is not None:
         coverage = data.write_pretrained(net.named_parameters()["embedding.table"].data, vectors)
         print(f"pretrained embedding coverage: {coverage:.3f}")
-    result = training.train(net, train_set, dev_set, cfg,
-                            log=lambda r: print(f"epoch {r.epoch}: train_loss={r.train_loss:.4f} "
-                                                f"dev_acc={r.dev_acc:.4f} penalty={r.mean_penalty:.4f} "
-                                                f"overlap={r.mean_overlap:.4f}"))
+    with _warnings_unless_diverged():
+        result = training.train(net, train_set, dev_set, cfg,
+                                log=lambda r: print(f"epoch {r.epoch}: train_loss={r.train_loss:.4f} "
+                                                    f"dev_acc={r.dev_acc:.4f} penalty={r.mean_penalty:.4f} "
+                                                    f"overlap={r.mean_overlap:.4f}"))
     training.restore_params(net, result.best_params)
     return net, vocab, result
 

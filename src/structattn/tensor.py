@@ -11,10 +11,14 @@ Two precisions are in play: float32 is the training default, float64 is used
 wherever gradients are compared against finite differences (float32 has too
 little headroom for central differences at eps=1e-5).
 
-A leaf's gradient lives in its ``grad``. It is an ndarray, except for a leaf
-that only ``gather_rows`` has read (an embedding table): that one gets a
-``RowGrad``, which holds the rows a backward touched and nothing else.
-``np.asarray(p.grad)`` is the dense gradient either way.
+A leaf's gradient lives in its ``grad``. It is an ndarray, except that it may
+be lazy. A leaf that only ``gather_rows`` has read (an embedding table) gets a
+``RowGrad``, which holds the rows a backward touched and nothing else. A leaf
+that only one ``linear`` has read as its weight (plus ``sum_squares``) gets a
+``ProductGrad``, which holds that op's (g, x) and makes gᵀx a row block at a
+time, so the optimizer never allocates a weight-sized gradient. Either way
+``np.asarray(p.grad)`` is the dense gradient, with the bits an eager backward
+would give, and a second contribution to the same leaf makes it dense first.
 """
 
 from __future__ import annotations
@@ -96,24 +100,26 @@ class Tensor:
         """Add ``g`` into this tensor's gradient.
 
         ``fresh`` marks an array the op's backward has just made and holds
-        nowhere else; the first gradient of that kind, with this tensor's shape
-        and dtype, is adopted as is. Everything else (the upstream gradient
-        passed through, views of it, numpy scalars) is copied, so no two
-        gradients ever share memory.
+        nowhere else, or a ``ProductGrad``; the first gradient of that kind,
+        with this tensor's shape and dtype, is adopted as is. A leaf keeps a
+        ``ProductGrad`` lazy; an inner node adopts its array, since its own
+        backward reads it. Everything else (the upstream gradient passed
+        through, views of it, numpy scalars) is copied, so no two gradients
+        ever share memory; a lazy gradient is made dense before it is added to.
         """
-        if self.grad is None and fresh and type(g) is np.ndarray \
+        if self.grad is None and fresh and type(g) in (np.ndarray, ProductGrad) \
                 and g.shape == self.data.shape and g.dtype == self.data.dtype:
-            self.grad = g
+            self.grad = g if self._backward is None else np.asarray(g)
             return
         self._dense_grad()
         self.grad += g
 
     def _dense_grad(self):
         """This tensor's gradient as an ndarray: zeros if there is none yet, and
-        a ``RowGrad`` turned into the dense array it stands for."""
+        a lazy gradient turned into the dense array it stands for."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        elif type(self.grad) is RowGrad:
+        elif type(self.grad) is not np.ndarray:
             self.grad = np.asarray(self.grad)
         return self.grad
 
@@ -121,9 +127,10 @@ class Tensor:
         """Backpropagate from a scalar, filling in ``grad``.
 
         Every reachable leaf with ``requires_grad`` receives a gradient of the
-        same shape as its data: an ndarray, or a ``RowGrad`` for a leaf read
-        only through ``gather_rows``; ``np.asarray(p.grad)`` is the dense
-        gradient. Deterministic for identical graphs.
+        same shape as its data: an ndarray, a ``RowGrad`` for a leaf read only
+        through ``gather_rows``, or a ``ProductGrad`` for a leaf read only as
+        one ``linear``'s weight; ``np.asarray(p.grad)`` is the dense gradient.
+        Deterministic for identical graphs.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
@@ -134,12 +141,19 @@ class Tensor:
                 node._backward(node.grad)
 
 
+# The two lazy gradients share one protocol: ``shape``, ``dtype``,
+# ``np.asarray`` for the dense gradient, and ``touched()``, which returns
+# ``(ids, g)``: the sorted ids of the rows the gradient touched (``None`` for
+# every row) and the gradient of those rows, of which ``g[rows]`` is a row
+# block and ``g.clip(lo, hi, out=g)`` clips in place, as of an ndarray.
+
+
 class RowGrad:
     """The gradient of a 2-D leaf as the rows that backward touched.
 
     ``gather_rows`` adds each contribution ``(ids, g)``, the ids it read and
     the gradient of those rows, in the order the backward pass makes them.
-    ``compact()`` sums them into sorted unique ids and their rows, with one
+    ``touched()`` sums them into sorted unique ids and their rows, with one
     ``np.add.at`` per contribution in that order: the adds that ``np.add.at``
     into a zero table makes, so each touched row has the bits of the dense
     gradient and every other row is zero. ``np.asarray`` gives the dense
@@ -164,7 +178,7 @@ class RowGrad:
         self._parts.append((ids, g))
         self._compact = False
 
-    def compact(self):
+    def touched(self):
         """``(ids, rows)``: the sorted unique touched ids and their summed rows.
 
         They replace the contributions, so a change to ``rows`` in place (a
@@ -180,9 +194,58 @@ class RowGrad:
         return self._parts[0]
 
     def __array__(self, dtype=None, copy=None):
-        ids, rows = self.compact()
+        ids, rows = self.touched()
         dense = np.zeros(self.shape, self.dtype)
         dense[ids] = rows
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+class ProductGrad:
+    """The weight gradient gᵀx of ``linear``, kept as the pair (g, x).
+
+    It touches every row, and ``self[rows]`` makes a row block fresh: the
+    block's own product ``g[:, rows]ᵀ x``, then each recorded step in order.
+    ``sum_squares`` records its L2 term (``add_scaled``) and ``clip_grads`` a
+    clip (``clip``), each applied to a block as the eager gradient got it.
+    ``np.asarray`` makes the whole product, then the steps a row block at a
+    time (``_row_blocks``), the order of the eager backward. A block of two
+    or more rows is a GEMM whose rows have the bits of the whole product's; a
+    one-row block is a GEMV, whose bits differ, so the optimizer never makes
+    one from a larger weight. x is copied: when x is a parameter too, the
+    same step may update it before this gradient is spent.
+    """
+
+    __slots__ = ("shape", "dtype", "_g", "_x", "_steps")
+
+    def __init__(self, g, x):
+        self._g, self._x = g, x.copy()
+        self.shape = (g.shape[1], x.shape[1])
+        self.dtype = np.result_type(g, x)
+        self._steps = []
+
+    def touched(self):
+        return None, self
+
+    def add_scaled(self, w, c):
+        """Record ``+= c·w`` (w an array of this shape), added a row block at a time."""
+        self._steps.append(lambda gb, rows: np.add(gb, np.multiply(w[rows], c), out=gb))
+
+    def clip(self, a_min, a_max, out):
+        """Record a clip to [a_min, a_max]: ``ndarray.clip`` in place (``out`` is this gradient)."""
+        self._steps.append(lambda gb, rows: np.clip(gb, a_min, a_max, out=gb))
+
+    def _finish(self, gb, rows):
+        for step in self._steps:
+            step(gb, rows)
+        return gb
+
+    def __getitem__(self, rows):
+        return self._finish(self._g[:, rows].T @ self._x, rows)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self._g.T @ self._x
+        for rows in _row_blocks(dense):
+            self._finish(dense[rows], rows)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -406,7 +469,9 @@ def sum_squares(ws, coeff):
     way: the forward pass sums ``vdot`` of row blocks in float64, with no
     squared copy; the backward pass adds 2·coeff·g·w into each existing
     ``w.grad`` in place, a block at a time, and allocates a gradient only for
-    a weight that has none yet.
+    a weight that has none yet. A ``ProductGrad`` (``linear``'s weight) only
+    records the add, which the optimizer makes block by block as it spends
+    the gradient, so no pass over the weight is made here.
     """
     ws = list(ws)
     coeff = float(coeff)
@@ -422,6 +487,9 @@ def sum_squares(ws, coeff):
         c = 2.0 * coeff * float(g)
         for w in ws:
             if not w.requires_grad:
+                continue
+            if type(w.grad) is ProductGrad:
+                w.grad.add_scaled(w.data, c)
                 continue
             grad = w._dense_grad()
             for rows in _row_blocks(w.data):
@@ -552,9 +620,11 @@ def linear(x, w, b):
     """Affine map of the rows of ``x``: ``x @ wᵀ + b`` as one GEMM.
 
     ``x`` is B-by-k, ``w`` n-by-k and ``b`` an n-vector. The backward pass
-    computes dW = gᵀx, db = the column sums of g and dx = g·w, one call each,
-    so neither a transposed copy of ``w`` nor a per-row outer product of its
-    size enters the graph.
+    computes db = the column sums of g and dx = g·w, one call each, and
+    records dW = gᵀx as a ``ProductGrad`` of (g, x), which the optimizer
+    makes a row block at a time as it updates ``w``. So neither a transposed
+    copy of ``w``, nor a per-row outer product, nor a gradient of its size is
+    made.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
         raise ShapeError(f"linear needs x B*k, w n*k and b n, got {x.shape}, {w.shape} and {b.shape}")
@@ -562,7 +632,7 @@ def linear(x, w, b):
 
     def bk(g):
         if w.requires_grad:
-            w._acc(g.T @ x.data, fresh=True)
+            w._acc(ProductGrad(g, x.data), fresh=True)
         if b.requires_grad:
             b._acc(g.sum(axis=0), fresh=True)
         if x.requires_grad:

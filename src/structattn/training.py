@@ -3,12 +3,15 @@
 Each batch runs through the model and the loss once: the mean cross-entropy,
 the attention penalty averaged per example and added with its coefficient,
 and L2 over attention and head weight matrices only, added once per batch as
-one fused node. A step passes over each full-size weight about once: its
-gradient is adopted from the op that made it, L2 adds into it in place, and
-clipping and the update (SGD or AdaGrad) share one pass, a row block at a
-time. The embedding table's gradient holds only the rows the batch read, and
-only those rows are clipped and updated. Training keeps the parameters of the
-best dev epoch and stops early after ``patience`` epochs without improvement.
+one fused node. A step passes over each full-size weight once, a row block
+at a time. A ``linear`` weight's gradient (the dense head's ``head.w1``) is
+never made whole: ``linear`` records it as (g, x) and L2 records its
+coefficient, and each block's product, L2 add, clip and update (SGD or
+AdaGrad) are made together. Any other weight's gradient is adopted from the
+op that made it and L2 adds into it in place. The embedding table's gradient
+holds only the rows the batch read, and only those rows are clipped and
+updated. Training keeps the parameters of the best dev epoch and stops early
+after ``patience`` epochs without improvement.
 The best epoch's parameters are copied only when a later epoch is about to
 overwrite them. The penalties an epoch reports are read from the loss's own
 penalty nodes, so each is computed once.
@@ -45,7 +48,8 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     ``penalties`` holds each example's mean over its matrices, read from
     those nodes as a float. The L2 node is the first operand of the last
     add, so its backward runs after every other gradient of the weights
-    exists and adds into them in place.
+    exists: it adds into them in place, or records its coefficient in a
+    ``linear`` weight's lazy gradient.
     """
     loss = T.cross_entropy(logits, labels)
     penalties = []
@@ -64,27 +68,38 @@ ADAGRAD_EPS = 1e-8  # the eps of AdaGrad's sqrt(acc) + eps
 
 
 def _touched(p):
-    """``(ids, g)``: a ``RowGrad``'s sorted touched ids and rows, or ``None`` and a dense ``p.grad``."""
-    return p.grad.compact() if type(p.grad) is T.RowGrad else (None, p.grad)
+    """``(ids, g)``: the sorted ids of the rows a lazy ``p.grad`` touched and
+    their gradient, or ``None`` and a dense ``p.grad``. ``g[rows]`` is a row
+    block of it, a view of a dense array or of a ``RowGrad``'s summed rows,
+    made fresh by a ``ProductGrad``; ``g.clip(lo, hi, out=g)`` clips it in place."""
+    return (None, p.grad) if type(p.grad) is np.ndarray else p.grad.touched()
 
 
 def clip_grads(params, clip):
-    """Clamp every component of each ``p.grad`` to [-clip, +clip] in place."""
+    """Clamp every component of each ``p.grad`` to [-clip, +clip] in place;
+    a ``ProductGrad`` records the clip for the blocks it makes."""
     for p in params.values():
         if p.grad is not None and clip is not None:
             g = _touched(p)[1]
-            np.clip(g, -clip, clip, out=g)
+            g.clip(-clip, clip, out=g)
 
 
 def _spend(p, clip, *state):
     """Spend ``p.grad`` a row block at a time: yield each gradient block,
     clipped to [-clip, +clip] in place, with the matching blocks of ``p.data``
     and of each ``state`` array to update in place. A ``RowGrad`` yields its
-    touched rows only (``_touched``), written back once every block is spent."""
+    touched rows only (``_touched``), written back once every block is spent.
+    A ``ProductGrad`` makes each block as it is reached: its product, then
+    its L2 add from the block of ``p.data`` not yet updated. The blocks are
+    those of ``_row_blocks``, except that a one-row last block joins the one
+    before it: its product would be a GEMV, whose bits differ from a GEMM's."""
     ids, g = _touched(p)
     arrays = (p.data, *state)
     views = arrays if ids is None else [x[ids] for x in arrays]
-    for rows in T._row_blocks(g):
+    blocks = T._row_blocks(views[0])
+    if len(blocks) > 1 and blocks[-1].start == len(views[0]) - 1:
+        blocks[-2:] = [slice(blocks[-2].start, None)]
+    for rows in blocks:
         gb = g[rows]
         if clip is not None:
             np.clip(gb, -clip, clip, out=gb)
@@ -98,10 +113,11 @@ def _spend(p, clip, *state):
 def sgd_step(params, lr, clip=None):
     """In-place SGD update from each ``p.grad``, which is spent.
 
-    One pass per gradient (``_spend``): each block is clipped, scaled by
-    ``lr`` and subtracted, with the elementwise expressions of whole-array
-    clipping and ``p -= lr * g``, so the bits are theirs. Rows a ``RowGrad``
-    did not touch would get p - lr * 0 = p.
+    One pass per gradient (``_spend``): each block is made (a ``linear``
+    weight's product and L2 add), clipped, scaled by ``lr`` and subtracted,
+    with the elementwise expressions of whole-array clipping and
+    ``p -= lr * g``, so the bits are those of the whole dense gradient's. Rows
+    a ``RowGrad`` did not touch would get p - lr * 0 = p.
     """
     for p in params.values():
         if p.grad is not None:

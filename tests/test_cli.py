@@ -32,6 +32,27 @@ def write_config(tmp_path, **extra):
     return cfg, cfg_path
 
 
+def cli_process(*args, prelude=""):
+    """Run the CLI in a child process, after ``prelude``, so stderr holds
+    everything it prints, numpy's warnings too (pytest would catch those)."""
+    # the child does not inherit pytest's ``pythonpath``; give it this checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f"import sys\nfrom structattn import cli\n{prelude}\nsys.exit(cli.main(sys.argv[1:]))\n"
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
+# a step that overflows a float32 product, and does not diverge
+WARNING_STEP = """import numpy as np
+from structattn import training
+step = training.sgd_step
+def warning_step(*args, **kwargs):
+    np.float32(3e38) * np.float32(10)
+    step(*args, **kwargs)
+training.sgd_step = warning_step"""
+
+
 def train_once(tmp_path, **extra):
     cfg, cfg_path = write_config(tmp_path, **extra)
     assert run_cli("train", "--config", str(cfg_path)) == 0
@@ -135,6 +156,21 @@ class TestTrainCommand:
         assert run_cli("train", "--config", str(cfg_path)) == 1
         assert capsys.readouterr().err == "error: non-finite dev logits after epoch 1\n"
         assert not Path(cfg.checkpoint_path).exists() and not Path(cfg.history_path).exists()
+
+    def test_a_diverged_run_prints_only_its_error(self, tmp_path):
+        """Numpy's overflow warning of the step and the NaN warnings of the dev
+        pass that follows are dropped with the run that diverged."""
+        cfg, cfg_path = write_config(tmp_path, max_epochs=1, batch_size=1000, learning_rate=1e39)
+        r = cli_process("train", "--config", str(cfg_path))
+        assert r.returncode == 1 and r.stderr == "error: non-finite dev logits after epoch 1\n"
+        assert not Path(cfg.checkpoint_path).exists()
+
+    def test_a_run_that_does_not_diverge_shows_its_warnings(self, tmp_path):
+        """Shown once per location, as numpy's warnings are, when the run ends."""
+        cfg, cfg_path = write_config(tmp_path)
+        r = cli_process("train", "--config", str(cfg_path), prelude=WARNING_STEP)
+        assert r.returncode == 0 and Path(cfg.checkpoint_path).exists()
+        assert r.stderr == "<string>:7: RuntimeWarning: overflow encountered in scalar multiply\n"
 
     def test_rerun_same_seed_identical_history(self, tmp_path):
         cfg, cfg_path = train_once(tmp_path)
@@ -607,6 +643,13 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(cfg_path), "--param", "r",
                        "--values", "2", "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: non-finite dev logits after epoch 1\n"
+        assert not out.exists()
+
+    def test_a_diverged_run_prints_only_its_error(self, tmp_path):
+        _, cfg_path = write_config(tmp_path, max_epochs=1, batch_size=1000, learning_rate=1e39)
+        out = tmp_path / "sweep.csv"
+        r = cli_process("sweep", "--config", str(cfg_path), "--param", "r", "--values", "2", "--out", str(out))
+        assert r.returncode == 1 and r.stderr == "error: non-finite dev logits after epoch 1\n"
         assert not out.exists()
 
     def test_out_in_a_missing_directory_fails_before_any_run(self, tmp_path, capsys):

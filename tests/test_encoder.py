@@ -317,7 +317,7 @@ class TestPackedScan:
                 h = T.concat([encoder.bilstm(encoder.embed(ids, table), [len(ids)], p_fwd, p_bwd)
                               for ids in sentences])
             T.sum_all(T.mul(h, out_weights)).backward()
-            ids, rows = table.grad.compact()
+            ids, rows = table.grad.touched()
             return [h.data, ids, rows] + [leaf.grad for leaf in leaves[1:]]
 
         got, want = run(packed=True), run(packed=False)

@@ -334,7 +334,7 @@ class TestRowGrad:
         assert type(got) is T.RowGrad and type(want) is np.ndarray
         assert got.shape == want.shape and got.dtype == want.dtype == np.float32
         assert np.array_equal(np.asarray(got), want)
-        ids, rows = got.compact()
+        ids, rows = got.touched()
         assert np.array_equal(ids, [0, 3, 7])
         assert np.array_equal(rows, want[ids])
         assert not want[[1, 2, 4, 5, 6, 8]].any()
@@ -421,6 +421,103 @@ class TestLinear:
             T.linear(t64(np.zeros((3, 4))), t64(np.zeros((2, 5))), t64(np.zeros(2)))
         with pytest.raises(T.ShapeError):
             T.linear(t64(np.zeros((3, 4))), t64(np.zeros((2, 4))), t64(np.zeros(3)))
+
+
+def linear_term(rng, w, batch):
+    """``sum(linear(x, w, 0) * c)`` of a random float32 x and c, whose
+    gradient of ``w`` is cᵀx, and that product as the eager backward makes it."""
+    n, k = w.shape
+    x = rng.standard_normal((batch, k)).astype(np.float32)
+    c = rng.standard_normal((batch, n)).astype(np.float32)
+    return T.sum_all(T.mul(T.linear(T.Tensor(x), w, T.zeros(n)), T.Tensor(c))), c.T @ x
+
+
+def add_l2(grad, w, c):
+    """The eager backward of ``sum_squares``: c·w added a row block at a time."""
+    for rows in T._row_blocks(w):
+        grad[rows] += np.multiply(w[rows], c)
+    return grad
+
+
+class TestProductGrad:
+    """A leaf read as one ``linear``'s weight gets a lazy ``ProductGrad``. Each
+    reference is the eager backward's gradient: gᵀx made whole and adopted,
+    every later contribution added into it in graph order (of an ``add``, the
+    second operand's backward runs first), the L2 term a row block at a time."""
+
+    @pytest.fixture
+    def w(self, rng):
+        # 300 x 500 spans three row blocks
+        return T.Tensor(rng.standard_normal((300, 500)).astype(np.float32), requires_grad=True)
+
+    def test_leaf_gradient_is_lazy_with_the_dense_bits(self, rng, w):
+        term, product = linear_term(rng, w, 4)
+        T.add(T.sum_squares([w], 1e-3), term).backward()
+        want = add_l2(product, w.data, 2e-3)
+        assert type(w.grad) is T.ProductGrad
+        assert w.grad.shape == want.shape and w.grad.dtype == want.dtype == np.float32
+        assert np.array_equal(w.grad, want)
+        assert np.asarray(w.grad).tobytes() == want.tobytes()
+
+    def test_clip_grads_clips_the_dense_values(self, rng, w):
+        from structattn import training
+
+        term, product = linear_term(rng, w, 4)
+        T.add(T.sum_squares([w], 1e-3), term).backward()
+        want = np.clip(add_l2(product, w.data, 2e-3), -0.5, 0.5)
+        grad = w.grad
+        training.clip_grads({"w": w}, 0.5)
+        assert w.grad is grad and (np.abs(product) > 0.5).mean() > 0.3
+        assert np.asarray(grad).tobytes() == want.tobytes()
+
+    def test_two_linear_reads_add_in_graph_order(self, rng, w):
+        (first, p1), (second, p2) = linear_term(rng, w, 4), linear_term(rng, w, 3)
+        T.add(T.sum_squares([w], 1e-3), T.add(first, second)).backward()
+        want = p2
+        want += p1
+        add_l2(want, w.data, 2e-3)
+        assert type(w.grad) is np.ndarray and w.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("linear_first", [False, True])
+    def test_a_linear_and_a_gather_rows_read_add_in_graph_order(self, rng, w, linear_first):
+        term, product = linear_term(rng, w, 4)
+        ids = np.array([7, 2, 7, 299])
+        c = rng.standard_normal((ids.size, 500)).astype(np.float32)
+        gathered = T.sum_all(T.mul(T.gather_rows(w, ids), T.Tensor(c)))
+        if linear_first:  # the linear's backward runs first, so its product is adopted
+            T.add(gathered, term).backward()
+            want = product
+            np.add.at(want, ids, c)
+        else:  # the gather's rows come first, as a ``RowGrad``
+            T.add(term, gathered).backward()
+            want = np.zeros_like(w.data)
+            np.add.at(want, ids, c)
+            want += product
+        assert type(w.grad) is np.ndarray and w.grad.tobytes() == want.tobytes()
+
+    def test_an_inner_weight_adopts_the_dense_product(self, rng, w):
+        v = T.reshape(w, w.shape)
+        x, c = rng.standard_normal((4, 500)).astype(np.float32), rng.standard_normal((4, 300)).astype(np.float32)
+        T.sum_all(T.mul(T.linear(T.Tensor(x), v, T.zeros(300)), T.Tensor(c))).backward()
+        assert type(v.grad) is np.ndarray and v.grad.tobytes() == (c.T @ x).tobytes()
+        assert type(w.grad) is np.ndarray and np.array_equal(w.grad, v.grad)
+
+    def test_a_step_that_updates_x_first_leaves_the_product(self, rng, w):
+        from structattn import training
+
+        x = T.Tensor(rng.standard_normal((4, 500)).astype(np.float32), requires_grad=True)
+        c = rng.standard_normal((4, 300)).astype(np.float32)
+        T.sum_all(T.mul(T.linear(x, w, T.zeros(300)), T.Tensor(c))).backward()
+        want = w.data - np.multiply(c.T @ x.data, np.float32(0.1))
+        training.sgd_step({"x": x, "w": w}, lr=0.1)
+        assert w.data.tobytes() == want.tobytes()
+
+    def test_a_product_of_another_dtype_is_added_into_zeros(self, rng, w):
+        x, c = rng.standard_normal((4, 500)), rng.standard_normal((4, 300))
+        T.sum_all(T.mul(T.linear(T.Tensor(x), w, T.zeros(300)), T.Tensor(c))).backward()
+        want = np.zeros_like(w.data)
+        want += c.T @ x
+        assert type(w.grad) is np.ndarray and w.grad.tobytes() == want.tobytes()
 
 
 class TestSumSquares:
@@ -558,31 +655,38 @@ class TestGradientBuffers:
             assert t.grad.dtype == np.float32 and t.grad.shape == t.shape
         np.testing.assert_allclose(w.grad, c.data.T @ x.data, rtol=1e-6)
 
-    def test_dense_backward_peak_stays_near_its_gradients(self):
-        """Tracemalloc peak of ``backward()`` on a dense batch loss with L2, over
-        the gradients it leaves behind, is below half of ``head.w1``: the weight
-        gradient is adopted and L2 adds into it, with no W1-sized temporary."""
+    def test_dense_backward_and_step_allocate_nothing_weight_sized(self):
+        """Tracemalloc peak of ``backward()`` and ``sgd_step`` on a dense batch
+        loss with L2 is below a tenth of ``head.w1``: its gradient is never
+        made whole, only row blocks of it, one at a time. ``head.w1`` is
+        8192 by 1024 (32 MB), so one row block (256 KB) is a small share of
+        it. The second of two steps is traced, so one-time imports do not count."""
         from structattn import data, training
         from structattn.config import RunConfig
         from structattn.model import build_model
 
-        cfg = RunConfig(d=4, u=4, d_a=4, r=8, head="dense", b=8192, classes=2, l2=1e-3).validate()
+        cfg = RunConfig(d=4, u=16, d_a=4, r=32, head="dense", b=8192, classes=2, l2=1e-3).validate()
         rng = np.random.default_rng(0)
         net = build_model(cfg, 10, rng)
         examples = [data.Example(rng.integers(2, 10, size=n), n % 2) for n in (3, 5, 4, 2)]
         b = data.batch(examples, 4)[0]
-        logits, attns = net.forward_batch(*b.inputs())
-        loss = training.total_loss(logits, b.labels, attns, 1.0, cfg.l2, net.l2_parameters())[0]
-        tracemalloc.start()
-        try:
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        w1 = net.named_parameters()["head.w1"].data.nbytes
-        kept = sum(p.grad.nbytes for p in net.named_parameters().values())
-        assert w1 <= kept < 1.1 * w1
-        assert peak - kept < 0.5 * w1, (peak / w1, kept / w1)
+        w1 = net.named_parameters()["head.w1"]
+        for traced in (False, True):
+            logits, attns = net.forward_batch(*b.inputs())
+            loss = training.total_loss(logits, b.labels, attns, 1.0, cfg.l2, net.l2_parameters())[0]
+            before = w1.data.copy()
+            if traced:
+                tracemalloc.start()
+            try:
+                loss.backward()
+                assert type(w1.grad) is T.ProductGrad
+                training.sgd_step(net.named_parameters(), lr=0.1, clip=0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (w1.data != before).any()
+        assert w1.data.shape == (8192, 1024)
+        assert peak < 0.1 * w1.data.nbytes, peak / w1.data.nbytes
 
 
 class TestBackward:

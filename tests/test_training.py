@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,6 +333,70 @@ def test_embedding_backward_and_step_allocate_nothing_table_sized():
     assert peak < 1 << 20, peak
     changed = np.flatnonzero((table.data != before).any(axis=1))
     assert np.array_equal(changed, np.unique(ids))
+
+
+LAZY_SPEND_SCRIPT = r"""
+import hashlib
+import numpy as np
+from structattn import data, training
+from structattn.config import RunConfig
+from structattn.model import build_model
+
+steps = {"sgd": training.sgd_step, "adagrad": training.adagrad_step}
+
+
+def dense_first(step):
+    def reference(params, *args, **kwargs):
+        for p in params.values():
+            if p.grad is not None:
+                p.grad = np.asarray(p.grad)
+        step(params, *args, **kwargs)
+    return reference
+
+
+def params_digest(optimizer, clip, reference):
+    cfg = RunConfig(d=4, u=300, d_a=4, r=30, head="dense", b=7, classes=3, optimizer=optimizer,
+                    learning_rate=0.5, batch_size=16, dropout=0.0, l2=1e-3, clip=clip,
+                    max_epochs=1, patience=1, seed=2).validate()
+    rng = np.random.default_rng(0)
+    net = build_model(cfg, 20, rng)
+    examples = [data.Example(rng.integers(2, 20, size=2 + i % 8), i % 3) for i in range(16)]
+    setattr(training, optimizer + "_step", dense_first(steps[optimizer]) if reference else steps[optimizer])
+    try:
+        training.train(net, examples, examples[:2], cfg)
+    finally:
+        setattr(training, optimizer + "_step", steps[optimizer])
+    digest = hashlib.sha256()
+    for p in net.named_parameters().values():
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+for optimizer in ("sgd", "adagrad"):
+    for clip in (0.01, None):
+        print(params_digest(optimizer, clip, False), params_digest(optimizer, clip, True))
+"""
+
+
+def test_lazy_spend_gives_the_bits_of_the_dense_gradient_at_one_and_two_blas_threads():
+    """One ``training.train`` step, SGD and AdaGrad, clipped and not, against
+    the same step after ``np.asarray`` of every gradient, each compared at
+    its own BLAS thread count. ``head.w1`` is 7 by 18000, the paper's row
+    width: ``_row_blocks`` makes blocks of 3 rows and a 1-row tail, and past
+    16384 columns OpenBLAS gives a 1-row product (a GEMV) other bits than
+    the rows of the whole GEMM, so a spend that kept the tail block alone
+    fails here. Toy models have one block and cannot show it."""
+    src = str(Path(training.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", LAZY_SPEND_SCRIPT], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        pairs = [line.split() for line in run.stdout.splitlines()]
+        assert len(pairs) == 4 and len({lazy for lazy, _ in pairs}) == 4, run.stdout
+        for lazy, reference in pairs:
+            assert lazy == reference, threads
 
 
 class StubModel:
