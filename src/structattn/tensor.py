@@ -19,6 +19,9 @@ that only one ``linear`` has read as its weight (plus ``sum_squares``) gets a
 time, so the optimizer never allocates a weight-sized gradient. Either way
 ``np.asarray(p.grad)`` is the dense gradient, with the bits an eager backward
 would give, and a second contribution to the same leaf makes it dense first.
+A lazy gradient is made by a backward, then read densely with ``np.asarray``
+or spent by the optimizer; only ``sum_squares`` records into one (its L2
+term), and nothing writes into it.
 """
 
 from __future__ import annotations
@@ -130,22 +133,20 @@ class Tensor:
         same shape as its data: an ndarray, a ``RowGrad`` for a leaf read only
         through ``gather_rows``, or a ``ProductGrad`` for a leaf read only as
         one ``linear``'s weight; ``np.asarray(p.grad)`` is the dense gradient.
-        Deterministic for identical graphs.
+        Deterministic for identical graphs. Each call adds one pass into the
+        leaves: a second call on the same graph first clears the gradients the
+        first left on its inner nodes.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
         order = _toposort(self)
+        for node in order:
+            if node._backward is not None:
+                node.grad = None
         self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-# The two lazy gradients share one protocol: ``shape``, ``dtype``,
-# ``np.asarray`` for the dense gradient, and ``touched()``, which returns
-# ``(ids, g)``: the sorted ids of the rows the gradient touched (``None`` for
-# every row) and the gradient of those rows, of which ``g[rows]`` is a row
-# block and ``g.clip(lo, hi, out=g)`` clips in place, as of an ndarray.
 
 
 class RowGrad:
@@ -158,40 +159,26 @@ class RowGrad:
     into a zero table makes, so each touched row has the bits of the dense
     gradient and every other row is zero. ``np.asarray`` gives the dense
     gradient. Contributions are held as given and never written to; the
-    sums go into new arrays.
+    sums go into new arrays on each call.
     """
 
-    __slots__ = ("shape", "dtype", "_parts", "_compact")
+    __slots__ = ("shape", "dtype", "_parts")
 
     def __init__(self, shape, dtype):
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
         self._parts = []
-        self._compact = False
-
-    @property
-    def nbytes(self):
-        """Bytes of the ids and rows held, which is all the memory it takes."""
-        return sum(ids.nbytes + g.nbytes for ids, g in self._parts)
 
     def add(self, ids, g):
         self._parts.append((ids, g))
-        self._compact = False
 
     def touched(self):
-        """``(ids, rows)``: the sorted unique touched ids and their summed rows.
-
-        They replace the contributions, so a change to ``rows`` in place (a
-        clip) is a change to this gradient.
-        """
-        if not self._compact:
-            ids = np.unique(np.concatenate([i.reshape(-1) for i, _ in self._parts]))
-            rows = np.zeros((ids.size, *self.shape[1:]), self.dtype)
-            for i, g in self._parts:
-                np.add.at(rows, np.searchsorted(ids, i), g)
-            self._parts = [(ids, rows)]
-            self._compact = True
-        return self._parts[0]
+        """``(ids, rows)``: the sorted unique touched ids and their summed rows."""
+        ids = np.unique(np.concatenate([i.reshape(-1) for i, _ in self._parts]))
+        rows = np.zeros((ids.size, *self.shape[1:]), self.dtype)
+        for i, g in self._parts:
+            np.add.at(rows, np.searchsorted(ids, i), g)
+        return ids, rows
 
     def __array__(self, dtype=None, copy=None):
         ids, rows = self.touched()
@@ -203,49 +190,41 @@ class RowGrad:
 class ProductGrad:
     """The weight gradient gᵀx of ``linear``, kept as the pair (g, x).
 
-    It touches every row, and ``self[rows]`` makes a row block fresh: the
-    block's own product ``g[:, rows]ᵀ x``, then each recorded step in order.
-    ``sum_squares`` records its L2 term (``add_scaled``) and ``clip_grads`` a
-    clip (``clip``), each applied to a block as the eager gradient got it.
-    ``np.asarray`` makes the whole product, then the steps a row block at a
-    time (``_row_blocks``), the order of the eager backward. A block of two
-    or more rows is a GEMM whose rows have the bits of the whole product's; a
-    one-row block is a GEMV, whose bits differ, so the optimizer never makes
-    one from a larger weight. x is copied: when x is a parameter too, the
-    same step may update it before this gradient is spent.
+    ``self[rows]`` makes a row block fresh: the block's own product
+    ``g[:, rows]ᵀ x``, then each L2 term ``sum_squares`` recorded
+    (``add_scaled``), added to the block as the eager gradient got it.
+    ``np.asarray`` makes the whole product, then adds the L2 terms a row
+    block at a time (``_row_blocks``), the order of the eager backward. A
+    block of two or more rows is a GEMM whose rows have the bits of the whole
+    product's; a one-row block is a GEMV, whose bits differ, so the optimizer
+    never makes one from a larger weight. x is copied: when x is a parameter
+    too, the same step may update it before this gradient is spent.
     """
 
-    __slots__ = ("shape", "dtype", "_g", "_x", "_steps")
+    __slots__ = ("shape", "dtype", "_g", "_x", "_l2")
 
     def __init__(self, g, x):
         self._g, self._x = g, x.copy()
         self.shape = (g.shape[1], x.shape[1])
         self.dtype = np.result_type(g, x)
-        self._steps = []
-
-    def touched(self):
-        return None, self
+        self._l2 = []
 
     def add_scaled(self, w, c):
         """Record ``+= c·w`` (w an array of this shape), added a row block at a time."""
-        self._steps.append(lambda gb, rows: np.add(gb, np.multiply(w[rows], c), out=gb))
+        self._l2.append((w, c))
 
-    def clip(self, a_min, a_max, out):
-        """Record a clip to [a_min, a_max]: ``ndarray.clip`` in place (``out`` is this gradient)."""
-        self._steps.append(lambda gb, rows: np.clip(gb, a_min, a_max, out=gb))
-
-    def _finish(self, gb, rows):
-        for step in self._steps:
-            step(gb, rows)
+    def _add_l2(self, gb, rows):
+        for w, c in self._l2:
+            np.add(gb, np.multiply(w[rows], c), out=gb)
         return gb
 
     def __getitem__(self, rows):
-        return self._finish(self._g[:, rows].T @ self._x, rows)
+        return self._add_l2(self._g[:, rows].T @ self._x, rows)
 
     def __array__(self, dtype=None, copy=None):
         dense = self._g.T @ self._x
         for rows in _row_blocks(dense):
-            self._finish(dense[rows], rows)
+            self._add_l2(dense[rows], rows)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 

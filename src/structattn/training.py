@@ -67,33 +67,27 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
 ADAGRAD_EPS = 1e-8  # the eps of AdaGrad's sqrt(acc) + eps
 
 
-def _touched(p):
-    """``(ids, g)``: the sorted ids of the rows a lazy ``p.grad`` touched and
-    their gradient, or ``None`` and a dense ``p.grad``. ``g[rows]`` is a row
-    block of it, a view of a dense array or of a ``RowGrad``'s summed rows,
-    made fresh by a ``ProductGrad``; ``g.clip(lo, hi, out=g)`` clips it in place."""
-    return (None, p.grad) if type(p.grad) is np.ndarray else p.grad.touched()
-
-
 def clip_grads(params, clip):
     """Clamp every component of each ``p.grad`` to [-clip, +clip] in place;
-    a ``ProductGrad`` records the clip for the blocks it makes."""
+    a lazy gradient is first made the dense ndarray it stands for."""
     for p in params.values():
         if p.grad is not None and clip is not None:
-            g = _touched(p)[1]
-            g.clip(-clip, clip, out=g)
+            p.grad = np.asarray(p.grad)
+            p.grad.clip(-clip, clip, out=p.grad)
 
 
 def _spend(p, clip, *state):
     """Spend ``p.grad`` a row block at a time: yield each gradient block,
     clipped to [-clip, +clip] in place, with the matching blocks of ``p.data``
-    and of each ``state`` array to update in place. A ``RowGrad`` yields its
-    touched rows only (``_touched``), written back once every block is spent.
-    A ``ProductGrad`` makes each block as it is reached: its product, then
-    its L2 add from the block of ``p.data`` not yet updated. The blocks are
-    those of ``_row_blocks``, except that a one-row last block joins the one
-    before it: its product would be a GEMV, whose bits differ from a GEMM's."""
-    ids, g = _touched(p)
+    and of each ``state`` array to update in place. A ``RowGrad`` yields the
+    blocks of its touched rows only (``touched()``), and those rows of
+    ``p.data`` and the state are written back once every block is spent.
+    Anything else yields ``g[rows]``: a view of an ndarray, or a block a
+    ``ProductGrad`` makes as it is reached, its product and then its L2 add
+    from the block of ``p.data`` not yet updated. The blocks are those of
+    ``_row_blocks``, except that a one-row last block joins the one before
+    it: its product would be a GEMV, whose bits differ from a GEMM's."""
+    ids, g = p.grad.touched() if type(p.grad) is T.RowGrad else (None, p.grad)
     arrays = (p.data, *state)
     views = arrays if ids is None else [x[ids] for x in arrays]
     blocks = T._row_blocks(views[0])
@@ -117,7 +111,9 @@ def sgd_step(params, lr, clip=None):
     weight's product and L2 add), clipped, scaled by ``lr`` and subtracted,
     with the elementwise expressions of whole-array clipping and
     ``p -= lr * g``, so the bits are those of the whole dense gradient's. Rows
-    a ``RowGrad`` did not touch would get p - lr * 0 = p.
+    a ``RowGrad`` did not touch would get p - lr * 0 = p. So ``clip_grads``
+    (which makes a lazy gradient dense) and then a step without ``clip`` give
+    the bits of the step with it.
     """
     for p in params.values():
         if p.grad is not None:

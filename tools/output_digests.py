@@ -4,9 +4,10 @@ Runs ``structattn.cli.main`` in a temporary directory on the synthetic keyword
 and pair tasks with ``configs/toy.cfg`` at 3 epochs: five ``train`` runs
 (dense, dense with dropout, pruned, dense without the penalty, gated-pair with
 AdaGrad), a ``sweep`` over ``r`` and one over ``penalty_coeff``, and ``eval``,
-``embed`` and ``visualize`` (both modes) for every checkpoint. Prints one
-``sha256  name`` line per output file and per command's stdout, so two
-checkouts (or two BLAS thread counts) can be compared with ``diff``:
+``embed`` and ``visualize`` (both modes) for every checkpoint; then a dense
+``train`` from a small pretrained vectors file. Prints one ``sha256  name``
+line per output file and per command's stdout, so two checkouts (or two BLAS
+thread counts) can be compared with ``diff``:
 
     OPENBLAS_NUM_THREADS=1 python tools/output_digests.py > digests-1.txt
     OPENBLAS_NUM_THREADS=2 python tools/output_digests.py > digests-2.txt
@@ -32,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from structattn import cli, synth  # noqa: E402
 
 TOY = ["--config", str(ROOT / "configs" / "toy.cfg"), "--set", "max_epochs=3"]
@@ -44,6 +47,8 @@ RUNS = {
     "nopenalty": KEYWORDS + ["--set", "penalty_coeff=0"],
     "pair": PAIRS + ["--set", "head=gated-pair", "--set", "k=16", "--set", "optimizer=adagrad"],
 }
+# every keyword, ten fillers, and one word outside the vocabulary, which is skipped
+VECTOR_WORDS = [f"kw{c}_{j}" for c in range(2) for j in range(3)] + [f"f{i:02d}" for i in range(10)] + ["unseen"]
 SENTENCES = ("kw0_0 f10 f20 f30\nkw1_1 f11 f12\nf13 f14 kw0_2 unseen f15 f16 f17\n"
              "ma f01 f02 & \"quoted\" <b>\nmb\n")
 
@@ -56,6 +61,19 @@ def run(name, *argv):
     if code != 0:
         raise SystemExit(f"{name}: exit code {code}")
     return f"{hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest()}  {name}.stdout"
+
+
+def write_vectors(path):
+    """Seeded vectors of dim 16, ``configs/toy.cfg``'s d, for ``VECTOR_WORDS``."""
+    rng = np.random.default_rng(7)
+    Path(path).write_text("".join(f"{word} {' '.join(f'{v:.6f}' for v in rng.uniform(-0.5, 0.5, 16))}\n"
+                                  for word in VECTOR_WORDS), encoding="utf-8")
+
+
+def digests(directory):
+    """One digest line per file of ``directory``, in name order."""
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+            for path in sorted(Path(directory).iterdir())]
 
 
 def session():
@@ -82,8 +100,15 @@ def session():
                      "--out", "out/sweep_r.csv"))
     lines.append(run("sweep-penalty", "sweep", *TOY, *KEYWORDS, "--param", "penalty_coeff", "--values", "0,0.5",
                      "--out", "out/sweep_penalty.csv"))
-    return lines + [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
-                    for path in sorted(Path("out").iterdir())]
+    lines += digests("out")
+    # the pretrained-vectors run writes its own directory and comes last, so
+    # every line above keeps its place
+    write_vectors("vectors.txt")
+    os.mkdir("vectors")
+    lines.append(run("train-vectors", "train", *TOY, *KEYWORDS, "--set", "embeddings_path=vectors.txt",
+                     "--set", "checkpoint_path=vectors/vectors.ckpt",
+                     "--set", "history_path=vectors/vectors_history.csv"))
+    return lines + digests("vectors")
 
 
 def main():
