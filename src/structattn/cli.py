@@ -322,6 +322,9 @@ def main(argv=None):
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's failed allocations, in the calling thread or a helper
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry():

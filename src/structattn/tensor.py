@@ -29,6 +29,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -277,16 +279,51 @@ def _row_blocks(x):
     return [slice(s, s + step) for s in range(0, x.shape[0], step)]
 
 
+def _usable_cores():
+    return len(os.sched_getaffinity(0))
+
+
 def uniform(rng, low, high, shape, dtype=DEFAULT_DTYPE):
     """Uniform draws in [low, high), made block by block straight into ``dtype``.
 
-    Block draws consume the generator's stream in order, so the values are
-    the bits of one whole-array ``rng.uniform(...).astype(dtype)``, without
-    its full-size float64 copy.
+    The values are the bits of one whole-array ``rng.uniform(...).astype(dtype)``,
+    without its full-size float64 copy, and ``rng`` (a PCG64 generator) is
+    left where that draw leaves it. The row blocks are split into one
+    contiguous share per usable core. The calling thread draws share 0 with
+    ``rng``; share i is drawn in a helper thread from a copy of the bit
+    generator ``advance``d past the draws of the shares before it (a float64
+    uniform takes one 64-bit draw, and numpy fills without the GIL). So every
+    element gets the draw the serial order gives it. Then ``rng`` is advanced
+    past the other shares, and the buffered 32-bit half that ``advance``
+    clears, which a float64 draw never reads, is put back. One block or one
+    core is one share, and starts no thread.
     """
     out = np.empty(shape, dtype)
-    for rows in _row_blocks(out):
-        out[rows] = rng.uniform(low, high, size=out[rows].shape)
+    blocks = _row_blocks(out)
+    n = max(1, min(_usable_cores(), len(blocks)))
+    shares = [blocks[len(blocks) * i // n:len(blocks) * (i + 1) // n] for i in range(n)]
+    starts = [0]
+    for share in shares:
+        starts.append(starts[-1] + sum(out[rows].size for rows in share))
+
+    def fill(gen, share):
+        for rows in share:
+            out[rows] = gen.uniform(low, high, size=out[rows].shape)
+
+    bits = rng.bit_generator
+    state = bits.state
+    helpers = []
+    for start in starts[1:-1]:
+        ahead = np.random.PCG64()
+        ahead.state = state
+        helpers.append(np.random.Generator(ahead.advance(start)))
+    with ThreadPoolExecutor(max_workers=max(1, n - 1)) as pool:
+        drawn = [pool.submit(fill, gen, share) for gen, share in zip(helpers, shares[1:])]
+        fill(rng, shares[0])
+        for future in drawn:
+            future.result()
+    bits.advance(starts[-1] - starts[1])
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
     return Tensor(out, requires_grad=True)
 
 

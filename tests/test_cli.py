@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structattn import attention, checkpoint, cli, data, training, viz
+from structattn import attention, checkpoint, cli, data, synth, training, viz
 from structattn import model as model_mod
 from structattn import tensor as T
 from structattn.config import load_run_config
@@ -32,7 +32,7 @@ def write_config(tmp_path, **extra):
     return cfg, cfg_path
 
 
-def cli_process(*args, prelude=""):
+def cli_process(*args, prelude="", cwd=None):
     """Run the CLI in a child process, after ``prelude``, so stderr holds
     everything it prints, numpy's warnings too (pytest would catch those)."""
     # the child does not inherit pytest's ``pythonpath``; give it this checkout's src
@@ -40,7 +40,7 @@ def cli_process(*args, prelude=""):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = f"import sys\nfrom structattn import cli\n{prelude}\nsys.exit(cli.main(sys.argv[1:]))\n"
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=env, cwd=cwd, timeout=300)
 
 
 # a step that overflows a float32 product, and does not diverge
@@ -164,6 +164,20 @@ class TestTrainCommand:
         r = cli_process("train", "--config", str(cfg_path))
         assert r.returncode == 1 and r.stderr == "error: non-finite dev logits after epoch 1\n"
         assert not Path(cfg.checkpoint_path).exists()
+
+    def test_a_model_too_big_for_memory_is_an_error(self, tmp_path):
+        """``head.w1`` of b = 10⁸ is 47.7 GiB. The child's address space is
+        capped at 3 GiB, so the allocation fails at once; uncapped, the kernel
+        might overcommit it and the draw fill pages until the process dies."""
+        synth.main(["--out-dir", str(tmp_path / "data" / "toy"), "--seed", "1"])
+        (tmp_path / "out").mkdir()
+        cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({3 << 30}, {3 << 30}))"
+        r = cli_process("train", "--config", str(CONFIG_DIR / "toy.cfg"), "--set", "b=100000000",
+                        "--set", "max_epochs=1", prelude=cap, cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stderr == "error: out of memory: Unable to allocate 47.7 GiB for an array with shape " \
+                           "(100000000, 128) and data type float32\n"
+        assert r.stdout == "" and not any((tmp_path / "out").iterdir())
 
     def test_a_run_that_does_not_diverge_shows_its_warnings(self, tmp_path):
         """Shown once per location, as numpy's warnings are, when the run ends."""

@@ -6,8 +6,10 @@ import pytest
 
 from structattn import checks, heads
 from structattn import tensor as T
-from structattn.config import RunConfig
+from structattn.config import RunConfig, load_run_config
 from structattn.model import audit_group, build_model, count_model_params, parameter_shapes
+
+from support import CONFIG_DIR
 
 
 def t64(a):
@@ -268,3 +270,28 @@ def test_built_tensors_keep_their_bits(head):
     got = {name: hashlib.sha256(p.data.tobytes()).hexdigest()[:16] for name, p in params.items()}
     assert all(p.dtype == np.float32 for p in params.values())
     assert got == {**ENCODER_HASHES, **head_hashes}
+
+
+# sha256 prefixes of every ``build_model`` tensor at the shapes of
+# ``params_yelp_pruned.cfg`` with 100 000 words (rng seed 0, 56 MB), recorded
+# from the serial block-by-block draw. The embedding spans 153 init row blocks
+# and ``head.w_v`` 30, so at 2 and 3 workers each is drawn in that many shares.
+PAPER_PRUNED_HASHES = {
+    "embedding.table": "7f6feaf203b339b8", "lstm_fwd.w_x": "a9afb6a9df4ebcff",
+    "lstm_fwd.w_h": "4ec5a462b0f622e1", "lstm_fwd.bias": "18854975e34d4b92",
+    "lstm_bwd.w_x": "7c532acc2c6078d6", "lstm_bwd.w_h": "ba5a021d09ae5836",
+    "lstm_bwd.bias": "18854975e34d4b92", "attention.w1": "c138efb93fbe9fb2",
+    "attention.w2": "71e0b52662196422", "head.w_v": "fcde66e893e431ef",
+    "head.w_h": "6a8f67e6fe5f8b74", "head.w_out": "ce5236408c130e55",
+    "head.b_out": "de47c9b27eb8d300",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_paper_shape_tensors_keep_their_bits_at_any_worker_count(workers, monkeypatch):
+    # not raising: the serial draw that recorded the hashes has no worker count
+    monkeypatch.setattr(T, "_usable_cores", lambda: workers, raising=False)
+    cfg = load_run_config(CONFIG_DIR / "params_yelp_pruned.cfg")
+    net = build_model(cfg, 100000, np.random.default_rng(0))
+    got = {name: hashlib.sha256(p.data).hexdigest()[:16] for name, p in net.named_parameters().items()}
+    assert got == PAPER_PRUNED_HASHES

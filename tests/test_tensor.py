@@ -567,26 +567,56 @@ class TestSumSquares:
 
 
 class TestUniform:
-    # 300 x 1000 draws in five row blocks
-    @pytest.mark.parametrize("shape", [(300, 1000), (40, 90, 30), (70000,), ()])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_one_whole_array_draw(self, shape, dtype):
-        got = T.uniform(np.random.default_rng(4), -0.3, 0.2, shape, dtype)
-        ref_rng = np.random.default_rng(4)
-        want = ref_rng.uniform(-0.3, 0.2, size=shape).astype(dtype)
-        assert got.dtype == dtype and got.shape == want.shape
-        assert np.array_equal(got.data, want)
-        assert got.requires_grad
+    """Each forced worker count splits the row blocks into that many shares
+    (at most one per block); each must keep the serial draw's bits and leave
+    the generator where the serial draw leaves it."""
 
-    def test_glorot_equals_one_whole_array_draw(self):
+    WORKERS = (1, 2, 3, 7)
+
+    # 300 x 1000 draws in five row blocks, 700 x 1000 in eleven
+    @pytest.mark.parametrize("shape", [(300, 1000), (40, 90, 30), (70000,), (), (700, 1000)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_one_whole_array_draw(self, shape, dtype, monkeypatch):
+        want = np.random.default_rng(4).uniform(-0.3, 0.2, size=shape).astype(dtype)
+        for workers in self.WORKERS:
+            monkeypatch.setattr(T, "_usable_cores", lambda: workers)
+            got = T.uniform(np.random.default_rng(4), -0.3, 0.2, shape, dtype)
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got.data, want), workers
+            assert got.requires_grad
+
+    def test_glorot_equals_one_whole_array_draw(self, monkeypatch):
+        """From a generator that holds a buffered 32-bit half, which
+        ``advance`` clears and the draw must put back."""
         shape = (300, 1000)
         limit = float(np.sqrt(6.0 / 1300))
-        rng = np.random.default_rng(4)
-        got = T.glorot(rng, shape)
-        ref_rng = np.random.default_rng(4)
-        assert np.array_equal(got.data, ref_rng.uniform(-limit, limit, size=shape).astype(np.float32))
-        # the stream is left where a whole-array draw leaves it
-        assert rng.uniform() == ref_rng.uniform()
+        for workers in self.WORKERS:
+            monkeypatch.setattr(T, "_usable_cores", lambda: workers)
+            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            rng.integers(0, 10, dtype=np.uint32)
+            ref_rng.integers(0, 10, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            threads = threading.active_count()
+            got = T.glorot(rng, shape)
+            assert threading.active_count() == threads
+            want = ref_rng.uniform(-limit, limit, size=shape).astype(np.float32)
+            assert np.array_equal(got.data, want), workers
+            # the stream is left where a whole-array draw leaves it
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, workers
+            assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
+                ref_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+
+    def test_a_helper_threads_memory_error_reaches_the_caller(self, monkeypatch):
+        class Failing(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                raise MemoryError("helper")
+
+        monkeypatch.setattr(T, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(T.np.random, "Generator", Failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="helper"):
+            T.uniform(np.random.default_rng(4), -0.3, 0.2, (300, 1000))
+        assert threading.active_count() == threads
 
 
 def leaf(rng, *shape, dtype=np.float64):
