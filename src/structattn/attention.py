@@ -39,7 +39,10 @@ def penalty(a):
 
 
 def penalty_value(a):
-    """Plain-number ``penalty`` of an attention matrix given as an array or a tensor."""
+    """Plain-number ``penalty`` of an attention matrix given as an array or a tensor.
+
+    No command calls it: ``perfbench``'s tracer keeps it by wrapping its
+    name, and it goes with ROADMAP item 12 step 3."""
     return penalty(T.Tensor(getattr(a, "data", a))).item()
 
 

@@ -54,12 +54,10 @@ class Vocab:
 def build_vocab(corpus, min_count=1):
     """Vocabulary over token lists: frequency desc, ties lexicographic.
 
-    Tokens below ``min_count`` fall back to the unknown id. The reserved
-    tokens are not counted: a corpus ``<unk>`` (a pre-marked rare word) is
-    the unknown id.
+    Tokens below ``min_count`` (at least 1, as ``RunConfig.validate`` checks)
+    fall back to the unknown id. The reserved tokens are not counted: a corpus
+    ``<unk>`` (a pre-marked rare word) is the unknown id.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
@@ -97,19 +95,19 @@ def numbered_lines(path, error=DataError):
     with open(path, encoding="utf-8") as fh:
         try:
             yield from enumerate(fh, start=1)
-            return
         except UnicodeDecodeError:
-            pass
-    # The decoder's error gives a position inside the chunk it was decoding, so
-    # the lines are read again with each bad byte kept as a lone surrogate,
-    # which no line of UTF-8 text holds and which does not encode back.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise error(f"{path}:{lineno}: not UTF-8 text") from None
-    raise error(f"{path}: not UTF-8 text")
+            # The decoder's error gives a position inside the chunk it was
+            # decoding, so the lines are read again with each bad byte kept as
+            # a lone surrogate, which no line of UTF-8 text holds and which
+            # does not encode back. A file that changed between the two reads
+            # may hold no bad byte the second time.
+            with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                for lineno, line in enumerate(again, start=1):
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+            raise error(f"{path}: not UTF-8 text") from None
 
 
 def _check_reserved(path, lineno, token_lists):
@@ -181,7 +179,10 @@ def load_dataset(path, vocab, pairs=False, lowercase=False):
 
 
 def corpus_tokens(path, pairs=False, lowercase=False):
-    """Token lists of a dataset file, for vocabulary building."""
+    """Token lists of a dataset file, for vocabulary building.
+
+    No command calls it (``cli.load_sets`` parses each file once):
+    ``perfbench`` keeps it, and it goes with ROADMAP item 12 step 3."""
     return sentences(read_dataset(path, pairs, lowercase))
 
 
@@ -221,6 +222,7 @@ def write_pretrained(table, vectors):
 
 
 def _length_mask(sentences):
+    """The padding mask of ``sentences``; only the mask views below read it."""
     lengths = np.array([len(ids) for ids in sentences])
     return np.arange(lengths.max()) < lengths[:, None]
 
@@ -238,7 +240,8 @@ class Batch:
         return (self.sentences,)
 
     mask = property(lambda self: _length_mask(self.sentences), doc="The padding mask built from the lengths "
-                    "on demand; read only by the benchmark tracer's padding ratio, until it reads lengths.")
+                    "on demand. Only ``perfbench``'s tracer reads it (its padding ratio), and it goes with "
+                    "ROADMAP item 12 step 3.")
 
 
 @dataclass
@@ -253,7 +256,8 @@ class PairBatch:
     def inputs(self):
         return self.hypotheses, self.premises
 
-    # the padding masks of the hypotheses and premises, only for the tracer, like ``Batch.mask``
+    # the padding masks of the hypotheses and premises, kept for ``perfbench``'s
+    # tracer like ``Batch.mask`` (ROADMAP item 12 step 3)
     hyp_mask = property(lambda self: _length_mask(self.hypotheses))
     prem_mask = property(lambda self: _length_mask(self.premises))
 

@@ -128,7 +128,9 @@ def _init(name, shape, rng, dtype):
 def _real_ids(tokens, mask):
     """The ids of a padded sentence's real tokens; only ``encode`` and ``forward`` read a mask.
 
-    A missing mask marks every token real; padding may only follow them.
+    A missing mask marks every token real; padding may only follow them. No
+    command passes a mask: ``perfbench``'s padding check and the tests do, so
+    the mask branch goes with ROADMAP item 12 step 3.
     """
     n = len(tokens)
     if n == 0:

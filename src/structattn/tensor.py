@@ -74,10 +74,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+        self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._backward = None
@@ -97,9 +94,6 @@ class Tensor:
 
     def item(self):
         return self.data.item()
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
     def _acc(self, g, fresh=False):
         """Add ``g`` into this tensor's gradient.
@@ -269,12 +263,8 @@ def zeros(shape, dtype=DEFAULT_DTYPE):
 
 
 def _row_blocks(x):
-    """Slices of ``x`` along its first axis of about ``_BLOCK`` elements each.
-
-    Each slice is a view; a 0-d array is one block, ``...``.
-    """
-    if x.ndim == 0:
-        return [...]
+    """Slices of ``x`` (at least 1-D) along its first axis of about ``_BLOCK``
+    elements each; each slice is a view."""
     step = max(1, _BLOCK // (math.prod(x.shape[1:]) or 1))
     return [slice(s, s + step) for s in range(0, x.shape[0], step)]
 

@@ -69,7 +69,10 @@ ADAGRAD_EPS = 1e-8  # the eps of AdaGrad's sqrt(acc) + eps
 
 def clip_grads(params, clip):
     """Clamp every component of each ``p.grad`` to [-clip, +clip] in place;
-    a lazy gradient is first made the dense ndarray it stands for."""
+    a lazy gradient is first made the dense ndarray it stands for.
+
+    No command calls it: ``perfbench``'s tracer keeps it by wrapping its
+    name, and it goes with ROADMAP item 12 step 3."""
     for p in params.values():
         if p.grad is not None and clip is not None:
             p.grad = np.asarray(p.grad)

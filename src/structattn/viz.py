@@ -23,7 +23,7 @@ class HeatmapDoc:
     tokens: list
     hop_weights: np.ndarray       # r x n
     overall: np.ndarray           # n
-    model_id: str = ""            # read by no renderer
+    model_id: str = ""            # set only by perfbench, read by no renderer (ROADMAP item 12 step 3)
     predicted: int | None = None
     confidence: float | None = None
 
@@ -90,12 +90,18 @@ def heatmap_csv(doc, mode="overall"):
 
 
 def render_html(docs, mode="overall"):
-    """One section per sentence; per-hop mode shows every attention row."""
+    """One section per sentence; per-hop mode shows every attention row.
+
+    No command calls it (``visualize`` writes each section as it goes):
+    ``perfbench`` keeps it, and it goes with ROADMAP item 12 step 3."""
     return "".join([HTML_HEAD, *(heatmap_html(doc, mode) for doc in docs), HTML_TAIL])
 
 
 def render_csv(docs, mode="overall"):
-    """Long-format CSV: sentence, hop (index or 'overall'), position, token, weight."""
+    """Long-format CSV: sentence, hop (index or 'overall'), position, token, weight.
+
+    No command calls it (``visualize`` writes each sentence's rows as it
+    goes): ``perfbench`` keeps it, and it goes with ROADMAP item 12 step 3."""
     return "".join([CSV_HEADER, *(heatmap_csv(doc, mode) for doc in docs)])
 
 
@@ -109,8 +115,8 @@ def render_csv(docs, mode="overall"):
 # nearest to S. S and h are exact in int64 (5**q is split at bit 32). The
 # powers of two 2**-13 .. 2**-1, whose lower neighbour is nearer, need no
 # exception: each is a decimal of at most 10 digits, so S itself is the one
-# multiple of 100 in its interval. Ties, other magnitudes, non-finite values
-# and every block that is not float32 take ``repr`` one value at a time.
+# multiple of 100 in its interval. Ties, other magnitudes and non-finite values
+# take ``repr`` one value at a time.
 _CHUNK = 1 << 16  # values per numpy pass: temporaries stay a few MB
 
 
@@ -228,32 +234,25 @@ def _format_rows(pieces):
     return flat[np.take(_SPANS, start * 32 + end, axis=0).view(bool).reshape(-1)].tobytes()
 
 
-def _repr_rows(sentence_id, m):
-    """The rows of one block, one ``repr`` per value."""
-    return "".join(",".join([str(sentence_id), str(hop), *map(repr, row)]) + "\n"
-                   for hop, row in enumerate(m.tolist())).encode("utf-8")
-
-
 def embedding_csv_header(width):
     """The header line of an embedding CSV whose rows hold ``width`` values."""
     return ",".join(["sentence", "hop"] + [f"dim{j}" for j in range(width)]).encode("utf-8") + b"\n"
 
 
 def embedding_csv_rows(blocks):
-    """Yield the rows of ``blocks``, (sentence id, r-by-k matrix) pairs, as bytes.
+    """Yield the rows of ``blocks``, (sentence id, r-by-k matrix) pairs, as bytes,
+    through ``_format_rows`` about ``_CHUNK`` values at a time, across blocks.
 
-    Float32 rows go through ``_format_rows`` about ``_CHUNK`` values at a time,
-    across blocks; any other block is written one ``repr`` at a time."""
-    pieces, size = [], 0
+    Every block is native float32 (checkpoints hold float32) and as wide as
+    the first, and each row prefix ``sentence,hop`` fits its 32-byte slot; any
+    other block is a ``ValueError``."""
+    pieces, size, width = [], 0, None
     for sentence_id, m in blocks:
-        bulk = m.dtype == np.float32 and len(f"{sentence_id},{m.shape[0]}") < 32
-        if pieces and not (bulk and pieces[0][2].shape[1] == m.shape[1]):
-            yield _format_rows(pieces)
-            pieces, size = [], 0
-        if not bulk:
-            yield _repr_rows(sentence_id, m)
-            continue
-        step = max(1, _CHUNK // max(m.shape[1], 1))
+        width = m.shape[1] if width is None else width
+        if m.dtype != np.float32 or m.shape[1] != width or len(f"{sentence_id},{m.shape[0]}") >= 32:
+            raise ValueError(f"sentence {sentence_id}: embedding CSV rows need a native float32 block "
+                             f"{width} wide and a row prefix under 32 bytes, got {m.dtype} {m.shape}")
+        step = max(1, _CHUNK // max(width, 1))
         for hop in range(0, m.shape[0], step):
             pieces.append((sentence_id, hop, m[hop:hop + step]))
             size += pieces[-1][2].size
@@ -269,7 +268,8 @@ def render_embedding_csv(blocks):
 
     Every field is an int or a float written exactly as ``repr`` writes it
     (the shortest string that reads back to the same value), so no field
-    needs quoting.
+    needs quoting. No command calls it (``embed`` streams the rows):
+    ``perfbench`` keeps it, and it goes with ROADMAP item 12 step 3.
     """
     width = blocks[0][1].shape[1] if blocks else 0
     # the rows joined into one buffer, decoded once: at most two copies of

@@ -188,6 +188,15 @@ def test_manifest_shape_beyond_numpy_is_an_error(tmp_path, shape, message):
         checkpoint.load_checkpoint(path)
 
 
+def test_header_that_is_not_a_json_object_is_an_error(tmp_path):
+    header = b"[1, 2]"
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(checkpoint.MAGIC + checkpoint.VERSION.to_bytes(4, "little")
+                     + len(header).to_bytes(8, "little") + header)
+    with pytest.raises(checkpoint.CheckpointError, match="header is not a JSON object"):
+        checkpoint.load_checkpoint(path)
+
+
 def test_every_bit_flip_and_truncation_loads_or_raises_a_typed_error(tmp_path):
     """Exhaustive over a tiny checkpoint (about 12 000 cases, a few seconds)."""
     cfg = load_run_config(None, ["d=2", "u=2", "d_a=2", "r=2", "head=dense", "b=2", "classes=2"])

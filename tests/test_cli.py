@@ -86,6 +86,16 @@ class TestTrainCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unset_data_paths_are_an_error(self, tmp_path, capsys):
+        _, cfg_path = write_config(tmp_path)
+        assert run_cli("train", "--config", str(cfg_path), "--set", "train_path=") == 1
+        assert capsys.readouterr().err == "error: train_path and dev_path must be set\n"
+
+    def test_a_config_path_that_is_a_directory_is_an_error(self, tmp_path, capsys):
+        assert run_cli("train", "--config", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read config file {tmp_path}: ") and captured.out == ""
+
     @pytest.mark.parametrize("command, setting", [
         ("train", "l2=-1"), ("train", "learning_rate=nan"), ("train", "clip=nan"),
         ("train", "penalty_coeff=inf"), ("train", "l2=nan"), ("params", "vocab_size=-5"),
@@ -424,23 +434,22 @@ class TestEmbedCommand:
         assert sizes == [len(header), len(per_value_repr_csv(blocks[:8]))]
         assert capsys.readouterr().out.endswith(f"wrote 9 embedding blocks to {out}\n")
 
-    def test_float64_model_gives_the_per_value_file(self, tmp_path, capsys, monkeypatch):
-        """Checkpoints hold float32; a float64 model's blocks take repr one value
-        at a time and give the same file as the per-value reference."""
+    def test_float64_model_is_an_error(self, tmp_path, capsys, monkeypatch):
+        """Checkpoints hold float32, and the rows take float32 blocks only: a
+        float64 model's blocks are an error, not a second formatter's file."""
         cfg, _ = train_once(tmp_path)
+        capsys.readouterr()
         net, vocab, saved = checkpoint.restore_model(cfg.checkpoint_path)
         for p in net.named_parameters().values():
             p.data = p.data.astype(np.float64)
         monkeypatch.setattr(checkpoint, "restore_model", lambda path: (net, vocab, saved))
-        lines = ["kw0_0 f00 f01", "f02 kw1_1"]
         sents, out = tmp_path / "s.txt", tmp_path / "emb.csv"
-        sents.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sents.write_text("kw0_0 f00 f01\nf02 kw1_1\n", encoding="utf-8")
         assert run_cli("embed", "--checkpoint", cfg.checkpoint_path,
-                       "--sentences", str(sents), "--out", str(out)) == 0
-        with T.no_grad():
-            blocks = [(i, net.encode(vocab.encode(line.split()))[2].data) for i, line in enumerate(lines)]
-        assert blocks[0][1].dtype == np.float64
-        assert out.read_bytes() == per_value_repr_csv(blocks).encode("utf-8")
+                       "--sentences", str(sents), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: sentence 0: embedding CSV rows need a native float32 block")
+        assert "float64" in captured.err and captured.out == ""
 
     def test_empty_sentences_file_writes_no_file(self, tmp_path, capsys):
         cfg, _ = train_once(tmp_path)
@@ -797,3 +806,17 @@ def test_entry_point_subprocess(tmp_path):
     assert r.returncode == 0
     assert "72000000" in r.stdout
     assert r.stderr == ""
+
+
+def test_synth_entry_point_subprocess(tmp_path):
+    """``python -m structattn.synth`` writes the files ``synth.main`` writes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-m", "structattn.synth", "--out-dir", str(tmp_path / "child"),
+                        "--seed", "7"], capture_output=True, text=True, env=env)
+    assert r.returncode == 0 and r.stderr == ""
+    synth.main(["--out-dir", str(tmp_path / "here"), "--seed", "7"])
+    files = sorted(path.name for path in (tmp_path / "here").iterdir())
+    assert files and files == sorted(path.name for path in (tmp_path / "child").iterdir())
+    assert all((tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+               for name in files)

@@ -49,6 +49,7 @@ def test_clip_none(tmp_path):
 
 def test_bool_parsing(tmp_path):
     assert load_run_config(write(tmp_path, MINIMAL + "lowercase = true\n")).lowercase is True
+    assert load_run_config(write(tmp_path, MINIMAL + "lowercase = no\n")).lowercase is False
     with pytest.raises(ConfigError, match="bad value"):
         load_run_config(write(tmp_path, MINIMAL + "lowercase = maybe\n"))
 

@@ -132,6 +132,12 @@ class TestLoadDataset:
         with pytest.raises(data.DataError, match="empty"):
             data.load_dataset(path, vocab)
 
+    def test_blank_lines_only_is_no_examples(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("\n \n\n", encoding="utf-8")
+        with pytest.raises(data.DataError, match="no examples"):
+            data.read_dataset(path)
+
     def test_lowercase_flag(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("0\tGood\n", encoding="utf-8")
@@ -423,4 +429,21 @@ def test_the_line_of_a_byte_that_is_not_utf8_counts_every_universal_newline(tmp_
     assert data.read_sentences(path) == [["a"], ["b"], ["c"], ["\u20ac", "d"]]
     path.write_bytes(b"a\r\nb\rc\nd \xe2\x82")
     with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}:4: not UTF-8 text$"):
+        data.read_sentences(path)
+
+
+def test_a_file_mended_between_the_two_reads_is_still_an_error(tmp_path, monkeypatch):
+    """The second read, which looks for the line of the bad byte, may find
+    none in a file rewritten after the first read failed; the error then
+    names the file alone."""
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"kw0 \xff\n")
+
+    def mend_then_open(file, *args, **kwargs):
+        if kwargs.get("errors") == "surrogateescape":
+            path.write_bytes(b"kw0\n")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data, "open", mend_then_open, raising=False)
+    with pytest.raises(data.DataError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
         data.read_sentences(path)

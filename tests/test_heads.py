@@ -186,6 +186,11 @@ class TestCountParams:
         assert rows["head.w_h"] == 180_000
         assert audit.group_totals["softmax"] == 52_500
 
+    def test_unknown_head_of_an_unvalidated_config_is_an_error(self):
+        cfg = replace(RunConfig(d=5, u=4, d_a=3, r=2, head="dense", classes=3, b=6).validate(), head="lstm")
+        with pytest.raises(ValueError, match="unknown head kind 'lstm'"):
+            parameter_shapes(cfg, 9)
+
     def test_total_is_sum_of_parts(self):
         # d=5, u=4, d_a=3, r=2, b=6, 3 classes, 9 words: embedding 9*5; two LSTM
         # directions of 16*5 + 16*4 + 16; attention 3*8 + 2*3; head 6*16 + 6 + 3*6 + 3

@@ -139,12 +139,14 @@ def test_files_are_head_then_each_document_then_tail(mode):
 
 
 def test_embedding_csv_blocks(rng):
-    m0 = rng.standard_normal((2, 4))
-    m1 = rng.standard_normal((2, 4))
+    m0 = rng.standard_normal((2, 4)).astype(np.float32)
+    m1 = rng.standard_normal((2, 4)).astype(np.float32)
     rows = parse_csv(viz.render_embedding_csv([(0, m0), (1, m1)]))
     assert len(rows) == 4
     block0 = [r for r in rows if r["sentence"] == "0"]
     assert [float(block0[1][f"dim{j}"]) for j in range(4)] == list(m0[1].astype(float))
+    with pytest.raises(ValueError, match="float64"):
+        viz.render_embedding_csv([(0, m0), (1, m1.astype(np.float64))])
 
 
 def test_prediction_metadata_optional(rng):
@@ -159,11 +161,13 @@ def test_embedding_csv_bytes_match_per_value_repr(rng):
     tiny = np.finfo(np.float32).smallest_subnormal
     m = rng.standard_normal((3, 5)).astype(np.float32)
     m[0, :4] = [0.0, -0.0, tiny, np.finfo(np.float32).max]
-    blocks = [(0, m), (7, rng.standard_normal((3, 5)).astype(np.float32)), (8, rng.standard_normal((3, 5)))]
+    blocks = [(0, m), (7, rng.standard_normal((3, 5)).astype(np.float32))]
     text = viz.render_embedding_csv(blocks)
     assert text.encode("utf-8") == per_value_repr_csv(blocks).encode("utf-8")
     assert ",-0.0," in text and "e-45," in text
     assert viz.render_embedding_csv([]) == per_value_repr_csv([])
+    with pytest.raises(ValueError, match="float64"):
+        viz.render_embedding_csv(blocks + [(8, rng.standard_normal((3, 5)))])
 
 
 def as_blocks(values, r=30, width=600):
@@ -220,14 +224,21 @@ def test_edges_of_the_fast_range():
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (0, 4), (3, 0)])
 def test_block_shapes(rng, shape):
     m = (rng.standard_normal(shape) * 0.1).astype(np.float32)
-    assert_same_bytes([(0, m), (12, m), (13, m[:, :1])])
+    assert_same_bytes([(0, m), (12, m)])
+    assert_same_bytes([(13, m[:, :1])])
+    if m.shape[1] > 1:  # one file holds one width, the header's
+        with pytest.raises(ValueError, match=f"{m.shape[1]} wide"):
+            viz.render_embedding_csv([(0, m), (12, m), (13, m[:, :1])])
 
 
-def test_other_dtypes_and_long_ids_take_repr(rng):
-    m = rng.standard_normal((3, 4)) * 0.1
-    blocks = [(0, m), (1, m.astype(np.float32)), (2, m.astype(np.float16)), (10 ** 40, m.astype(np.float32)),
-              (3, m.astype(">f4")), (4, m.astype(np.float32))]
-    assert_same_bytes(blocks)
+def test_other_dtypes_and_long_ids_are_an_error(rng):
+    m = (rng.standard_normal((3, 4)) * 0.1).astype(np.float32)
+    assert_same_bytes([(1, m), (4, m)])
+    for sentence_id, block in [(0, m.astype(np.float64)), (2, m.astype(np.float16)), (10 ** 40, m),
+                               (3, m.astype(">f4"))]:
+        for blocks in ([(sentence_id, block)], [(1, m), (sentence_id, block), (4, m)]):
+            with pytest.raises(ValueError, match=f"^sentence {sentence_id}: embedding CSV rows need"):
+                viz.render_embedding_csv(blocks)
     assert viz.render_embedding_csv([]) == per_value_repr_csv([]) == "sentence,hop\n"
 
 
