@@ -583,8 +583,8 @@ class TestUniform:
 
     WORKERS = (1, 2, 3, 7)
 
-    # 300 x 1000 draws in five row blocks, 700 x 1000 in eleven
-    @pytest.mark.parametrize("shape", [(300, 1000), (40, 90, 30), (70000,), (700, 1000)])
+    # 300 x 1000 draws in five row blocks, 0 x 1000 in none, 700 x 1000 in eleven
+    @pytest.mark.parametrize("shape", [(300, 1000), (40, 90, 30), (70000,), (0, 1000), (700, 1000)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_one_whole_array_draw(self, shape, dtype, monkeypatch):
         want = np.random.default_rng(4).uniform(-0.3, 0.2, size=shape).astype(dtype)
