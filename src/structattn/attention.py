@@ -48,8 +48,8 @@ def penalty_value(a):
 
 def mean_pairwise_overlap(a):
     """Average overlap sum_k a_k^i a_k^j (shared probability mass, in [0, 1])
-    over distinct hop pairs i != j; zero for a single hop."""
-    a = np.asarray(getattr(a, "data", a))
+    over distinct hop pairs i != j of the tensor ``a``; zero for a single hop."""
+    a = a.data
     r = a.shape[0]
     if r < 2:
         return 0.0
@@ -59,6 +59,6 @@ def mean_pairwise_overlap(a):
 
 
 def overall_attention(a):
-    """Column sums of A scaled by 1/r: the sentence-level focus summary."""
-    a = np.asarray(getattr(a, "data", a))
+    """Column sums of the tensor A scaled by 1/r, as an array: the sentence-level focus summary."""
+    a = a.data
     return a.sum(axis=0) / a.shape[0]

@@ -38,12 +38,12 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params, config, vocab):
-    """Write parameters (name -> Tensor or array) with config and vocab attached.
+    """Write parameters (name -> array) with config and vocab attached.
 
     Each payload is written straight from its float32 array, one tensor at a
     time, so a save holds no second copy of the model.
     """
-    manifest = [[name, list(np.shape(getattr(p, "data", p))), _DTYPE_TAG] for name, p in params.items()]
+    manifest = [[name, list(arr.shape), _DTYPE_TAG] for name, arr in params.items()]
     header = json.dumps(
         {"manifest": manifest, "config": config, "vocab": vocab},
         sort_keys=True, separators=(",", ":"),
@@ -58,8 +58,8 @@ def save_checkpoint(path, params, config, vocab):
             fh.write(VERSION.to_bytes(4, "little"))
             fh.write(len(header).to_bytes(8, "little"))
             fh.write(header)
-            for p in params.values():
-                fh.write(np.ascontiguousarray(getattr(p, "data", p), dtype=_DTYPE_TAG))
+            for arr in params.values():
+                fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_TAG))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -140,7 +140,8 @@ def load_checkpoint(path):
 
 
 def save_model(path, model, vocab):
-    save_checkpoint(path, model.named_parameters(), model.cfg.to_dict(), vocab.id_to_token)
+    save_checkpoint(path, {name: p.data for name, p in model.named_parameters().items()},
+                    model.cfg.to_dict(), vocab.id_to_token)
 
 
 def restore_model(path):

@@ -197,17 +197,17 @@ class Classifier:
         return h, a, m
 
     def forward_batch(self, sentences, premises=None, rng=None):
-        """B-by-C class logits and each example's annotation matrix for a batch.
+        """B-by-C class logits and each example's annotation matrices for a batch.
 
         ``sentences`` holds the B examples' id arrays, real tokens only, e.g.
         a ``data.Batch``'s, so each annotation matrix has one column per
-        token. The batch is encoded as one packed batch; then the head
-        classifies the B matrix embeddings together, stacked into one
-        B-by-r-by-2u tensor, with dropout when given an ``rng``. For
-        gated-pair, ``sentences`` are the hypotheses and ``premises`` the
-        premises, packed pair by pair (hypothesis, then premise); each
-        example's annotation is the pair (A_hypothesis, A_premise), and the
-        head takes the B gated r-by-k factors.
+        token. Each example's annotations are a tuple: ``(A,)``, or for
+        gated-pair ``(A_hypothesis, A_premise)``. The batch is encoded as one
+        packed batch; then the head classifies the B matrix embeddings
+        together, stacked into one B-by-r-by-2u tensor, with dropout when
+        given an ``rng``. For gated-pair, ``sentences`` are the hypotheses and
+        ``premises`` the premises, packed pair by pair (hypothesis, then
+        premise), and the head takes the B gated r-by-k factors.
         """
         p = self._params
         pair = self.cfg.head == "gated-pair"
@@ -219,7 +219,7 @@ class Classifier:
             attns = [(a, a_p) for (_, a, _), (_, a_p, _) in zip(encoded[::2], encoded[1::2])]
         else:
             ms = [m for _, _, m in encoded]
-            attns = [a for _, a, _ in encoded]
+            attns = [(a,) for _, a, _ in encoded]
         m = T.concat([T.reshape(m, (1, *m.shape)) for m in ms])
         if self.cfg.head == "pruned":
             return heads.pruned_forward(m, p["head.w_v"], p["head.w_h"],
@@ -231,7 +231,7 @@ class Classifier:
         """Class logits (1-D) and the annotation matrix of one sentence (padded
         if ``mask`` says so) under a single-sentence head, without dropout: the
         B = 1 case of ``forward_batch``."""
-        logits, [attn] = self.forward_batch([_real_ids(tokens, mask)])
+        logits, [(attn,)] = self.forward_batch([_real_ids(tokens, mask)])
         return T.reshape(logits, (logits.shape[1],)), attn
 
     def named_parameters(self):

@@ -242,16 +242,12 @@ def _toposort(root):
     return order
 
 
-def _builds_graph(parents):
-    """Whether an op on ``parents`` records a backward node (see ``_from_op``)."""
-    return _grad_enabled.get() and any(p.requires_grad for p in parents)
-
-
 def _from_op(data, parents, backward_fn):
-    # the backward is attached only when a parent requires a gradient, so a
-    # one-parent op's backward never needs to ask
+    # the one place that decides whether an op is recorded: outside
+    # ``no_grad``, when a parent requires a gradient, so a one-parent op's
+    # backward never needs to ask
     out = Tensor(data)
-    if _builds_graph(parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward_fn
@@ -270,7 +266,11 @@ def _row_blocks(x):
 
 
 def _usable_cores():
-    return len(os.sched_getaffinity(0))
+    """The cores this process may run on; all of the machine's where the
+    platform cannot say (macOS and Windows have no ``sched_getaffinity``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def uniform(rng, low, high, shape, dtype=DEFAULT_DTYPE):
@@ -699,8 +699,6 @@ def lstm_scan(x, lengths, w_x, w_h, bias, reverse=False):
     if four_u != 4 * u or w_x.shape != (four_u, x.shape[1]) or bias.shape != (four_u,):
         raise ShapeError(f"inconsistent lstm_scan shapes: x {x.shape}, w_x {w_x.shape}, "
                          f"w_h {w_h.shape}, bias {bias.shape}")
-    parents = (x, w_x, w_h, bias)
-    record = _builds_graph(parents)
     lengths, starts, active, offsets, rows = _scan_schedule(lengths, reverse)
     n_seq = len(lengths)
     xs = x.data[rows]
@@ -714,27 +712,25 @@ def lstm_scan(x, lengths, w_x, w_h, bias, reverse=False):
     dtype = np.result_type(xw, wh, b)
     n = x.shape[0]
     # time-major: step t's rows are offsets[t]:offsets[t + 1], longest sentence
-    # first; the gates and cells of every step are kept only for a backward pass
+    # first; every step's gates and cells are kept, for a backward pass if one runs
     hs = np.empty((n, u), dtype)
-    kept = n if record else n_seq
-    gates = np.empty((kept, four_u), dtype)
-    cells = np.empty((kept, u), dtype)
-    tanh_cells = np.empty((kept, u), dtype)
+    gates = np.empty((n, four_u), dtype)
+    cells = np.empty((n, u), dtype)
+    tanh_cells = np.empty((n, u), dtype)
     h = c = np.zeros((n_seq, u), dtype)  # the zero start state, only read
     z = np.empty((n_seq, four_u), dtype)
     cand = slice(2 * u, 3 * u)
     for t, k in enumerate(active):
         at = slice(offsets[t], offsets[t + 1])
-        keep = at if record else slice(k)
         zt = z[:k]
         np.matmul(wh, h[:k, :, None], out=zt[:, :, None])
         np.add(xw[at], zt, out=zt)
         zt += b
-        a = _sigmoid(zt, out=gates[keep])
+        a = _sigmoid(zt, out=gates[at])
         np.tanh(zt[:, cand], out=a[:, cand])
-        c = np.multiply(a[:, u:2 * u], c[:k], out=cells[keep])
+        c = np.multiply(a[:, u:2 * u], c[:k], out=cells[at])
         c += a[:, :u] * a[:, cand]
-        tc = np.tanh(c, out=tanh_cells[keep])
+        tc = np.tanh(c, out=tanh_cells[at])
         h = np.multiply(a[:, 3 * u:], tc, out=hs[at])
     out = np.empty((n, u), dtype)
     out[rows] = hs
@@ -792,4 +788,4 @@ def lstm_scan(x, lengths, w_x, w_h, bias, reverse=False):
         if dx is not None:
             x._acc(dx, fresh=True)
 
-    return _from_op(out, parents, bk)
+    return _from_op(out, (x, w_x, w_h, bias), bk)

@@ -32,21 +32,16 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def _matrices(attn):
-    """An example's annotation matrices: one, or the pair of a pair model."""
-    return attn if isinstance(attn, tuple) else (attn,)
-
-
 def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     """Batch loss: mean cross-entropy, plus coeff times the mean penalty, plus
     l2 times the sum of squared weights, once; returned with each example's
     penalty as ``(loss, penalties)``.
 
     ``logits`` is B-by-C with B ``labels``; ``attns`` holds each example's
-    annotation matrix, or a tuple of them for pair models. Each matrix gets
-    one penalty node, added into the loss only with a nonzero coefficient;
-    ``penalties`` holds each example's mean over its matrices, read from
-    those nodes as a float. The L2 node is the first operand of the last
+    tuple of annotation matrices, as ``forward_batch`` returns them. Each
+    matrix gets one penalty node, added into the loss only with a nonzero
+    coefficient; ``penalties`` holds each example's mean over its matrices,
+    read from those nodes as a float. The L2 node is the first operand of the last
     add, so its backward runs after every other gradient of the weights
     exists: it adds into them in place, or records its coefficient in a
     ``linear`` weight's lazy gradient.
@@ -54,7 +49,7 @@ def total_loss(logits, labels, attns, coeff, l2_coeff, l2_params):
     loss = T.cross_entropy(logits, labels)
     penalties = []
     for attn in attns:
-        terms = [attention.penalty(a) for a in _matrices(attn)]
+        terms = [attention.penalty(a) for a in attn]
         penalties.append(float(np.mean([t.item() for t in terms])))
         if coeff:
             for t in terms:
@@ -167,7 +162,7 @@ def _dev_stats(model, examples):
             finite = finite and bool(np.isfinite(logits.data).all())
             correct += int((np.argmax(logits.data, axis=1) == b.labels).sum())
             for attn in attns:
-                overlaps.extend(attention.mean_pairwise_overlap(a) for a in _matrices(attn))
+                overlaps.extend(attention.mean_pairwise_overlap(a) for a in attn)
     return correct / len(examples), float(np.mean(overlaps)), finite
 
 

@@ -1,18 +1,24 @@
-"""Shared test helpers: config paths, a toy config, a checkpoint with a
-repeated tensor, the per-value embedding CSV and single-character edits."""
+"""Shared test helpers: config paths, a toy config, child processes, a
+checkpoint with a repeated tensor, the per-value embedding CSV and
+single-character edits."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from structattn import checkpoint
 from structattn.config import load_run_config
 from structattn.synth import make_keyword_task, write_lines
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Filled by test_acceptance.report(); echoed after the run so the
 # per-criterion lines show without -s.
@@ -40,6 +46,26 @@ def tiny_config(tmp_path, **extra):
     })
     overrides.update({k: str(v) for k, v in extra.items()})
     return load_run_config(None, [f"{k}={v}" for k, v in overrides.items()])
+
+
+def child_env(**extra):
+    """``os.environ`` with ``extra`` set and this checkout's ``src`` first on
+    ``PYTHONPATH``: a child process does not inherit pytest's ``pythonpath``."""
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def child_stdout(script, blas_threads):
+    """What ``python -c script`` prints with OpenBLAS at ``blas_threads`` threads.
+
+    A child that exits nonzero fails the test through ``pytest.fail``, never
+    an ``AssertionError``, so a crash never counts as an expected failure.
+    """
+    run = subprocess.run([sys.executable, "-c", script], env=child_env(OPENBLAS_NUM_THREADS=blas_threads),
+                         capture_output=True, text=True, timeout=300)
+    if run.returncode:
+        pytest.fail(f"the child at {blas_threads} BLAS threads failed: {run.stderr}{run.stdout}")
+    return run.stdout
 
 
 def append_repeated_tensor(path, name):

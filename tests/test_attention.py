@@ -144,13 +144,13 @@ class TestOverlap:
     """The overlap of hops i and j is their shared mass, sum_k a_k^i a_k^j."""
 
     def test_disjoint_supports(self):
-        assert attention.mean_pairwise_overlap(np.array([[1.0, 0, 0], [0.0, 1, 0]])) == 0.0
+        assert attention.mean_pairwise_overlap(T.Tensor(np.array([[1.0, 0, 0], [0.0, 1, 0]]))) == 0.0
 
     def test_identical_one_hot_is_max(self):
-        assert attention.mean_pairwise_overlap(np.array([[0.0, 1, 0], [0.0, 1, 0]])) == 1.0
+        assert attention.mean_pairwise_overlap(T.Tensor(np.array([[0.0, 1, 0], [0.0, 1, 0]]))) == 1.0
 
     def test_two_uniform_rows(self):
-        assert attention.mean_pairwise_overlap(np.full((2, 4), 0.25)) == pytest.approx(0.25)
+        assert attention.mean_pairwise_overlap(T.Tensor(np.full((2, 4), 0.25))) == pytest.approx(0.25)
 
     def test_gram_diagonal_matches_self_overlap(self, rng):
         a = rng.dirichlet(np.ones(6), size=3)
@@ -164,24 +164,24 @@ class TestOverlap:
     def test_mean_pairwise(self, rng):
         a = rng.dirichlet(np.ones(4), size=3)
         pairs = [(a[i] * a[j]).sum() for i in range(3) for j in range(3) if i != j]
-        assert attention.mean_pairwise_overlap(a) == pytest.approx(np.mean(pairs))
-        assert attention.mean_pairwise_overlap(a[:1]) == 0.0
+        assert attention.mean_pairwise_overlap(T.Tensor(a)) == pytest.approx(np.mean(pairs))
+        assert attention.mean_pairwise_overlap(T.Tensor(a[:1])) == 0.0
 
 
 class TestOverallAttention:
     def test_single_hop_is_the_row(self, rng):
         a = rng.dirichlet(np.ones(5), size=1)
-        assert np.allclose(attention.overall_attention(a), a[0])
+        assert np.allclose(attention.overall_attention(T.Tensor(a)), a[0])
 
     def test_identical_rows_unchanged(self):
         row = np.array([0.5, 0.25, 0.25])
         a = np.stack([row, row, row])
-        assert np.allclose(attention.overall_attention(a), row)
+        assert np.allclose(attention.overall_attention(T.Tensor(a)), row)
 
     def test_two_disjoint_one_hot(self):
         a = np.array([[1.0, 0], [0.0, 1]])
-        assert np.allclose(attention.overall_attention(a), [0.5, 0.5])
+        assert np.allclose(attention.overall_attention(T.Tensor(a)), [0.5, 0.5])
 
     def test_sums_to_one(self, rng):
         a = rng.dirichlet(np.ones(7), size=4)
-        assert attention.overall_attention(a).sum() == pytest.approx(1.0, abs=1e-6)
+        assert attention.overall_attention(T.Tensor(a)).sum() == pytest.approx(1.0, abs=1e-6)

@@ -85,6 +85,20 @@ def test_batch_loss_and_gradients_match_per_example_reference(head):
     assert np.abs(grads["head.b2" if head != "pruned" else "head.b_out"]).max() > 0
 
 
+@pytest.mark.parametrize("head", sorted(HEADS))
+def test_each_example_gets_a_tuple_of_its_annotation_matrices(head):
+    """``forward_batch`` gives each example one tuple: ``(A,)`` on the dense
+    and pruned heads, ``(A_hypothesis, A_premise)`` on gated-pair, each
+    matrix r-by-n for its own sentence."""
+    cfg, net, b = setup(head)
+    with T.no_grad():
+        _, attns = net.forward_batch(*b.inputs())
+    assert len(attns) == len(b)
+    for annotations, sentences in zip(attns, zip(*b.inputs())):
+        assert type(annotations) is tuple and len(annotations) == (2 if head == "gated-pair" else 1)
+        assert [a.shape for a in annotations] == [(cfg.r, len(s)) for s in sentences]
+
+
 def test_dropout_is_live_in_the_dense_case():
     cfg, net, b = setup("dense")
     with T.no_grad():
@@ -103,13 +117,12 @@ def test_single_sentence_forward_is_row_of_batch_forward(head):
             one, [attn] = net.forward_batch(*example_inputs(b, i))
             assert one.shape == (1, cfg.classes)
             np.testing.assert_allclose(one.data[0], logits.data[i], rtol=TOL, atol=TOL)
-            pairs = zip(attn, attns[i]) if head == "gated-pair" else [(attn, attns[i])]
-            for a, a_batch in pairs:
+            for a, a_batch in zip(attn, attns[i], strict=True):
                 assert np.array_equal(a.data, a_batch.data)
             if head != "gated-pair":
                 alone, attn_alone = net.forward(b.sentences[i])
                 assert alone.shape == (cfg.classes,)
-                assert np.array_equal(alone.data, one.data[0]) and np.array_equal(attn_alone.data, attn.data)
+                assert np.array_equal(alone.data, one.data[0]) and np.array_equal(attn_alone.data, attn[0].data)
 
 
 @pytest.mark.parametrize("head", sorted(HEADS))
@@ -181,13 +194,10 @@ def test_each_padded_sentence_gets_the_bits_it_gets_alone(head, monkeypatch):
     with T.no_grad():
         _, attns = net.forward_batch(*b.inputs())
         for i, ex in enumerate(examples):
-            if head == "gated-pair":
-                alone = [net.encode(ex.hypothesis), net.encode(ex.premise)]
-                got = zip(attns[i], seen[i])
-            else:
-                alone = [net.encode(ex.tokens)]
-                got = [(attns[i], seen[0][i])]
-            for (_, a, m), (a_batch, m_batch) in zip(alone, got):
+            sides = (ex.hypothesis, ex.premise) if head == "gated-pair" else (ex.tokens,)
+            ms = seen[i] if head == "gated-pair" else [seen[0][i]]
+            for tokens, a_batch, m_batch in zip(sides, attns[i], ms, strict=True):
+                _, a, m = net.encode(tokens)
                 assert np.array_equal(a.data, a_batch.data)
                 assert np.array_equal(m.data, m_batch)
 
@@ -201,11 +211,12 @@ def separately_encoded_loss(net, cfg, b, rng):
     ms, attns = [], []
     for i in range(len(b)):
         [(_, a, m)] = net.encode_batch([sentences[i]])
+        annotations = (a,)
         if premises:
             [(_, a_p, m_p)] = net.encode_batch([premises[0][i]])
-            m, a = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
+            m, annotations = heads.gated_encode(m, m_p, p["gated.w_fh"], p["gated.w_fp"]), (a, a_p)
         ms.append(T.reshape(m, (1, *m.shape)))
-        attns.append(a)
+        attns.append(annotations)
     m = T.concat(ms)
     if cfg.head == "pruned":
         logits = heads.pruned_forward(m, p["head.w_v"], p["head.w_h"], p["head.w_out"], p["head.b_out"])

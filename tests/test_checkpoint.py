@@ -79,7 +79,8 @@ def test_shape_mismatch_on_restore(tmp_path):
     # lie about the model width in the stored config snapshot
     config = cfg.to_dict()
     config["u"] = cfg.u + 1
-    checkpoint.save_checkpoint(path, net.named_parameters(), config, vocab.id_to_token)
+    checkpoint.save_checkpoint(path, {name: p.data for name, p in net.named_parameters().items()},
+                               config, vocab.id_to_token)
     with pytest.raises(checkpoint.CheckpointError, match="shape mismatch"):
         checkpoint.restore_model(path)
 

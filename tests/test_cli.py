@@ -16,7 +16,7 @@ from structattn import model as model_mod
 from structattn import tensor as T
 from structattn.config import load_run_config
 
-from support import CONFIG_DIR, append_repeated_tensor, per_value_repr_csv, tiny_config
+from support import CONFIG_DIR, append_repeated_tensor, child_env, per_value_repr_csv, tiny_config
 
 
 def run_cli(*args):
@@ -35,12 +35,9 @@ def write_config(tmp_path, **extra):
 def cli_process(*args, prelude="", cwd=None):
     """Run the CLI in a child process, after ``prelude``, so stderr holds
     everything it prints, numpy's warnings too (pytest would catch those)."""
-    # the child does not inherit pytest's ``pythonpath``; give it this checkout's src
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = f"import sys\nfrom structattn import cli\n{prelude}\nsys.exit(cli.main(sys.argv[1:]))\n"
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=300)
+                          env=child_env(), cwd=cwd, timeout=300)
 
 
 # a step that overflows a float32 product, and does not diverge
@@ -797,12 +794,9 @@ def test_the_recorded_digests_hold_at_one_blas_thread():
 
 
 def test_entry_point_subprocess(tmp_path):
-    # the child does not inherit pytest's ``pythonpath``; give it this checkout's src
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run([sys.executable, "-m", "structattn.cli", "params",
                         "--config", str(CONFIG_DIR / "params_age_dense.cfg")],
-                       capture_output=True, text=True, env=env)
+                       capture_output=True, text=True, env=child_env())
     assert r.returncode == 0
     assert "72000000" in r.stdout
     assert r.stderr == ""
@@ -810,10 +804,8 @@ def test_entry_point_subprocess(tmp_path):
 
 def test_synth_entry_point_subprocess(tmp_path):
     """``python -m structattn.synth`` writes the files ``synth.main`` writes."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run([sys.executable, "-m", "structattn.synth", "--out-dir", str(tmp_path / "child"),
-                        "--seed", "7"], capture_output=True, text=True, env=env)
+                        "--seed", "7"], capture_output=True, text=True, env=child_env())
     assert r.returncode == 0 and r.stderr == ""
     synth.main(["--out-dir", str(tmp_path / "here"), "--seed", "7"])
     files = sorted(path.name for path in (tmp_path / "here").iterdir())

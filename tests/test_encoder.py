@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -10,6 +5,8 @@ from structattn import checks, encoder
 from structattn import tensor as T
 from structattn.config import load_run_config
 from structattn.model import build_model
+
+from support import child_stdout
 
 
 def lstm_params(rng, d, u, dtype):
@@ -325,6 +322,21 @@ class TestPackedScan:
         for i, (g, w) in enumerate(zip(got, want)):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), i
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_grad_gives_the_recorded_states_at_paper_width(self, rng, reverse):
+        """A packed float32 scan at u = 300 over mixed lengths, one-row
+        sentences among them, gives the same state bytes under ``no_grad`` as
+        the scan that records its backward."""
+        d, u, lengths = 100, 300, (37, 1, 90, 2, 64, 1)
+        x = T.Tensor(rng.uniform(-0.1, 0.1, (sum(lengths), d)).astype(np.float32), requires_grad=True)
+        weights = [T.Tensor(rng.uniform(-0.1, 0.1, s).astype(np.float32), requires_grad=True)
+                   for s in [(4 * u, d), (4 * u, u), (4 * u,)]]
+        recorded = T.lstm_scan(x, lengths, *weights, reverse=reverse)
+        with T.no_grad():
+            plain = T.lstm_scan(x, lengths, *weights, reverse=reverse)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.dtype == np.float32 and plain.data.tobytes() == recorded.data.tobytes()
+
     @pytest.mark.parametrize("lengths", [(), (2, 0, 1), (2, 2)])
     def test_lengths_must_cover_the_rows(self, rng, lengths):
         p, _ = make_params(rng)
@@ -372,14 +384,6 @@ def test_scan_bits_do_not_depend_on_the_blas_thread_count():
     thread count; a B-wide GEMM of the recurrence would not. The input
     gradient is left out: OpenBLAS gives each sentence's n-by-4u times
     4u-by-d product different bits at 1 and at 2 threads, alone or packed."""
-    src = str(Path(encoder.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
+    outputs = [child_stdout(THREAD_SCRIPT, threads) for threads in ("1", "2")]
     assert len(outputs[0].split()) == 8
     assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import tracemalloc
 
@@ -615,6 +616,19 @@ class TestUniform:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, workers
             assert rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
                 ref_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+
+    @pytest.mark.parametrize("cores", [None, 1, 3])
+    def test_a_platform_without_sched_getaffinity_draws_on_its_cpu_count(self, cores, monkeypatch):
+        """macOS and Windows have no ``os.sched_getaffinity``: the draw splits
+        over ``os.cpu_count()`` cores (one when it cannot say) and keeps the
+        serial draw's bits and end state."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = T.uniform(rng, -0.3, 0.2, (700, 1000))
+        assert T._usable_cores() == (cores or 1)
+        assert np.array_equal(got.data, ref_rng.uniform(-0.3, 0.2, size=(700, 1000)).astype(np.float32))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_a_helper_threads_memory_error_reaches_the_caller(self, monkeypatch):
         class Failing(np.random.Generator):

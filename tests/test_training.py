@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +9,7 @@ from structattn import tensor as T
 from structattn.model import build_model
 from structattn.synth import make_pair_task, write_lines
 
-from support import tiny_config
+from support import child_stdout, tiny_config
 
 
 def t64(a):
@@ -25,23 +21,23 @@ class TestTotalLoss:
         logits = t64(rng.standard_normal((1, 3)))
         a = t64(rng.dirichlet(np.ones(4), size=2))
         w = t64(rng.standard_normal((2, 2)))
-        loss = training.total_loss(logits, [1], [a], coeff=0.0, l2_coeff=0.01, l2_params=[w])[0]
+        loss = training.total_loss(logits, [1], [(a,)], coeff=0.0, l2_coeff=0.01, l2_params=[w])[0]
         expected = T.cross_entropy(logits, [1]).item() + 0.01 * (w.data ** 2).sum()
         assert loss.item() == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_one_hot_attention_adds_nothing(self, rng):
         logits = t64(rng.standard_normal((1, 3)))
         disjoint = t64(np.eye(3))
-        with_pen = training.total_loss(logits, [0], [disjoint], 1.0, 0.0, [])[0]
-        without = training.total_loss(logits, [0], [disjoint], 0.0, 0.0, [])[0]
+        with_pen = training.total_loss(logits, [0], [(disjoint,)], 1.0, 0.0, [])[0]
+        without = training.total_loss(logits, [0], [(disjoint,)], 0.0, 0.0, [])[0]
         assert with_pen.item() == without.item()
 
     def test_zero_coeff_ignores_attention_path(self, rng):
         logits = t64(rng.standard_normal((1, 3)))
         a1 = t64(rng.dirichlet(np.ones(5), size=2))
         a2 = t64(rng.dirichlet(np.ones(5), size=2))
-        assert training.total_loss(logits, [0], [a1], 0.0, 0.0, [])[0].item() == \
-               training.total_loss(logits, [0], [a2], 0.0, 0.0, [])[0].item()
+        assert training.total_loss(logits, [0], [(a1,)], 0.0, 0.0, [])[0].item() == \
+               training.total_loss(logits, [0], [(a2,)], 0.0, 0.0, [])[0].item()
 
     def test_pair_attention_averages_penalties(self, rng):
         logits = t64(rng.standard_normal((1, 2)))
@@ -64,9 +60,9 @@ class TestTotalLoss:
             return float(((a @ a.T - np.eye(r, dtype=np.float32)) ** 2).sum())
 
         logits = T.Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
-        single = [attention_matrix(), attention_matrix()]
+        single = [(attention_matrix(),), (attention_matrix(),)]
         _, penalties = training.total_loss(logits, [0, 2], single, coeff, 0.0, [])
-        assert penalties == [formula(a) for a in single]
+        assert penalties == [formula(a) for (a,) in single]
         pairs = [(attention_matrix(), attention_matrix()), (attention_matrix(), attention_matrix())]
         _, penalties = training.total_loss(logits, [1, 0], pairs, coeff, 0.0, [])
         assert penalties == [(formula(a1) + formula(a2)) / 2 for a1, a2 in pairs]
@@ -74,7 +70,7 @@ class TestTotalLoss:
     def test_gradient(self, rng):
         def loss(logits, scores, w):
             a = T.softmax_rows(scores)
-            return training.total_loss(logits, [1], [a], 0.7, 1e-3, [w])[0]
+            return training.total_loss(logits, [1], [(a,)], 0.7, 1e-3, [w])[0]
 
         inputs = [T.Tensor(rng.standard_normal(s)) for s in [(1, 3), (2, 5), (3, 3)]]
         assert checks.grad_check(loss, inputs) < 1e-4
@@ -413,15 +409,10 @@ def test_lazy_spend_gives_the_bits_of_the_dense_gradient_at_one_and_two_blas_thr
     16384 columns OpenBLAS gives a 1-row product (a GEMV) other bits than
     the rows of the whole GEMM, so a spend that kept the tail block alone
     fails here. Toy models have one block and cannot show it."""
-    src = str(Path(training.__file__).resolve().parents[1])
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", LAZY_SPEND_SCRIPT], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        pairs = [line.split() for line in run.stdout.splitlines()]
-        assert len(pairs) == 4 and len({lazy for lazy, _ in pairs}) == 4, run.stdout
+        stdout = child_stdout(LAZY_SPEND_SCRIPT, threads)
+        pairs = [line.split() for line in stdout.splitlines()]
+        assert len(pairs) == 4 and len({lazy for lazy, _ in pairs}) == 4, stdout
         for lazy, reference in pairs:
             assert lazy == reference, threads
 
@@ -455,16 +446,12 @@ def test_paper_encoder_and_training_bits_do_not_depend_on_the_blas_thread_count(
     1 000 words): a no-grad ``encode_batch`` of 8 sentences of lengths
     10-100, then one ``training.train`` epoch, in children at 1 and 2 BLAS
     threads, print the same matrix-embedding and parameter digests."""
-    src = str(Path(training.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", PAPER_THREAD_SCRIPT], env=env, capture_output=True,
-                             text=True, timeout=300)
-        if run.returncode or len(run.stdout.split()) != 8 + 13:
-            pytest.fail(f"the child at {threads} threads failed: {run.stderr}{run.stdout}")
-        outputs.append(run.stdout.splitlines())
+        stdout = child_stdout(PAPER_THREAD_SCRIPT, threads)
+        if len(stdout.split()) != 8 + 13:
+            pytest.fail(f"the child at {threads} threads printed {stdout!r}")
+        outputs.append(stdout.splitlines())
     assert outputs[0][0] == outputs[1][0], "matrix embeddings"
     assert outputs[0][1] == outputs[1][1], "parameters after one epoch"
 
@@ -480,7 +467,7 @@ class StubModel:
     def forward_batch(self, sentences, premises=None, rng=None):
         logits = [self.logits_for(t) for t in sentences]
         return (T.Tensor(np.asarray(logits, dtype=np.float32)),
-                [T.Tensor(np.ones((1, len(t)))) for t in sentences])
+                [(T.Tensor(np.ones((1, len(t)))),) for t in sentences])
 
 
 class TestEvaluate:

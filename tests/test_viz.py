@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from structattn import attention, viz
+from structattn import tensor as T
 
 from support import per_value_repr_csv
 
@@ -15,7 +16,7 @@ def make_doc(rng, sentence_id=0, r=3, tokens=("the", "cat", "<sat>")):
     hop = rng.dirichlet(np.ones(len(tokens)), size=r)
     return viz.HeatmapDoc(
         sentence_id=sentence_id, tokens=list(tokens), hop_weights=hop,
-        overall=attention.overall_attention(hop), model_id="m", predicted=1, confidence=0.9)
+        overall=attention.overall_attention(T.Tensor(hop)), model_id="m", predicted=1, confidence=0.9)
 
 
 def parse_csv(text):
@@ -77,8 +78,8 @@ def golden_docs():
     quoting, one with no prediction, one with a prediction and confidence."""
     h0 = np.array([[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]], dtype=np.float32)
     h1 = np.array([[0.7, 0.3], [0.1, 0.9]], dtype=np.float32)
-    return [viz.HeatmapDoc(0, ["the", 'a"b,c', "<x&y>"], h0, attention.overall_attention(h0)),
-            viz.HeatmapDoc(7, ["kw", "é"], h1, attention.overall_attention(h1), predicted=1, confidence=0.875)]
+    return [viz.HeatmapDoc(0, ["the", 'a"b,c', "<x&y>"], h0, attention.overall_attention(T.Tensor(h0))),
+            viz.HeatmapDoc(7, ["kw", "é"], h1, attention.overall_attention(T.Tensor(h1)), predicted=1, confidence=0.875)]
 
 
 GOLDEN_HEAD = (

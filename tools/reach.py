@@ -109,6 +109,8 @@ RULES = [
     (4, UNIFORM, "tensor.py:uniform", ("ahead = np.random.PCG64()", "ahead.state = state",
                                        "helpers.append(np.random.Generator(ahead.advance(start)))",
                                        "future.result()")),
+    (4, "tests/test_tensor.py::TestUniform::test_a_platform_without_sched_getaffinity_draws_on_its_cpu_count",
+     "tensor.py:_usable_cores", ("return os.cpu_count() or 1",)),
     (4, "tests/test_tensor.py::TestSumSquares::test_frozen_weight_gets_no_gradient",
      "tensor.py:sum_squares.bk", ("continue",)),
     (4, "tests/test_training.py::test_clipped_sgd_step_gives_the_bits_of_the_whole_array_formula",
